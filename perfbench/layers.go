@@ -11,7 +11,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"time"
 
 	"earmac"
@@ -62,9 +61,6 @@ var perLayer = func() []layerMetric {
 		{"earmac.suite_json_ms", "ms", "lower", "frontier wall_s", "-"},
 		{"earmac.suite_self_ms", "ms", "lower", "frontier wall_s (Suite runner outside its cells)", "-"},
 		{"service.http_floor_us", "us", "lower", "serve wall_s via hits (hit_p50_ms)", "-"},
-		{"service.handler_hit_us", "us", "lower", "serve wall_s, cpu_s via hits", "table1, network, frontier"},
-		{"service.handler_miss_ms", "ms", "lower", "serve wall_s, cpu_s via misses", "table1, network, frontier"},
-		{"service.transport_us", "us", "lower", "serve wall_s via hits (loopback HTTP outside the handler)", "-"},
 		{"service.miss_overhead_ms", "ms", "lower", "serve wall_s via misses (miss_p50_ms)", "-"},
 		{"service.hit_ratio", "ratio", "higher", "none: fixed by the schedule", "-"},
 		{"hit_p50_ms", "ms", "lower", "serve wall_s", "-"},
@@ -452,34 +448,12 @@ const (
 // probes the layers under a request: the HTTP floor, Fingerprint, the
 // in-process run a miss wraps, report encoding and the trace read side.
 func traceServe(w *serveWorkload, tr *tracer, ck *checker, vals map[string]float64) {
-	spans := tr.snapshot()
-	self := selfTimes(spans)
-	byOp := map[string]span{}
-	for _, s := range spans {
-		if s.Name == "service.ServeHTTP" && strings.HasPrefix(s.Op, "req") {
-			byOp[s.Op] = s
-		}
-	}
-	var hitHandler, missHandler, transport []float64
 	hits := 0
-	for _, s := range spans {
-		if s.Name != "http.POST" || !strings.HasPrefix(s.Op, "req") {
-			continue
-		}
-		var i int
-		fmt.Sscanf(s.Op, "req%d", &i)
-		h := byOp[s.Op]
-		if w.resps[i].disposition == "hit" {
+	for _, r := range w.resps {
+		if r.disposition == "hit" {
 			hits++
-			hitHandler = append(hitHandler, float64(h.dur())/1e3)
-			transport = append(transport, float64(self[s.ID])/1e3)
-		} else {
-			missHandler = append(missHandler, ms(h.dur()))
 		}
 	}
-	vals["service.handler_hit_us"] = median(hitHandler)
-	vals["service.handler_miss_ms"] = median(missHandler)
-	vals["service.transport_us"] = median(transport)
 	vals["service.hit_ratio"] = float64(hits) / float64(len(w.sched.reqs))
 	vals["hit_p50_ms"] = quantile(w.hitMs, 0.5)
 	vals["hit_p90_ms"] = quantile(w.hitMs, 0.9)

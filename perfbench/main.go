@@ -3,7 +3,7 @@
 // output, and prints its metrics; the last line of standard output is a
 // JSON object {"correct", "attempted", "failed", "metrics"}.
 //
-//	perfbench --workload table1 --seed 1 --seconds 25 --trace 0
+//	perfbench --workload table1 --seed 1 --seconds 28 --trace 0
 //
 // Workloads: table1, network, frontier, serve (see NOTES.md for why each
 // was chosen and which layers carry its time). With --trace 0 the run
@@ -43,7 +43,7 @@ func main() {
 	var (
 		workload = flag.String("workload", "", "workload to run: "+strings.Join(workloadOrder, ", "))
 		seed     = flag.Int64("seed", defaultSeed, "workload seed; every input is generated from it")
-		seconds  = flag.Float64("seconds", 25, "how long the timed passes run")
+		seconds  = flag.Float64("seconds", 28, "how long the timed passes run")
 		traced   = flag.Int("trace", 0, "1 runs the traced per-layer pass instead of the timed one")
 	)
 	flag.Parse()

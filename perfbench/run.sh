@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Builds perfbench from source and runs it with the given arguments:
 #
-#   bash perfbench/run.sh --workload table1 --seed 1 --seconds 25 --trace 0
+#   bash perfbench/run.sh --workload table1 --seed 1 --seconds 28 --trace 0
 #
 # Run it from the repository root. The Go build cache, the build's
 # temporary files and the binary live under .bench_build, so nothing is

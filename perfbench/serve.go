@@ -25,12 +25,6 @@ const (
 	jobHeader   = "X-Earmac-Job"
 )
 
-// Headers carrying the client's span to the traced handler wrapper.
-const (
-	spanHeader = "X-Perfbench-Span"
-	opHeader   = "X-Perfbench-Op"
-)
-
 // serveConfig is the one shape of served config: a short run on the
 // façade's defaults (strict, conservation-checked), varied only by seed.
 func serveConfig(seed, rounds int64) earmac.Config {
@@ -115,32 +109,11 @@ func newServe(seed int64, sz size) *serveWorkload {
 	return &serveWorkload{seed: seed, sz: sz, sched: newSchedule(seed, sz)}
 }
 
-// tracedHandler records a span around the service's handler, as a child
-// of the client span named in the request's headers.
-type tracedHandler struct {
-	h  http.Handler
-	tr *tracer
-}
-
-func (t tracedHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	parent, err := strconv.Atoi(r.Header.Get(spanHeader))
-	if err != nil {
-		parent = -1
-	}
-	id := t.tr.begin("service.ServeHTTP", r.Header.Get(opHeader), parent)
-	t.h.ServeHTTP(w, r)
-	t.tr.end(id)
-}
-
 func (w *serveWorkload) setup(tr *tracer) error {
 	w.tr = tr
 	w.srv = service.New(service.Options{Workers: 1})
 	w.srv.Start()
-	var h http.Handler = w.srv
-	if tr != nil {
-		h = tracedHandler{h: w.srv, tr: tr}
-	}
-	w.ts = httptest.NewServer(h)
+	w.ts = httptest.NewServer(w.srv)
 	w.client = w.ts.Client()
 	// Warm-up: open the keep-alive connection and fill the server's
 	// buffers with configs the schedule never requests.
@@ -170,10 +143,6 @@ func (w *serveWorkload) do(method, path string, body []byte, op string) response
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
-	}
-	if w.tr != nil {
-		req.Header.Set(spanHeader, strconv.Itoa(root))
-		req.Header.Set(opHeader, op)
 	}
 	resp, err := w.client.Do(req)
 	if err != nil {

@@ -21,8 +21,7 @@ func (s span) dur() time.Duration { return time.Duration(s.End - s.Start) }
 
 // tracer keeps spans in memory until the run ends. A nil *tracer records
 // nothing, so untraced passes call the same code. It is safe for
-// concurrent use: server handlers and Suite callbacks record from their
-// own goroutines.
+// concurrent use: Suite callbacks record from their own goroutines.
 type tracer struct {
 	base  time.Time
 	mu    sync.Mutex
