@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"earmac/internal/adversary"
+	"earmac/internal/algorithms/kcycle"
 	"earmac/internal/algorithms/ksubsets"
 	"earmac/internal/algorithms/orchestra"
 	"earmac/internal/algorithms/randmac"
@@ -20,20 +21,29 @@ import (
 )
 
 // steadyAllocsPerRound warms a fast-path simulation up, then measures the
-// allocations per simulated round. Queue high-water records still grow
+// allocations per simulated round.
+func steadyAllocsPerRound(t *testing.T, sys *core.System, adv core.Adversary, warmup, measure int64) float64 {
+	t.Helper()
+	return steadyAllocs(t, sys, adv, core.Options{}, warmup, measure) / float64(measure)
+}
+
+// steadyAllocs warms a simulation on opt up, then measures the
+// allocations over measure rounds. Queue high-water records still grow
 // the pools amortized-logarithmically ever more rarely, so it returns the
 // minimum over a few measurement windows: a zero window proves the round
 // loop itself never touches the allocator.
-func steadyAllocsPerRound(t *testing.T, sys *core.System, adv core.Adversary, warmup, measure int64) float64 {
+func steadyAllocs(t *testing.T, sys *core.System, adv core.Adversary, opt core.Options, warmup, measure int64) float64 {
 	t.Helper()
 	if raceEnabled {
 		t.Skip("allocs-per-round is meaningless under the race detector")
 	}
 	tr := metrics.NewTracker()
 	tr.SampleEvery = 0 // flat counters only: no time-series appends
-	sim := core.NewSim(sys, adv, core.Options{Tracker: tr})
-	if !sim.FastPath() {
-		t.Fatal("fast path not selected")
+	opt.Tracker = tr
+	sim := core.NewSim(sys, adv, opt)
+	wantFast := !opt.Strict && opt.CheckEvery == 0
+	if sim.FastPath() != wantFast {
+		t.Fatalf("fast path selected = %v, want %v", sim.FastPath(), wantFast)
 	}
 	if err := sim.Run(warmup); err != nil {
 		t.Fatal(err)
@@ -52,7 +62,7 @@ func steadyAllocsPerRound(t *testing.T, sys *core.System, adv core.Adversary, wa
 			break
 		}
 	}
-	return best / float64(measure)
+	return best
 }
 
 func TestFastPathZeroAllocsKSubsets(t *testing.T) {
@@ -136,6 +146,41 @@ func TestFastPathZeroAllocsStochasticScenario(t *testing.T) {
 	perRound := steadyAllocsPerRound(t, sys, adv, 60000, 30000)
 	if perRound != 0 {
 		t.Errorf("phased stochastic steady state allocates %.4f allocs/round, want 0", perRound)
+	}
+}
+
+// TestCheckedConservationZeroAllocs extends the allocation floor to the
+// strict, conservation-checked loop that expt.Run and earmac.Run use:
+// the per-round ledger bookkeeping and the periodic CheckConservation
+// (AppendHeld into one reused buffer, holder counts in the ledger's
+// ring) must not touch the allocator once warm. The window spans 20
+// checks.
+func TestCheckedConservationZeroAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("steady-state warmup is long")
+	}
+	const every = 1009
+	cases := []struct {
+		name  string
+		build func() (*core.System, error)
+		typ   adversary.Type
+		seed  int64
+	}{
+		{"orchestra-n6-rho1", func() (*core.System, error) { return orchestra.New(6) }, adversary.T(1, 1, 2), 102},
+		{"3-cycle-n7-rho1/4", func() (*core.System, error) { return kcycle.New(7, 3) }, adversary.T(1, 4, 2), 108},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			sys, err := c.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			adv := adversary.New(c.typ, adversary.Uniform(sys.N(), c.seed))
+			allocs := steadyAllocs(t, sys, adv, core.Options{Strict: true, CheckEvery: every}, 60000, 20*every)
+			if allocs != 0 {
+				t.Errorf("checked steady state allocates %.0f times per %d rounds, want 0", allocs, 20*every)
+			}
+		})
 	}
 }
 

@@ -190,7 +190,7 @@ func (s *station) beginWindow(round int64) {
 	}
 
 	// Snapshot: everything queued now is old for this window.
-	s.snapshot = s.q.Snapshot()
+	s.snapshot = s.q.AppendTo(s.snapshot[:0])
 	s.snapSize = int64(len(s.snapshot))
 	s.oldSet = make(map[int64]bool, len(s.snapshot))
 	s.snapCnt = make([]int64, s.n)
@@ -527,10 +527,8 @@ func CurrentWindow(p core.Protocol) int64 {
 	return 0
 }
 
-func (s *station) HeldPackets() []mac.Packet {
-	out := make([]mac.Packet, 0, s.QueueLen())
-	out = append(out, s.staging...)
-	out = append(out, s.q.Snapshot()...)
-	out = append(out, s.relayQ.Snapshot()...)
-	return out
+func (s *station) AppendHeld(dst []mac.Packet) []mac.Packet {
+	dst = append(dst, s.staging...)
+	dst = s.q.AppendTo(dst)
+	return s.relayQ.AppendTo(dst)
 }

@@ -187,8 +187,8 @@ func (s *station) Inject(p mac.Packet) { s.newQ.Push(p) }
 
 func (s *station) QueueLen() int { return s.oldQ.Len() + s.newQ.Len() }
 
-func (s *station) HeldPackets() []mac.Packet {
-	return append(s.oldQ.Snapshot(), s.newQ.Snapshot()...)
+func (s *station) AppendHeld(dst []mac.Packet) []mac.Packet {
+	return s.newQ.AppendTo(s.oldQ.AppendTo(dst))
 }
 
 // startPhase rolls new packets over to old at a phase boundary.

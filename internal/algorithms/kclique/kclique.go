@@ -276,12 +276,11 @@ func (s *station) SkipIdle(from, to int64) {
 	}
 }
 
-func (s *station) HeldPackets() []mac.Packet {
-	var out []mac.Packet
+func (s *station) AppendHeld(dst []mac.Packet) []mac.Packet {
 	for _, sub := range s.subs {
-		out = sub.q.AppendTo(out)
+		dst = sub.q.AppendTo(dst)
 	}
-	return out
+	return dst
 }
 
 // New builds a k-Clique system for n ≥ 3 stations under energy cap k.

@@ -306,12 +306,11 @@ func (s *station) SkipIdle(from, to int64) {
 	}
 }
 
-func (s *station) HeldPackets() []mac.Packet {
-	var out []mac.Packet
+func (s *station) AppendHeld(dst []mac.Packet) []mac.Packet {
 	for _, gq := range s.subs {
-		out = gq.q.AppendTo(out)
+		dst = gq.q.AppendTo(dst)
 	}
-	return out
+	return dst
 }
 
 // New builds a k-Cycle system for n ≥ 3 stations under energy cap k ≥ 2.

@@ -355,13 +355,12 @@ func (s *station) SkipIdle(from, to int64) {
 	}
 }
 
-func (s *station) HeldPackets() []mac.Packet {
-	out := make([]mac.Packet, 0, s.QueueLen())
-	out = append(out, s.staging...)
+func (s *station) AppendHeld(dst []mac.Packet) []mac.Packet {
+	dst = append(dst, s.staging...)
 	for _, q := range s.queues {
-		out = q.AppendTo(out)
+		dst = q.AppendTo(dst)
 	}
-	return out
+	return dst
 }
 
 func build(n, k int, rrw bool) (*core.System, error) {

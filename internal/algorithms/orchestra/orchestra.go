@@ -317,12 +317,10 @@ func (s *station) SkipIdle(from, to int64) {
 	}
 }
 
-func (s *station) HeldPackets() []mac.Packet {
-	out := make([]mac.Packet, 0, s.QueueLen())
-	out = append(out, s.staging...)
-	out = append(out, s.pending.Snapshot()...)
-	out = append(out, s.fresh...)
-	out = append(out, s.sigmaCur[s.delivered:]...)
-	out = append(out, s.sigmaNext...)
-	return out
+func (s *station) AppendHeld(dst []mac.Packet) []mac.Packet {
+	dst = append(dst, s.staging...)
+	dst = s.pending.AppendTo(dst)
+	dst = append(dst, s.fresh...)
+	dst = append(dst, s.sigmaCur[s.delivered:]...)
+	return append(dst, s.sigmaNext...)
 }

@@ -144,7 +144,7 @@ func TestStarvationUnderPermanentFlood(t *testing.T) {
 	// Station 4 still holds its packet: the flooded station monopolizes
 	// the channel. (Pending = that one packet plus whatever of the flood
 	// is in flight; assert specifically that station 4 never delivered.)
-	held := sys.Stations[4].(*station).HeldPackets()
+	held := sys.Stations[4].(*station).AppendHeld(nil)
 	found := false
 	for _, p := range held {
 		if p.Dest == 5 {

@@ -159,7 +159,7 @@ func (s *station) Observe(round int64, fb mac.Feedback) {
 
 func (s *station) QueueLen() int { return s.q.Len() }
 
-func (s *station) HeldPackets() []mac.Packet { return s.q.Snapshot() }
+func (s *station) AppendHeld(dst []mac.Packet) []mac.Packet { return s.q.AppendTo(dst) }
 
 // Quiescent implements mac.Skipper: an empty station neither draws
 // randomness nor transmits — a switched-on idle round scans the

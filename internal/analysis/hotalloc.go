@@ -98,6 +98,9 @@ func runHotAlloc(pass *Pass) error {
 				callee = pass.TypesInfo.Uses[fun.Sel]
 			}
 			if cf, ok := callee.(*types.Func); ok && cf.Pkg() == pass.Pkg {
+				// A call to a generic function or method resolves to
+				// an instantiation; its declaration is the origin's.
+				cf = cf.Origin()
 				if _, local := decls[cf]; local {
 					visit(cf)
 				}

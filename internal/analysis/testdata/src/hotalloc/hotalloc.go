@@ -61,3 +61,22 @@ func Waived(n int) {
 		panic(fmt.Sprintf("bad n %d", n)) // panic arguments are exempt: the program is dying
 	}
 }
+
+// ring is generic: calls between its methods resolve to instantiations,
+// which the closure must follow back to their declarations.
+type ring[T any] struct{ slots []T }
+
+// Push is a hot-path root on a generic type.
+//
+//earmac:hotpath
+func (r *ring[T]) Push(v T) {
+	if len(r.slots) == 0 {
+		r.grow()
+	}
+	r.slots[0] = v
+}
+
+// grow is hot transitively through the generic method call.
+func (r *ring[T]) grow() {
+	r.slots = make([]T, 1) // want `make allocates`
+}

@@ -89,7 +89,7 @@ func (s *rrwStation) Observe(round int64, fb mac.Feedback) {
 
 func (s *rrwStation) QueueLen() int { return s.q.Len() }
 
-func (s *rrwStation) HeldPackets() []mac.Packet { return s.q.Snapshot() }
+func (s *rrwStation) AppendHeld(dst []mac.Packet) []mac.Packet { return s.q.AppendTo(dst) }
 
 // mbtfStation runs Move-Big-To-Front [17]: the token holder transmits
 // until empty, flagging a control bit when its queue is big; heard big
@@ -139,7 +139,7 @@ func (s *mbtfStation) Observe(round int64, fb mac.Feedback) {
 
 func (s *mbtfStation) QueueLen() int { return s.q.Len() }
 
-func (s *mbtfStation) HeldPackets() []mac.Packet { return s.q.Snapshot() }
+func (s *mbtfStation) AppendHeld(dst []mac.Packet) []mac.Packet { return s.q.AppendTo(dst) }
 
 // NewRRWSystem builds the standalone RRW baseline: n always-on stations
 // (energy cap n), plain packets, direct delivery.

@@ -59,9 +59,14 @@ type Protocol interface {
 
 // PacketHolder is an optional Protocol extension that exposes the held
 // packets for invariant checking (exactly-once ownership, direct routing).
-// All algorithms in this repository implement it.
+// AppendHeld appends every packet the station holds to dst and returns
+// the extended slice. It must not change the station, and the station
+// must not retain dst: the checker reuses one buffer across stations and
+// checks, so a steady-state check allocates nothing. The order is the
+// station's own but must be deterministic, since violation reports
+// follow it. All algorithms in this repository implement it.
 type PacketHolder interface {
-	HeldPackets() []mac.Packet
+	AppendHeld(dst []mac.Packet) []mac.Packet
 }
 
 // AlgorithmInfo describes the declared properties of an algorithm, in the

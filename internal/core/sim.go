@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"earmac/internal/mac"
 	"earmac/internal/metrics"
@@ -15,7 +14,10 @@ type Options struct {
 	Strict bool
 	// CheckEvery enables the packet-conservation invariant check every so
 	// many rounds (0 disables). Checking requires all stations to
-	// implement PacketHolder and costs O(total queue) per check.
+	// implement PacketHolder. The bookkeeping costs O(1) per injection
+	// and delivery; a check costs O(window + held), where the window is
+	// at most twice the widest span of in-flight packet IDs, and
+	// allocates nothing in steady state.
 	CheckEvery int64
 	// Tracker receives statistics; a fresh one is created when nil.
 	Tracker *metrics.Tracker
@@ -139,10 +141,9 @@ type Sim struct {
 	queueLen []int
 	injBuf   []Injection  // reused injection scratch (fast and checked path)
 	delBuf   []mac.Packet // reused delivered-packet scratch (checked path)
-	// live maps in-flight packet IDs to their packets; maintained only
-	// when conservation checking is enabled.
-	live      map[int64]mac.Packet
-	delivered map[int64]bool
+	// ledger tracks the in-flight packets for CheckConservation; nil
+	// unless conservation checking is enabled.
+	ledger *ledger
 
 	// Quiescence fast-forward state (fast path only; see quiesce.go).
 	skipOK      bool          // engine enabled for this sim
@@ -188,8 +189,7 @@ func NewSim(sys *System, adv Adversary, opt Options) *Sim {
 	s.dropObs = opt.DropObserver
 	s.roundEnd = opt.RoundEnd
 	if opt.CheckEvery > 0 {
-		s.live = make(map[int64]mac.Packet)
-		s.delivered = make(map[int64]bool)
+		s.ledger = &ledger{}
 	}
 	s.fast = !opt.Strict && opt.CheckEvery <= 0 && opt.Tracer == nil && !opt.ForceChecked
 	s.dhor = opt.DisruptHorizon
@@ -498,8 +498,8 @@ func (s *Sim) stepChecked() error {
 		}
 		p := mac.Packet{ID: s.nextID, Src: in.Station, Dest: in.Dest, Injected: t}
 		s.nextID++
-		if s.live != nil {
-			s.live[p.ID] = p
+		if s.ledger != nil {
+			s.ledger.add(p)
 		}
 		s.sys.Stations[in.Station].Inject(p)
 		s.tracker.ObserveInjections(1)
@@ -591,14 +591,13 @@ func (s *Sim) stepChecked() error {
 				s.delObs(t, p)
 			}
 			deliveredPkts = append(deliveredPkts, p)
-			if s.live != nil {
-				if s.delivered[p.ID] {
+			if s.ledger != nil {
+				if s.ledger.gone(p.ID) {
 					if err := s.violate("packet %v delivered twice", p); err != nil {
 						return err
 					}
 				}
-				s.delivered[p.ID] = true
-				delete(s.live, p.ID)
+				s.ledger.retire(p.ID)
 			}
 		} else if s.sys.Info.Direct {
 			// Mid-route death (see the fast path): the direct
@@ -611,9 +610,8 @@ func (s *Sim) stepChecked() error {
 			if s.dropObs != nil {
 				s.dropObs(t, p)
 			}
-			if s.live != nil {
-				s.delivered[p.ID] = true
-				delete(s.live, p.ID)
+			if s.ledger != nil {
+				s.ledger.retire(p.ID)
 			}
 		}
 	default:
@@ -668,29 +666,32 @@ func (s *Sim) stepChecked() error {
 // delivered or unknown packet, and (for algorithms declared direct) every
 // packet still sits in the station it was injected into. It requires
 // conservation tracking (Options.CheckEvery > 0) and stations
-// implementing PacketHolder.
+// implementing PacketHolder. Violations about held packets come in
+// station order, then those about in-flight packets in ascending ID
+// order, so reports are deterministic.
 func (s *Sim) CheckConservation() error {
-	if s.live == nil {
+	l := s.ledger
+	if l == nil {
 		return fmt.Errorf("core: conservation tracking disabled (set Options.CheckEvery)")
 	}
-	seen := make(map[int64]int, len(s.live))
+	l.beginCheck()
 	for i, st := range s.sys.Stations {
 		h, ok := st.(PacketHolder)
 		if !ok {
 			return fmt.Errorf("core: station %d does not implement PacketHolder", i)
 		}
-		for _, p := range h.HeldPackets() {
-			seen[p.ID]++
-			if seen[p.ID] > 1 {
+		l.held = h.AppendHeld(l.held[:0])
+		for _, p := range l.held {
+			if l.hold(p.ID) > 1 {
 				if err := s.violate("packet %v held by more than one station", p); err != nil {
 					return err
 				}
 			}
-			if s.delivered[p.ID] {
+			if l.gone(p.ID) {
 				if err := s.violate("station %d holds already-delivered packet %v", i, p); err != nil {
 					return err
 				}
-			} else if _, isLive := s.live[p.ID]; !isLive {
+			} else if l.ring.Get(p.ID) == nil {
 				if err := s.violate("station %d holds unknown packet %v", i, p); err != nil {
 					return err
 				}
@@ -702,17 +703,13 @@ func (s *Sim) CheckConservation() error {
 			}
 		}
 	}
-	// Check live packets in id order, so multi-packet violation reports
-	// are deterministic (violations land in reports and trace footers;
-	// map order must never reach them).
-	ids := make([]int64, 0, len(s.live))
-	for id := range s.live { //earmac:nondet -- key collection only; ids are sorted before any observable use
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		if seen[id] != 1 {
-			if err := s.violate("in-flight packet %v held by %d stations", s.live[id], seen[id]); err != nil {
+	for id := l.ring.Base(); id < l.ring.Next(); id++ {
+		e := l.ring.Get(id)
+		if e == nil {
+			continue
+		}
+		if n := l.holders(e); n != 1 {
+			if err := s.violate("in-flight packet %v held by %d stations", e.packet(id), n); err != nil {
 				return err
 			}
 		}
@@ -722,4 +719,9 @@ func (s *Sim) CheckConservation() error {
 
 // LivePackets returns the number of injected-but-undelivered packets
 // (available only with conservation tracking).
-func (s *Sim) LivePackets() int { return len(s.live) }
+func (s *Sim) LivePackets() int {
+	if s.ledger == nil {
+		return 0
+	}
+	return s.ledger.ring.Live()
+}

@@ -45,11 +45,7 @@ func (p *scriptProto) Observe(round int64, fb mac.Feedback) {
 
 func (p *scriptProto) QueueLen() int { return len(p.queue) }
 
-func (p *scriptProto) HeldPackets() []mac.Packet {
-	out := make([]mac.Packet, len(p.queue))
-	copy(out, p.queue)
-	return out
-}
+func (p *scriptProto) AppendHeld(dst []mac.Packet) []mac.Packet { return append(dst, p.queue...) }
 
 // injectOnce injects a fixed list at round 0.
 type injectOnce struct{ injs []Injection }

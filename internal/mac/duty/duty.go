@@ -165,13 +165,13 @@ func (s *station) Observe(round int64, fb mac.Feedback) { s.inner.Observe(round,
 
 func (s *station) QueueLen() int { return s.inner.QueueLen() }
 
-// HeldPackets forwards conservation snapshots: sleeping never moves or
+// AppendHeld forwards conservation checks: sleeping never moves or
 // destroys queued packets, so the inner holder's view is the truth.
-func (s *station) HeldPackets() []mac.Packet {
+func (s *station) AppendHeld(dst []mac.Packet) []mac.Packet {
 	if h, ok := s.inner.(core.PacketHolder); ok {
-		return h.HeldPackets()
+		return h.AppendHeld(dst)
 	}
-	return nil
+	return dst
 }
 
 // Wrap returns sys with every station duty-cycled under p, plus the

@@ -176,7 +176,7 @@ func TestOutageScheduleActive(t *testing.T) {
 // regression: a packet that dies mid-route — its transmitter retired it
 // while the duty-cycled destination slept — must give back its
 // mirror-map slot and relay-arena state. A long disrupted run with
-// steady drops must (a) keep every channel's metaTable ring at its
+// steady drops must (a) keep every channel's packet-id ring at its
 // steady-state size instead of growing with the drop count, and (b)
 // conserve packets exactly: in-flight = injected − delivered − dropped.
 func TestDroppedPacketsReclaimMirrorState(t *testing.T) {
@@ -221,9 +221,9 @@ func TestDroppedPacketsReclaimMirrorState(t *testing.T) {
 		t.Fatalf("only %d injections; the run is too short to witness a leak", agg.Injected)
 	}
 	for c := 0; c < 3; c++ {
-		if n := len(net.chans[c].meta.ring); n > 1024 {
-			t.Errorf("channel %d: metaTable ring grew to %d entries (live %d) — dropped packets leak mirror state",
-				c, n, net.chans[c].meta.live)
+		if n := net.chans[c].meta.Cap(); n > 1024 {
+			t.Errorf("channel %d: id ring grew to %d entries (live %d) — dropped packets leak mirror state",
+				c, n, net.chans[c].meta.Live())
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"earmac/internal/core"
+	"earmac/internal/idring"
 	"earmac/internal/mac"
 	"earmac/internal/metrics"
 	"earmac/internal/pool"
@@ -96,86 +97,13 @@ type handoff struct {
 // netPacket is the network-level identity of an in-flight packet:
 // everything needed to route it onward and to account its end-to-end
 // latency. Channel sims know nothing of it — they see ordinary local
-// packets — so each channel keeps a metaTable from the local packet ids
-// its sim assigns (mirrored via emission order) to metas. A negative
-// destCh never occurs on a live packet; metaTable uses it as the empty
-// marker.
+// packets — so each channel keeps an idring.Ring from the local packet
+// ids its sim assigns (mirrored via emission order: the k-th injection
+// the sim consumes gets id k, exactly the k-th Push) to metas.
 type netPacket struct {
 	origin  int64 // round the packet entered the network
 	destCh  int   // final channel
 	destLoc int   // final station, local to destCh
-}
-
-// metaMinRing is the initial metaTable window size.
-const metaMinRing = 16
-
-// metaTable mirrors one channel sim's local packet-id assignment. Ids
-// are dense and sequential (the k-th injection the sim consumes gets id
-// k), so instead of a Go map the table keeps a power-of-two ring
-// indexed by id: the live window is [base, next), slot id&(len-1)
-// holds the meta, and destCh < 0 marks a delivered (dead) slot. When
-// the window would outgrow the ring, the dead prefix is reclaimed
-// first and the ring doubles only if truly full — so register and take
-// are allocation-free in steady state and the table never walks more
-// than the live window. This is the same index-arena idea as the pktq
-// rewrite, with the id itself as the arena index.
-type metaTable struct {
-	ring []netPacket
-	base int64 // oldest id that may still be live
-	next int64 // next id the sim will assign
-	live int   // registered, undelivered packets
-}
-
-// register appends the meta for the next sequential local id.
-func (t *metaTable) register(m netPacket) {
-	if len(t.ring) == 0 || t.next-t.base == int64(len(t.ring)) {
-		t.compactOrGrow()
-	}
-	t.ring[t.next&int64(len(t.ring)-1)] = m
-	t.next++
-	t.live++
-}
-
-// take removes and returns the meta for local id, reporting whether the
-// id was live.
-func (t *metaTable) take(id int64) (netPacket, bool) {
-	if id < t.base || id >= t.next {
-		return netPacket{}, false
-	}
-	slot := id & int64(len(t.ring)-1)
-	m := t.ring[slot]
-	if m.destCh < 0 {
-		return netPacket{}, false
-	}
-	t.ring[slot].destCh = -1
-	t.live--
-	return m, true
-}
-
-// compactOrGrow reclaims the dead prefix of the window, doubling the
-// ring (re-placing live entries by id) only when the live window spans
-// the whole ring.
-func (t *metaTable) compactOrGrow() {
-	mask := int64(len(t.ring) - 1)
-	for t.base < t.next && t.ring[t.base&mask].destCh < 0 {
-		t.base++
-	}
-	if len(t.ring) > 0 && t.next-t.base < int64(len(t.ring)) {
-		return
-	}
-	size := 2 * len(t.ring)
-	if size < metaMinRing {
-		size = metaMinRing
-	}
-	old := t.ring
-	//earmac:alloc -- amortized ring doubling; steady state never reaches it (TestNetworkZeroAllocs)
-	t.ring = make([]netPacket, size)
-	for i := range t.ring {
-		t.ring[i].destCh = -1
-	}
-	for id := t.base; id < t.next; id++ {
-		t.ring[id&int64(size-1)] = old[id&mask]
-	}
 }
 
 // chanState bundles everything one channel's step touches: its sim and
@@ -200,7 +128,7 @@ type chanState struct {
 	arriving []pending
 	outbox   []handoff
 
-	meta metaTable
+	meta idring.Ring[netPacket]
 
 	// held parks relay arrivals destined for this channel while it is
 	// in outage; they drain into arriving (FIFO, ahead of new
@@ -386,7 +314,7 @@ func (r *relayFeed) InjectAppend(round int64, buf []core.Injection) []core.Injec
 	cs := r.cs
 	for _, p := range cs.arriving {
 		buf = append(buf, core.Injection{Station: p.station, Dest: p.dest})
-		cs.meta.register(p.meta)
+		cs.meta.Push(p.meta)
 	}
 	return buf
 }
@@ -415,7 +343,7 @@ func (n *Network) admit(round int64, ch int, cs *chanState, in core.Injection, b
 	} else {
 		dest = n.topo.Gateway(ch, n.topo.NextHop(ch, destCh))
 	}
-	cs.meta.register(m)
+	cs.meta.Push(m)
 	cs.admitted++
 	return append(buf, core.Injection{Station: n.topo.Local(in.Station), Dest: dest})
 }
@@ -427,7 +355,7 @@ func (n *Network) admit(round int64, ch int, cs *chanState, in core.Injection, b
 //
 //earmac:hotpath
 func (n *Network) onDelivery(cs *chanState, ch int, round int64, p mac.Packet) {
-	m, ok := cs.meta.take(p.ID)
+	m, ok := cs.meta.Take(p.ID)
 	if !ok {
 		panic(fmt.Sprintf("network: channel %d delivered unregistered packet %v", ch, p))
 	}
@@ -459,7 +387,7 @@ func (n *Network) onDelivery(cs *chanState, ch int, round int64, p mac.Packet) {
 //
 //earmac:hotpath
 func (n *Network) onDrop(cs *chanState, ch int, p mac.Packet) {
-	if _, ok := cs.meta.take(p.ID); !ok {
+	if _, ok := cs.meta.Take(p.ID); !ok {
 		panic(fmt.Sprintf("network: channel %d dropped unregistered packet %v", ch, p))
 	}
 }
@@ -667,7 +595,7 @@ func (n *Network) Relayed(ch int) int64 { return n.chans[ch].relayed }
 func (n *Network) InFlight() int {
 	total := int(n.relayInFlight)
 	for _, cs := range n.chans {
-		total += cs.meta.live
+		total += cs.meta.Live()
 	}
 	return total
 }

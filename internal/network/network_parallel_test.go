@@ -1,8 +1,8 @@
 package network
 
-// Tests for the parallel stepping machinery: the metaTable id arena, the
-// worker-count-independence contract of Step, and the allocation-free
-// steady state of the network round loop.
+// Tests for the parallel stepping machinery: the worker-count-independence
+// contract of Step and the allocation-free steady state of the network
+// round loop. The packet-id ring has its own tests in internal/idring.
 
 import (
 	"testing"
@@ -11,68 +11,6 @@ import (
 	"earmac/internal/algorithms/orchestra"
 	"earmac/internal/core"
 )
-
-func TestMetaTableRoundTrip(t *testing.T) {
-	var m metaTable
-	for id := int64(0); id < 100; id++ {
-		m.register(netPacket{origin: id, destCh: int(id % 7), destLoc: int(id % 3)})
-	}
-	if m.live != 100 {
-		t.Fatalf("live = %d, want 100", m.live)
-	}
-	// Out-of-window and double takes miss.
-	if _, ok := m.take(-1); ok {
-		t.Error("take(-1) hit")
-	}
-	if _, ok := m.take(100); ok {
-		t.Error("take(next) hit")
-	}
-	for id := int64(0); id < 100; id += 2 {
-		got, ok := m.take(id)
-		if !ok || got.origin != id || got.destCh != int(id%7) || got.destLoc != int(id%3) {
-			t.Fatalf("take(%d) = %+v, %v", id, got, ok)
-		}
-		if _, ok := m.take(id); ok {
-			t.Fatalf("double take(%d) hit", id)
-		}
-	}
-	if m.live != 50 {
-		t.Fatalf("live after takes = %d, want 50", m.live)
-	}
-	// The odd ids survive growth and compaction.
-	for id := int64(100); id < 300; id++ {
-		m.register(netPacket{origin: id, destCh: 1})
-	}
-	for id := int64(1); id < 100; id += 2 {
-		if got, ok := m.take(id); !ok || got.origin != id {
-			t.Fatalf("take(%d) after growth = %+v, %v", id, got, ok)
-		}
-	}
-}
-
-// TestMetaTableSteadyStateCompacts: FIFO churn with a bounded live
-// window must reclaim dead slots instead of growing the ring — the
-// allocation-free steady state the relay path depends on.
-func TestMetaTableSteadyStateCompacts(t *testing.T) {
-	var m metaTable
-	next, taken := int64(0), int64(0)
-	for i := 0; i < 100000; i++ {
-		m.register(netPacket{origin: next, destCh: 2})
-		next++
-		if next-taken > 8 {
-			if _, ok := m.take(taken); !ok {
-				t.Fatalf("take(%d) missed", taken)
-			}
-			taken++
-		}
-	}
-	if len(m.ring) != metaMinRing {
-		t.Errorf("ring grew to %d under bounded churn, want %d", len(m.ring), metaMinRing)
-	}
-	if m.live != int(next-taken) {
-		t.Errorf("live = %d, want %d", m.live, next-taken)
-	}
-}
 
 // TestStepWorkerCountInvariance is the internal half of the determinism
 // contract: the same network stepped with any worker count produces
@@ -120,7 +58,7 @@ func TestStepWorkerCountInvariance(t *testing.T) {
 }
 
 // TestNetworkZeroAllocs: after warmup the network round loop — relay
-// hand-off, worker dispatch, sims, metaTable traffic, and the
+// hand-off, worker dispatch, sims, packet-id ring traffic, and the
 // deterministic fold — runs without touching the allocator. SampleEvery
 // < 0 disables the aggregate queue curve, the one steady-state append.
 func TestNetworkZeroAllocs(t *testing.T) {

@@ -38,11 +38,7 @@ func (p *rrProto) Observe(round int64, fb mac.Feedback) {
 
 func (p *rrProto) QueueLen() int { return len(p.queue) }
 
-func (p *rrProto) HeldPackets() []mac.Packet {
-	out := make([]mac.Packet, len(p.queue))
-	copy(out, p.queue)
-	return out
-}
+func (p *rrProto) AppendHeld(dst []mac.Packet) []mac.Packet { return append(dst, p.queue...) }
 
 func rrBuild(n int) func(ch int) (*core.System, error) {
 	return func(ch int) (*core.System, error) {

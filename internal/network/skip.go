@@ -75,7 +75,7 @@ func (n *Network) trySpan(end int64) {
 	totalE := 0
 	for c, cs := range n.chans {
 		e, ok := cs.sim.QuiescentConst()
-		if !ok || cs.meta.live != 0 {
+		if !ok || cs.meta.Live() != 0 {
 			return
 		}
 		if n.opt.Outages != nil {

@@ -267,17 +267,8 @@ func (q *Queue) unlink(n int32) {
 	q.free = n
 }
 
-// Snapshot returns the queued packets in arrival order.
-func (q *Queue) Snapshot() []mac.Packet {
-	out := make([]mac.Packet, 0, q.size)
-	for n := q.head; n != none; n = q.nodes[n].next {
-		out = append(out, q.nodes[n].pkt)
-	}
-	return out
-}
-
 // AppendTo appends the queued packets in arrival order to buf and returns
-// the extended slice — the allocation-free variant of Snapshot.
+// the extended slice, so callers can reuse one buffer.
 //
 //earmac:hotpath
 func (q *Queue) AppendTo(buf []mac.Packet) []mac.Packet {

@@ -305,7 +305,7 @@ func TestAgainstReferenceModel(t *testing.T) {
 			}
 		}
 		// Final: snapshot order matches.
-		snap := q.Snapshot()
+		snap := q.AppendTo(nil)
 		if len(snap) != len(ref.pkts) {
 			return false
 		}
