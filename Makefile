@@ -5,11 +5,13 @@ GITREV := $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 test:
 	go build ./... && go test ./...
 
-# Static analysis: go vet plus the project linter (cmd/earmac-lint),
-# which enforces the determinism, zero-alloc, and fingerprint
-# invariants statically (DESIGN.md §15).
+# Static analysis: go vet (of the root module and of the benchmark,
+# which is a module of its own that ./... never reaches) plus the
+# project linter (cmd/earmac-lint), which enforces the determinism,
+# zero-alloc, and fingerprint invariants statically (DESIGN.md §15).
 lint:
 	go vet ./...
+	cd perfbench && go vet ./...
 	go run ./cmd/earmac-lint ./...
 
 # Prove the linter gates: it must fail on a fixture seeded with

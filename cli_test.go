@@ -300,6 +300,41 @@ func TestCLITraceDiffGolden(t *testing.T) {
 	checkGolden(t, "trace-diff.txt", stdout.Bytes())
 }
 
+// TestCLIRejectsBadRates: a rate flag that does not parse, or has a
+// zero denominator, is a usage error (exit 2) on both CLIs instead of a
+// run at some other rate. The binaries are built rather than run via
+// `go run`, which reports every failure as exit 1.
+func TestCLIRejectsBadRates(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the CLI binaries")
+	}
+	bin := t.TempDir()
+	runCLI(t, "build", "-o", bin, "./cmd/earmac-sim", "./cmd/earmac-sweep")
+	cases := []struct {
+		cmd  string
+		args []string
+		want string // substring of stderr
+	}{
+		{"earmac-sim", []string{"-rho", "1/0"}, `bad rate "1/0": zero denominator`},
+		{"earmac-sim", []string{"-jam-rho", "1/0"}, `bad rate "1/0": zero denominator`},
+		{"earmac-sweep", []string{"-rho", "1/0"}, `bad -rho "1/0": zero denominator`},
+		{"earmac-sweep", []string{"-rho", "abc/zz"}, `bad -rho "abc/zz"`},
+	}
+	for _, c := range cases {
+		cmd := exec.Command(filepath.Join(bin, c.cmd), c.args...)
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exitErr *exec.ExitError
+		if !errors.As(err, &exitErr) || exitErr.ExitCode() != 2 {
+			t.Errorf("%s %v: err %v, want exit status 2\nstdout:\n%.500s", c.cmd, c.args, err, stdout.String())
+		}
+		if !strings.Contains(stderr.String(), c.want) {
+			t.Errorf("%s %v: stderr missing %q:\n%s", c.cmd, c.args, c.want, stderr.String())
+		}
+	}
+}
+
 // And the sweep CSV error path: -mode channels without -topology fails
 // fast instead of sweeping a single channel silently.
 func TestCLISweepChannelsNeedsTopology(t *testing.T) {

@@ -198,11 +198,12 @@ func calibrate(reps int) float64 {
 	return best
 }
 
-// measure runs a fast-path simulation reps times — a fresh system and
-// adversary per repetition, so the fixed seeds make queue_max and energy
-// identical across repetitions — and returns the row with the best
-// throughput and the fewest allocations (scheduler noise only ever
-// slows a run down or interleaves a GC; it never speeds one up).
+// measure runs a simulation with no validator attached reps times — a
+// fresh system and adversary per repetition, so the fixed seeds make
+// queue_max and energy identical across repetitions — and returns the
+// row with the best throughput and the fewest allocations (scheduler
+// noise only ever slows a run down or interleaves a GC; it never speeds
+// one up).
 func measure(id, label string, build func() (*core.System, core.Adversary), rounds int64, reps int) benchcmp.Row {
 	return measureOpt(id, label, build, rounds, reps, false)
 }
@@ -242,8 +243,8 @@ func measureOpt(id, label string, build func() (*core.System, core.Adversary), r
 	return row
 }
 
-// benchSpec runs one Table 1 row on the fast path with the same system,
-// adversary, and seed the experiment harness uses.
+// benchSpec runs one Table 1 row with no validator attached, with the
+// same system, adversary, and seed the experiment harness uses.
 func benchSpec(s expt.Spec, reps int) benchcmp.Row {
 	return measure(s.ID, s.Label, func() (*core.System, core.Adversary) {
 		sys, err := s.Build()
@@ -289,8 +290,8 @@ func sparseRows(scale expt.Scale, reps int) []benchcmp.Row {
 
 // substrateRows benchmarks the simulator substrate: the prior-work
 // broadcast algorithms at their claimed rates, two steady-state routing
-// workloads that the fast path must keep allocation-free, and the raw
-// packet queue.
+// workloads that must stay allocation-free with no validator attached,
+// and the raw packet queue.
 func substrateRows(scale expt.Scale, reps int) []benchcmp.Row {
 	rounds := int64(150000)
 	if scale == expt.Full {

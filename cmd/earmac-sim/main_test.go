@@ -15,6 +15,7 @@ func TestParseRho(t *testing.T) {
 		{"x/2", 0, 0, true},
 		{"1/y", 0, 0, true},
 		{"", 0, 0, true},
+		{"1/0", 0, 0, true},
 	}
 	for _, c := range cases {
 		num, den, err := parseRho(c.in)

@@ -63,6 +63,7 @@ import (
 
 	"earmac"
 	"earmac/internal/pool"
+	"earmac/internal/ratio"
 )
 
 func main() {
@@ -105,12 +106,12 @@ func main() {
 		*channels = 2
 	}
 
-	num, den := int64(1), int64(2)
-	if p, q, ok := strings.Cut(*rho, "/"); ok {
-		num, _ = strconv.ParseInt(p, 10, 64)
-		den, _ = strconv.ParseInt(q, 10, 64)
-	} else if v, err := strconv.ParseInt(*rho, 10, 64); err == nil {
-		num, den = v, 1
+	num, den, err := ratio.ParseFraction(*rho)
+	if err != nil {
+		// A malformed flag value is a usage error, exit 2 like the flag
+		// package's own.
+		fmt.Fprintf(os.Stderr, "earmac-sweep: bad -rho %q: %v\n", *rho, err)
+		os.Exit(2)
 	}
 
 	grid := earmac.Grid{
@@ -170,7 +171,6 @@ func main() {
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer cancel()
 	var rep earmac.SuiteReport
-	var err error
 	if *server != "" {
 		if *recordDir != "" {
 			fail(errors.New("-server cannot record traces on the remote side; drop -record-dir or run locally"))
@@ -350,9 +350,10 @@ func flagSet(name string) bool {
 func frontierCells(base earmac.Config, jamRhos, sleepIdles string, jamBeta, wakeEvery int64) ([]earmac.Config, error) {
 	var jams [][2]int64
 	for _, part := range strings.Split(jamRhos, ",") {
-		num, den, err := parseFrac(strings.TrimSpace(part))
+		part = strings.TrimSpace(part)
+		num, den, err := ratio.ParseFraction(part)
 		if err != nil {
-			return nil, fmt.Errorf("bad -jam-rhos: %v", err)
+			return nil, fmt.Errorf("bad -jam-rhos: bad fraction %q: %v", part, err)
 		}
 		jams = append(jams, [2]int64{num, den})
 	}
@@ -380,26 +381,6 @@ func frontierCells(base earmac.Config, jamRhos, sleepIdles string, jamBeta, wake
 		}
 	}
 	return cells, nil
-}
-
-// parseFrac parses "p/q" or an integer into an exact fraction.
-func parseFrac(s string) (num, den int64, err error) {
-	if p, q, ok := strings.Cut(s, "/"); ok {
-		num, err = strconv.ParseInt(p, 10, 64)
-		if err != nil {
-			return 0, 0, fmt.Errorf("bad fraction %q: %v", s, err)
-		}
-		den, err = strconv.ParseInt(q, 10, 64)
-		if err != nil {
-			return 0, 0, fmt.Errorf("bad fraction %q: %v", s, err)
-		}
-		return num, den, nil
-	}
-	num, err = strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		return 0, 0, fmt.Errorf("bad fraction %q: %v", s, err)
-	}
-	return num, 1, nil
 }
 
 // fracString renders an exact fraction compactly ("0", "1", "1/8").

@@ -129,12 +129,11 @@ type Config struct {
 	// DisableChecks turns off the packet-conservation invariant checker
 	// (on by default; it costs O(queue) every ~10k rounds).
 	DisableChecks bool `json:"disable_checks,omitempty"`
-	// ForceChecked keeps the fully-validating round loop (including the
-	// per-round schedule-conformance scan) even when Lenient and
-	// DisableChecks would otherwise select the allocation-free fast
-	// path, which records every violation except schedule conformance.
-	// Set it to audit a custom algorithm's schedule without aborting on
-	// violations.
+	// ForceChecked attaches the per-round schedule-conformance scan,
+	// which also keeps the quiescence engine off. A Lenient run with
+	// DisableChecks otherwise attaches no validator and records every
+	// violation except schedule conformance. Set it to audit a custom
+	// algorithm's schedule without aborting on violations.
 	ForceChecked bool `json:"force_checked,omitempty"`
 	// JamRhoNum/JamRhoDen/JamBeta, when JamRhoNum > 0, add a jamming
 	// adversary with its own (ρ_j, β_j) leaky-bucket budget, spent one
@@ -175,8 +174,8 @@ type Config struct {
 	// RecordTo, when non-nil, receives a replayable injection trace of
 	// the run in the versioned JSONL format (header with this Config,
 	// one event line per injecting round, footer pinning the final
-	// counters). Recording works on both simulator paths and does not
-	// force the checked path.
+	// counters). Recording works with or without validators attached
+	// and attaches none itself.
 	RecordTo io.Writer `json:"-"`
 	// Replay, when non-nil, re-executes the recorded injection stream
 	// instead of running an adversary: Pattern, Phases, Seed, ρ and β

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -130,16 +131,17 @@ func TestChaosWithConservationCatchesLoss(t *testing.T) {
 	}
 }
 
-// chaosRun drives n chaos protocols for the given rounds on the chosen
-// path and returns the flat counters.
-func chaosRun(t *testing.T, seed int64, n int, rounds int64, opt Options) metrics.Counters {
+// chaosRun drives n chaos protocols under the given energy cap for the
+// given rounds with the given options and returns the flat counters and
+// the recorded violations.
+func chaosRun(t *testing.T, seed int64, n, energyCap int, rounds int64, opt Options) (metrics.Counters, []string) {
 	t.Helper()
 	protos := make([]Protocol, n)
 	for i := range protos {
 		protos[i] = &chaosProto{rng: rand.New(rand.NewSource(seed + int64(i)))}
 	}
 	system := &System{
-		Info:     AlgorithmInfo{Name: "chaos", EnergyCap: n},
+		Info:     AlgorithmInfo{Name: "chaos", EnergyCap: energyCap},
 		Stations: protos,
 	}
 	tr := metrics.NewTracker()
@@ -151,21 +153,34 @@ func chaosRun(t *testing.T, seed int64, n int, rounds int64, opt Options) metric
 	if err := sim.Run(rounds); err != nil {
 		t.Fatal(err)
 	}
-	return tr.Counters
+	return tr.Counters, tr.Violations
 }
 
 // TestChaosFastCheckedEquivalence replays identical chaos executions —
 // including collisions, light messages, and deliberate packet loss, which
-// the deterministic algorithms never produce — through the fast and the
-// fully-checked round loop and requires bit-identical flat counters.
+// the deterministic algorithms never produce — with no validator attached
+// and with ForceChecked, and requires bit-identical flat counters. Half
+// the seeds run under an energy cap of n−2, which the chaos stations
+// breach, and the two runs must record identical violation lists.
 func TestChaosFastCheckedEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		n := 2 + int(seed%5)
-		fast := chaosRun(t, seed, n, 4000, Options{})
-		checked := chaosRun(t, seed, n, 4000, Options{ForceChecked: true})
+		energyCap := n
+		if seed%2 == 0 {
+			energyCap = n - 2
+		}
+		fast, fastV := chaosRun(t, seed, n, energyCap, 4000, Options{})
+		checked, checkedV := chaosRun(t, seed, n, energyCap, 4000, Options{ForceChecked: true})
 		if fast != checked {
 			t.Errorf("seed %d: fast and checked counters differ:\nfast:    %+v\nchecked: %+v",
 				seed, fast, checked)
+		}
+		if !slices.Equal(fastV, checkedV) {
+			t.Errorf("seed %d: fast and checked violations differ:\nfast:    %q\nchecked: %q",
+				seed, fastV, checkedV)
+		}
+		if energyCap < n && len(fastV) == 0 {
+			t.Errorf("seed %d: cap %d of %d stations recorded no violation", seed, energyCap, n)
 		}
 	}
 }

@@ -103,6 +103,7 @@ func (l *ledger) hold(id int64) int {
 		return int(e.holders)
 	}
 	if l.strays == nil {
+		//earmac:alloc -- only a faulty station holds an ID that is not live
 		l.strays = make(map[int64]int)
 	}
 	l.strays[id]++

@@ -1,10 +1,11 @@
 package core
 
 // The quiescence fast-forward engine (DESIGN.md §16). All methods here
-// run only on the fast path with skipOK resolved at NewSim; the
-// checked path never skips. See skip.go for the contracts.
+// run only with skipOK resolved at NewSim, which requires that no
+// validator is attached; a validated sim never skips. See skip.go for
+// the contracts.
 
-// tryEnterQuiescence is called after a completed fast round whose
+// tryEnterQuiescence is called after a completed round whose
 // total queue was zero; s.round is the next unexecuted round. It asks
 // every station whether its idle behavior is fast-forwardable and the
 // profiler for the system's idle cycle, anchoring both at s.round.
@@ -78,10 +79,11 @@ func (s *Sim) prefRange(pref []int64, a, b int64) int64 {
 // attempts a span skip toward end. The per-round external state
 // (adversary bucket, replay cursors, the Disrupted hook) advances
 // exactly as on the classic loop: gather and the disruption consult
-// run for every ticked round.
+// run for every ticked round. A wake-up returns stepFrom's error,
+// always nil here: the engine runs only on lenient sims.
 //
 //earmac:hotpath
-func (s *Sim) quiescentAdvance(end int64) {
+func (s *Sim) quiescentAdvance(end int64) error {
 	t := s.round
 	injs := s.gather(t)
 	var d Disrupt
@@ -95,11 +97,11 @@ func (s *Sim) quiescentAdvance(end int64) {
 	// counts the jammed/outaged round).
 	if len(injs) > 0 || t == s.idleBreakAt || (d != 0 && s.idleEntry(t).Energy > 0) {
 		s.wake(t)
-		s.stepFastFrom(t, injs, d)
-		return
+		return s.stepFrom(t, injs, d)
 	}
 	s.tick(t, d)
 	s.trySpan(end)
+	return nil
 }
 
 // wake replays the skipped idle rounds into the stations and leaves
@@ -170,7 +172,7 @@ func (s *Sim) trySpan(end int64) {
 }
 
 // Quiescent reports whether the simulator is inside a quiescent
-// stretch (fast path only; always false otherwise).
+// stretch (always false for a sim with a validator attached).
 func (s *Sim) Quiescent() bool { return s.quiescent }
 
 // QuiescentConst returns the constant idle round of a quiescent sim

@@ -5,12 +5,14 @@ import (
 
 	"earmac/internal/mac"
 	"earmac/internal/metrics"
+	"earmac/internal/sched"
 )
 
 // Options configures a simulation run.
 type Options struct {
 	// Strict makes model violations return errors instead of only being
 	// recorded in the tracker. Tests run strict; long benchmarks may not.
+	// A strict sim attaches the schedule-conformance scan (see Sim).
 	Strict bool
 	// CheckEvery enables the packet-conservation invariant check every so
 	// many rounds (0 disables). Checking requires all stations to
@@ -21,16 +23,17 @@ type Options struct {
 	CheckEvery int64
 	// Tracker receives statistics; a fresh one is created when nil.
 	Tracker *metrics.Tracker
-	// Tracer, when non-nil, receives a full view of every round.
+	// Tracer, when non-nil, receives a full view of every round. It is
+	// one of the validators (see Sim) and attaches the schedule scan too.
 	Tracer Tracer
 	// InjectionObserver, when non-nil, receives every round's injections
-	// right after the adversary produces them (before range validation),
-	// on both the fast and checked paths — the hook the trace recorder
-	// (internal/scenario) captures replayable runs with. The slice is
-	// reused between rounds and must not be retained. Unlike Tracer it
-	// does not force the checked path. Externally-sourced injections
-	// (ExtraInjections) are NOT reported: they are derived state, fully
-	// reproducible from the recorded adversarial stream.
+	// right after the adversary produces them (before range validation)
+	// — the hook the trace recorder (internal/scenario) captures
+	// replayable runs with. The slice is reused between rounds and must
+	// not be retained. Unlike Tracer it attaches no validator.
+	// Externally-sourced injections (ExtraInjections) are NOT reported:
+	// they are derived state, fully reproducible from the recorded
+	// adversarial stream.
 	InjectionObserver func(round int64, injs []Injection)
 	// ExtraInjections, when non-nil, supplies externally-sourced
 	// injections — relay arrivals from a surrounding topology layer
@@ -39,38 +42,38 @@ type Options struct {
 	// steady-state round loop stays allocation-free; when nil (every
 	// single-channel run) the hook costs one pointer comparison.
 	ExtraInjections InjectAppender
-	// DeliveryObserver, when non-nil, receives every delivered packet on
-	// both simulator paths, in the round it was delivered. It is the
-	// hook relay layers intercept deliveries with; like
-	// InjectionObserver it does not force the checked path.
+	// DeliveryObserver, when non-nil, receives every delivered packet in
+	// the round it was delivered. It is the hook relay layers intercept
+	// deliveries with; like InjectionObserver it attaches no validator.
 	DeliveryObserver func(round int64, p mac.Packet)
-	// ForceChecked keeps the fully-validating round loop even when the
-	// fast path would apply (see Sim.FastPath). Used by the equivalence
-	// tests; never needed in normal operation.
+	// ForceChecked attaches the schedule-conformance scan (see Sim) to a
+	// sim that would otherwise run with no validator, which also keeps
+	// the quiescence engine off. It is the lenient schedule audit, and
+	// the equivalence tests' way of comparing runs with and without
+	// validators.
 	ForceChecked bool
-	// Disrupted, when non-nil, is consulted exactly once per round on
-	// both paths — after injections and actions, before channel
-	// resolution — and returns the round's disruption flags. A disrupted
+	// Disrupted, when non-nil, is consulted exactly once per round —
+	// after the round's injections are gathered, before the station
+	// sweep — and returns the round's disruption flags. A disrupted
 	// round delivers nothing: every switched-on station observes
 	// FbCollision regardless of how many stations transmitted (jamming
 	// noise and a dead channel are indistinguishable from a collision at
 	// the receivers), stations still spend their energy, and the tracker
 	// counts the round as a collision plus the matching Jammed/Outaged
-	// counter. The hook runs on the fast path too, so it must not
-	// allocate in steady state.
+	// counter. The hook runs on every round, so it must not allocate in
+	// steady state.
 	Disrupted func(round int64) Disrupt
 	// DropObserver, when non-nil, receives every packet that dies
 	// mid-route: a heard round whose destination station is switched off
 	// under a direct algorithm (see Counters.Dropped for the exact
 	// semantics). Topology layers use it to reclaim per-packet relay
-	// state; like DeliveryObserver it runs on both paths.
+	// state.
 	DropObserver func(round int64, p mac.Packet)
-	// RoundEnd, when non-nil, runs at the very end of every round on
-	// both paths, after all statistics for the round are folded. It is
-	// the hook duty-cycle recorders use to observe per-round sleep
-	// state at a point where every station has acted. Because it
-	// observes every round, it disables the quiescence fast-forward
-	// engine entirely.
+	// RoundEnd, when non-nil, runs at the very end of every round, after
+	// all statistics for the round are folded. It is the hook duty-cycle
+	// recorders use to observe per-round sleep state at a point where
+	// every station has acted. Because it observes every round, it
+	// disables the quiescence fast-forward engine entirely.
 	RoundEnd func(round int64)
 	// NoSkip disables the quiescence fast-forward engine (quiesce.go)
 	// even when the system declares an idle profile, forcing the
@@ -99,27 +102,30 @@ const (
 
 // Sim drives one system against one adversary.
 //
-// At construction the simulator selects one of two round loops:
+// There is one round loop. It always runs the model checks that cost
+// O(1) a round — the energy cap, the transmit-while-off and plain-packet
+// disciplines, injection ranges — and three validators that NewSim
+// attaches as state, each costing the loop one nil check when absent:
 //
-//   - The checked path runs every model validation the paper states —
-//     per-round schedule conformance, conservation tracking, tracing.
-//     It is selected in strict mode, when a Tracer is attached, or when
-//     conservation checking (Options.CheckEvery) is on.
-//   - The fast path is the steady-state loop used by benchmarks and
-//     sweeps: no tracer, no conservation bookkeeping, no per-round
-//     schedule scan, and no allocation — injections land in a reused
-//     scratch buffer (see InjectAppender) and all statistics go to the
-//     tracker's flat counters. Cheap validations (energy cap, the
-//     transmit-while-off and plain-packet disciplines, injection ranges)
-//     still run, so the tracker totals match the checked path exactly
-//     for any well-behaved system; only schedule-conformance violations
-//     would go unnoticed.
+//   - the schedule-conformance scan, O(n) a round on oblivious systems,
+//     attached in strict mode, with conservation checking, with a
+//     Tracer, or with Options.ForceChecked;
+//   - the conservation ledger (Options.CheckEvery), O(1) per injection
+//     and delivery plus a CheckConservation every CheckEvery rounds;
+//   - the Tracer, for which the loop keeps each round's action vector
+//     and delivered packets.
+//
+// With no validator attached (FastPath) the loop allocates nothing in
+// steady state — injections land in a reused scratch buffer (see
+// InjectAppender) and all statistics go to the tracker's flat counters
+// — and quiescent stretches may be fast-forwarded (quiesce.go). The
+// tracker totals are the same either way for any well-behaved system;
+// only schedule-conformance violations go unnoticed without the scan.
 type Sim struct {
 	sys     *System
 	adv     Adversary
 	opt     Options
 	tracker *metrics.Tracker
-	fast    bool
 
 	// Adversary capabilities, resolved once so the round loop performs no
 	// per-round type assertions.
@@ -134,18 +140,20 @@ type Sim struct {
 	dropObs   func(round int64, p mac.Packet)
 	roundEnd  func(round int64)
 
+	// Validators (see the type comment); each is nil when not attached.
+	sched  sched.Schedule
+	ledger *ledger
+	tracer Tracer
+
 	round    int64
 	nextID   int64
-	actions  []Action
 	on       []bool
 	queueLen []int
-	injBuf   []Injection  // reused injection scratch (fast and checked path)
-	delBuf   []mac.Packet // reused delivered-packet scratch (checked path)
-	// ledger tracks the in-flight packets for CheckConservation; nil
-	// unless conservation checking is enabled.
-	ledger *ledger
+	injBuf   []Injection  // reused injection scratch
+	actions  []Action     // the round's actions, kept for the tracer only
+	delBuf   []mac.Packet // the round's deliveries, kept for the tracer only
 
-	// Quiescence fast-forward state (fast path only; see quiesce.go).
+	// Quiescence fast-forward state (no validator attached; see quiesce.go).
 	skipOK      bool          // engine enabled for this sim
 	quiescent   bool          // currently inside a quiescent stretch
 	qFrom       int64         // first round the stations have not executed
@@ -172,7 +180,6 @@ func NewSim(sys *System, adv Adversary, opt Options) *Sim {
 		adv:      adv,
 		opt:      opt,
 		tracker:  t,
-		actions:  make([]Action, sys.N()),
 		on:       make([]bool, sys.N()),
 		queueLen: make([]int, sys.N()),
 	}
@@ -181,6 +188,7 @@ func NewSim(sys *System, adv Adversary, opt Options) *Sim {
 		s.roundObs, _ = adv.(RoundObserver)
 		s.queueObs, _ = adv.(QueueObserver)
 		s.fbObs, _ = adv.(FeedbackObserver)
+		s.advSkip, _ = adv.(EventSkipper)
 	}
 	s.injObs = opt.InjectionObserver
 	s.extInj = opt.ExtraInjections
@@ -188,19 +196,23 @@ func NewSim(sys *System, adv Adversary, opt Options) *Sim {
 	s.disrupt = opt.Disrupted
 	s.dropObs = opt.DropObserver
 	s.roundEnd = opt.RoundEnd
+	s.dhor = opt.DisruptHorizon
 	if opt.CheckEvery > 0 {
 		s.ledger = &ledger{}
 	}
-	s.fast = !opt.Strict && opt.CheckEvery <= 0 && opt.Tracer == nil && !opt.ForceChecked
-	s.dhor = opt.DisruptHorizon
-	if adv != nil {
-		s.advSkip, _ = adv.(EventSkipper)
+	if opt.Tracer != nil {
+		s.tracer = opt.Tracer
+		s.actions = make([]Action, sys.N())
+	}
+	if !s.FastPath() {
+		s.sched = sys.Schedule
+		return s
 	}
 	// The fast-forward engine needs an idle profile, a Skipper at every
 	// station, and the absence of every per-round observer the engine
 	// cannot replay: RoundEnd and the adaptive-adversary hooks see each
 	// round individually, so any of them pins the loop to per-round.
-	if s.fast && !opt.NoSkip && sys.Idle != nil && opt.RoundEnd == nil &&
+	if !opt.NoSkip && sys.Idle != nil && opt.RoundEnd == nil &&
 		s.roundObs == nil && s.queueObs == nil && s.fbObs == nil {
 		skippers := make([]mac.Skipper, len(sys.Stations))
 		ok := true
@@ -226,61 +238,57 @@ func (s *Sim) Round() int64 { return s.round }
 // System returns the simulated system.
 func (s *Sim) System() *System { return s.sys }
 
-// FastPath reports whether the allocation-free steady-state loop was
-// selected at construction (no strict mode, no conservation checking, no
-// tracer, not forced off).
-func (s *Sim) FastPath() bool { return s.fast }
+// FastPath reports whether the sim runs with no validator attached:
+// lenient, no conservation checking, no tracer, not ForceChecked.
+func (s *Sim) FastPath() bool {
+	o := &s.opt
+	return !o.Strict && o.CheckEvery <= 0 && o.Tracer == nil && !o.ForceChecked
+}
 
 // SkipCapable reports whether the quiescence fast-forward engine was
-// enabled at construction: the fast path was selected, NoSkip is off,
+// enabled at construction: no validator is attached, NoSkip is off,
 // the system declares an idle profile, every station implements
 // mac.Skipper, and no per-round observer pins the loop.
 func (s *Sim) SkipCapable() bool { return s.skipOK }
 
+// violate records a model violation. A lenient sim carries on (nil); a
+// strict one stops with the violation as its error.
 func (s *Sim) violate(format string, args ...any) error {
 	s.tracker.Violate(format, args...)
-	if s.opt.Strict {
-		return fmt.Errorf("round %d: "+format, append([]any{s.round}, args...)...)
+	if !s.opt.Strict {
+		return nil
 	}
-	return nil
+	//earmac:alloc -- the strict error ends the run
+	return fmt.Errorf("round %d: "+format, append([]any{s.round}, args...)...)
 }
 
 // Run executes the given number of rounds. In strict mode it stops at the
-// first model violation. On the fast path quiescent stretches advance by
-// O(1) ticks and closed-form span skips (quiesce.go); Run settles any
-// pending skip before returning, so station state is exact at the exit.
+// first model violation. Quiescent stretches advance by O(1) ticks and
+// closed-form span skips (quiesce.go); Run settles any pending skip
+// before returning, so station state is exact at the exit.
 func (s *Sim) Run(rounds int64) error {
-	if s.fast {
-		end := s.round + rounds
-		for s.round < end {
-			if s.quiescent {
-				s.quiescentAdvance(end)
-			} else {
-				s.stepFast()
-			}
+	end := s.round + rounds
+	for s.round < end {
+		var err error
+		if s.quiescent {
+			err = s.quiescentAdvance(end)
+		} else {
+			err = s.step()
 		}
-		s.Settle()
-		return nil
-	}
-	for i := int64(0); i < rounds; i++ {
-		if err := s.stepChecked(); err != nil {
+		if err != nil {
 			return err
 		}
 	}
+	s.Settle()
 	return nil
 }
 
-// Step executes one round on whichever path was selected at NewSim.
+// Step executes one round.
 func (s *Sim) Step() error {
-	if s.fast {
-		if s.quiescent {
-			s.quiescentAdvance(s.round + 1)
-		} else {
-			s.stepFast()
-		}
-		return nil
+	if s.quiescent {
+		return s.quiescentAdvance(s.round + 1)
 	}
-	return s.stepChecked()
+	return s.step()
 }
 
 // inject obtains this round's injections, reusing the scratch buffer when
@@ -299,9 +307,9 @@ func (s *Sim) inject(t int64) []Injection {
 // gather assembles one round's full injection list: the adversary's
 // injections (reported to InjectionObserver) followed by the
 // externally-sourced ones (ExtraInjections; not reported — they are
-// derived state, reproducible from the adversarial stream). Both paths
-// call it; with no external injector it is exactly the old inject +
-// observe sequence, so single-channel runs keep the same cost.
+// derived state, reproducible from the adversarial stream). Every
+// executed or ticked round calls it; with no external injector it is
+// just inject + observe, so single-channel runs pay nothing extra.
 func (s *Sim) gather(t int64) []Injection {
 	injs := s.inject(t)
 	if s.injObs != nil && len(injs) > 0 {
@@ -325,51 +333,51 @@ func (s *Sim) gather(t int64) []Injection {
 // simulator's ID assignment without a per-packet callback.
 func (s *Sim) NextPacketID() int64 { return s.nextID }
 
-// stepFast is the allocation-free steady-state round loop. It performs
-// the same channel resolution, delivery accounting, and cheap model
-// validation as the checked path (so tracker totals agree), but skips the
-// per-round schedule-conformance scan, conservation bookkeeping, and
-// tracing.
+// step executes one round: it obtains the injections and the round's
+// disruption flags, then runs the station sweep. The Disrupted consult
+// commutes with the sweep — it interacts with nothing before channel
+// resolution — so hoisting it lets the quiescence engine, which must
+// consult it before deciding to wake, share stepFrom.
 //
 //earmac:hotpath
-func (s *Sim) stepFast() {
+func (s *Sim) step() error {
 	t := s.round
-	// 1. Adversarial injection (plus externally-sourced arrivals), and
-	// the round's disruption flags. The Disrupted consult commutes with
-	// the station sweep — it interacts with nothing before channel
-	// resolution — so hoisting it keeps both paths bit-identical while
-	// letting the quiescence engine share stepFastFrom on wake-up.
 	injs := s.gather(t)
 	var disrupted Disrupt
 	if s.disrupt != nil {
 		disrupted = s.disrupt(t)
 	}
-	s.stepFastFrom(t, injs, disrupted)
+	return s.stepFrom(t, injs, disrupted)
 }
 
-// stepFastFrom is the station sweep of one fast round: injections and
-// disruption flags have already been obtained for round t. It is the
-// shared tail of stepFast and the quiescence engine's wake-up path.
+// stepFrom is the station sweep of round t, whose injections and
+// disruption flags have already been obtained. A strict sim returns the
+// round's first violation and leaves the round unfinished.
 //
 //earmac:hotpath
-func (s *Sim) stepFastFrom(t int64, injs []Injection, disrupted Disrupt) {
+func (s *Sim) stepFrom(t int64, injs []Injection, disrupted Disrupt) error {
 	n := s.sys.N()
 	tr := s.tracker
 
+	// 1. Injections.
 	for _, in := range injs {
 		if in.Station < 0 || in.Station >= n || in.Dest < 0 || in.Dest >= n {
-			tr.Violate("injection out of range: %+v", in)
+			if err := s.violate("injection out of range: %+v", in); err != nil {
+				return err
+			}
 			continue
 		}
 		p := mac.Packet{ID: s.nextID, Src: in.Station, Dest: in.Dest, Injected: t}
 		s.nextID++
+		if s.ledger != nil {
+			s.ledger.add(p)
+		}
 		s.sys.Stations[in.Station].Inject(p)
 		tr.Injected++
 	}
 
-	// 2. Station actions. Unlike the checked path, only the transmitted
-	// message is retained — there is no tracer to hand the full action
-	// vector to.
+	// 2. Station actions. Only the transmitted message is retained,
+	// unless a tracer wants the whole action vector.
 	energy := 0
 	transmitters := 0
 	lastTx := -1
@@ -381,7 +389,10 @@ func (s *Sim) stepFastFrom(t int64, injs []Injection, disrupted Disrupt) {
 		}
 		if a.Transmit {
 			if !a.On {
-				tr.Violate("station %d transmits while off", i)
+				if err := s.violate("station %d transmits while off", i); err != nil {
+					return err
+				}
+				a.Transmit = false
 			} else {
 				transmitters++
 				lastTx = i
@@ -389,17 +400,30 @@ func (s *Sim) stepFastFrom(t int64, injs []Injection, disrupted Disrupt) {
 			}
 		}
 		s.on[i] = a.On
+		if s.actions != nil {
+			s.actions[i] = a
+		}
 	}
 
-	// 3. Model validation (cheap checks only; the schedule-conformance
-	// scan is checked-path-only).
+	// 3. Model validation.
 	if energy > s.sys.Info.EnergyCap {
-		tr.Violate("%d stations on exceeds energy cap %d", energy, s.sys.Info.EnergyCap)
+		if err := s.violate("%d stations on exceeds energy cap %d", energy, s.sys.Info.EnergyCap); err != nil {
+			return err
+		}
 	}
-	if s.sys.Info.PlainPacket && transmitters == 1 {
-		if !txMsg.HasPacket || len(txMsg.Ctrl) > 0 {
-			tr.Violate("station %d violates plain-packet discipline (packet=%v, ctrl=%d bits)",
-				lastTx, txMsg.HasPacket, txMsg.Ctrl.Bits())
+	if s.sched != nil {
+		for i, on := range s.on {
+			if on != s.sched.On(i, t) {
+				if err := s.violate("station %d violates oblivious schedule: on=%v", i, on); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	if s.sys.Info.PlainPacket && transmitters == 1 && (!txMsg.HasPacket || len(txMsg.Ctrl) > 0) {
+		if err := s.violate("station %d violates plain-packet discipline (packet=%v, ctrl=%d bits)",
+			lastTx, txMsg.HasPacket, txMsg.Ctrl.Bits()); err != nil {
+			return err
 		}
 	}
 
@@ -407,6 +431,7 @@ func (s *Sim) stepFastFrom(t int64, injs []Injection, disrupted Disrupt) {
 	// disrupted round (jam or outage) overrides the contention outcome:
 	// nothing is delivered and every listener observes a collision.
 	var fb mac.Feedback
+	delivered := s.delBuf[:0]
 	switch {
 	case disrupted != 0:
 		fb.Kind = mac.FbCollision
@@ -421,26 +446,41 @@ func (s *Sim) stepFastFrom(t int64, injs []Injection, disrupted Disrupt) {
 		fb.Kind = mac.FbSilence
 		tr.SilentRounds++
 	case transmitters == 1:
-		msg := txMsg
-		fb = mac.Feedback{Kind: mac.FbHeard, Msg: msg}
+		fb = mac.Feedback{Kind: mac.FbHeard, Msg: txMsg}
 		tr.HeardRounds++
-		tr.ControlBits += int64(msg.Ctrl.Bits())
-		if msg.IsLight() {
+		tr.ControlBits += int64(txMsg.Ctrl.Bits())
+		p := txMsg.Packet
+		if txMsg.IsLight() {
 			tr.LightRounds++
-		} else if s.on[msg.Packet.Dest] {
+		} else if s.on[p.Dest] {
 			tr.DeliveryRounds++
-			tr.ObserveDelivery(t - msg.Packet.Injected)
+			tr.ObserveDelivery(t - p.Injected)
 			if s.delObs != nil {
-				s.delObs(t, msg.Packet)
+				s.delObs(t, p)
+			}
+			if s.tracer != nil {
+				delivered = append(delivered, p)
+			}
+			if s.ledger != nil {
+				if s.ledger.gone(p.ID) {
+					if err := s.violate("packet %v delivered twice", p); err != nil {
+						return err
+					}
+				}
+				s.ledger.retire(p.ID)
 			}
 		} else if s.sys.Info.Direct {
 			// A direct algorithm's transmitter treats an uncontended
 			// heard round as an acknowledgement and retires the packet,
 			// but the destination was switched off (duty-cycled): the
-			// packet dies mid-route.
+			// packet dies mid-route and leaves conservation tracking as
+			// consumed — no station may hold it afterwards.
 			tr.Dropped++
 			if s.dropObs != nil {
-				s.dropObs(t, msg.Packet)
+				s.dropObs(t, p)
+			}
+			if s.ledger != nil {
+				s.ledger.retire(p.ID)
 			}
 		}
 	default:
@@ -460,6 +500,10 @@ func (s *Sim) stepFastFrom(t int64, injs []Injection, disrupted Disrupt) {
 	}
 	if s.fbObs != nil {
 		s.fbObs.ObserveFeedback(t, fb)
+	}
+	if s.tracer != nil {
+		s.delBuf = delivered
+		s.tracer.TraceRound(t, s.actions, fb, delivered)
 	}
 
 	var totalQueue int64
@@ -477,186 +521,11 @@ func (s *Sim) stepFastFrom(t int64, injs []Injection, disrupted Disrupt) {
 		s.roundEnd(t)
 	}
 	s.round++
+	if s.ledger != nil && s.round%s.opt.CheckEvery == 0 {
+		return s.CheckConservation()
+	}
 	if s.skipOK && totalQueue == 0 && !s.quiescent {
 		s.tryEnterQuiescence()
-	}
-}
-
-// stepChecked executes one fully-validated round.
-func (s *Sim) stepChecked() error {
-	n := s.sys.N()
-	t := s.round
-
-	// 1. Adversarial injection (plus externally-sourced arrivals).
-	injs := s.gather(t)
-	for _, in := range injs {
-		if in.Station < 0 || in.Station >= n || in.Dest < 0 || in.Dest >= n {
-			if err := s.violate("injection out of range: %+v", in); err != nil {
-				return err
-			}
-			continue
-		}
-		p := mac.Packet{ID: s.nextID, Src: in.Station, Dest: in.Dest, Injected: t}
-		s.nextID++
-		if s.ledger != nil {
-			s.ledger.add(p)
-		}
-		s.sys.Stations[in.Station].Inject(p)
-		s.tracker.ObserveInjections(1)
-	}
-
-	// 2. Station actions.
-	energy := 0
-	transmitters := 0
-	lastTx := -1
-	for i, st := range s.sys.Stations {
-		a := st.Act(t)
-		s.actions[i] = a
-		s.on[i] = a.On
-		if a.On {
-			energy++
-		}
-		if a.Transmit {
-			if !a.On {
-				if err := s.violate("station %d transmits while off", i); err != nil {
-					return err
-				}
-				a.Transmit = false
-				s.actions[i] = a
-				continue
-			}
-			transmitters++
-			lastTx = i
-		}
-	}
-
-	// 3. Model validation.
-	if energy > s.sys.Info.EnergyCap {
-		if err := s.violate("%d stations on exceeds energy cap %d", energy, s.sys.Info.EnergyCap); err != nil {
-			return err
-		}
-	}
-	if s.sys.Schedule != nil {
-		for i := 0; i < n; i++ {
-			if s.on[i] != s.sys.Schedule.On(i, t) {
-				if err := s.violate("station %d violates oblivious schedule: on=%v", i, s.on[i]); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	if s.sys.Info.PlainPacket && transmitters == 1 {
-		msg := s.actions[lastTx].Msg
-		if !msg.HasPacket || len(msg.Ctrl) > 0 {
-			if err := s.violate("station %d violates plain-packet discipline (packet=%v, ctrl=%d bits)",
-				lastTx, msg.HasPacket, msg.Ctrl.Bits()); err != nil {
-				return err
-			}
-		}
-	}
-
-	// 4. Channel resolution and ground-truth delivery. Disruption
-	// overrides the contention outcome exactly as on the fast path.
-	var disrupted Disrupt
-	if s.disrupt != nil {
-		disrupted = s.disrupt(t)
-	}
-	var fb mac.Feedback
-	deliveredPkts := s.delBuf[:0]
-	switch {
-	case disrupted != 0:
-		fb = mac.Feedback{Kind: mac.FbCollision}
-		s.tracker.CollisionRounds++
-		if disrupted&DisruptJam != 0 {
-			s.tracker.JammedRounds++
-		}
-		if disrupted&DisruptOutage != 0 {
-			s.tracker.OutageRounds++
-		}
-	case transmitters == 0:
-		fb = mac.Feedback{Kind: mac.FbSilence}
-		s.tracker.SilentRounds++
-	case transmitters == 1:
-		msg := s.actions[lastTx].Msg
-		fb = mac.Feedback{Kind: mac.FbHeard, Msg: msg}
-		s.tracker.HeardRounds++
-		s.tracker.ControlBits += int64(msg.Ctrl.Bits())
-		if msg.IsLight() {
-			s.tracker.LightRounds++
-		} else if s.on[msg.Packet.Dest] {
-			p := msg.Packet
-			s.tracker.DeliveryRounds++
-			s.tracker.ObserveDelivery(t - p.Injected)
-			if s.delObs != nil {
-				s.delObs(t, p)
-			}
-			deliveredPkts = append(deliveredPkts, p)
-			if s.ledger != nil {
-				if s.ledger.gone(p.ID) {
-					if err := s.violate("packet %v delivered twice", p); err != nil {
-						return err
-					}
-				}
-				s.ledger.retire(p.ID)
-			}
-		} else if s.sys.Info.Direct {
-			// Mid-route death (see the fast path): the direct
-			// transmitter retires the packet on an uncontended heard
-			// round, but the duty-cycled destination was off. The
-			// packet leaves conservation tracking as consumed — no
-			// station may hold it afterwards.
-			p := msg.Packet
-			s.tracker.Dropped++
-			if s.dropObs != nil {
-				s.dropObs(t, p)
-			}
-			if s.ledger != nil {
-				s.ledger.retire(p.ID)
-			}
-		}
-	default:
-		fb = mac.Feedback{Kind: mac.FbCollision}
-		s.tracker.CollisionRounds++
-	}
-	s.delBuf = deliveredPkts
-
-	// 5. Feedback to switched-on stations.
-	for i, st := range s.sys.Stations {
-		if s.on[i] {
-			st.Observe(t, fb)
-		}
-	}
-
-	if s.roundObs != nil {
-		s.roundObs.ObserveRound(t, s.on)
-	}
-	if s.fbObs != nil {
-		s.fbObs.ObserveFeedback(t, fb)
-	}
-	if s.opt.Tracer != nil {
-		s.opt.Tracer.TraceRound(t, s.actions, fb, deliveredPkts)
-	}
-
-	var totalQueue int64
-	for i, st := range s.sys.Stations {
-		l := st.QueueLen()
-		s.queueLen[i] = l
-		totalQueue += int64(l)
-	}
-	if s.queueObs != nil {
-		s.queueObs.ObserveQueues(t, s.queueLen)
-	}
-	s.tracker.ObserveStationQueues(s.queueLen)
-	s.tracker.ObserveRound(t, totalQueue, energy)
-	if s.roundEnd != nil {
-		s.roundEnd(t)
-	}
-	s.round++
-
-	if s.opt.CheckEvery > 0 && s.round%s.opt.CheckEvery == 0 {
-		if err := s.CheckConservation(); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -672,12 +541,14 @@ func (s *Sim) stepChecked() error {
 func (s *Sim) CheckConservation() error {
 	l := s.ledger
 	if l == nil {
+		//earmac:alloc -- configuration error: the caller never enabled tracking
 		return fmt.Errorf("core: conservation tracking disabled (set Options.CheckEvery)")
 	}
 	l.beginCheck()
 	for i, st := range s.sys.Stations {
 		h, ok := st.(PacketHolder)
 		if !ok {
+			//earmac:alloc -- configuration error: the system cannot be checked at all
 			return fmt.Errorf("core: station %d does not implement PacketHolder", i)
 		}
 		l.held = h.AppendHeld(l.held[:0])

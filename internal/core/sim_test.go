@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -172,67 +173,117 @@ func TestSelfDelivery(t *testing.T) {
 	}
 }
 
-func TestEnergyCapViolation(t *testing.T) {
-	a := &scriptProto{acts: []Action{Listen()}}
-	b := &scriptProto{acts: []Action{Listen()}}
-	c := &scriptProto{acts: []Action{Listen()}}
-	s := NewSim(sys(2, a, b, c), &injectOnce{}, Options{Strict: true})
-	err := s.Run(1)
-	if err == nil || !strings.Contains(err.Error(), "energy cap") {
-		t.Errorf("want energy cap violation, got %v", err)
+// TestViolations pins the simulator's per-round model checks on faulty
+// stations and adversaries. Each case runs three ways: lenient with no
+// validator attached, lenient with ForceChecked (which attaches the
+// schedule-conformance scan), and strict. The lenient runs must record
+// exactly the listed Tracker.Violations, in order; the strict run must
+// stop with exactly the first of them as its error.
+func TestViolations(t *testing.T) {
+	listen := func(rounds int) *scriptProto {
+		return &scriptProto{acts: slices.Repeat([]Action{Listen()}, rounds)}
 	}
-	// Non-strict mode records it instead.
-	a2 := &scriptProto{acts: []Action{Listen()}}
-	b2 := &scriptProto{acts: []Action{Listen()}}
-	c2 := &scriptProto{acts: []Action{Listen()}}
-	s2 := NewSim(sys(2, a2, b2, c2), &injectOnce{}, Options{})
-	if err := s2.Run(1); err != nil {
-		t.Fatal(err)
-	}
-	if len(s2.Tracker().Violations) != 1 {
-		t.Error("violation not recorded in non-strict mode")
-	}
-}
-
-func TestTransmitWhileOffViolation(t *testing.T) {
-	bad := &scriptProto{acts: []Action{{On: false, Transmit: true}}}
-	s := NewSim(sys(2, bad), &injectOnce{}, Options{Strict: true})
-	err := s.Run(1)
-	if err == nil || !strings.Contains(err.Error(), "transmits while off") {
-		t.Errorf("want transmit-while-off violation, got %v", err)
-	}
-}
-
-func TestPlainPacketViolation(t *testing.T) {
-	// A plain-packet algorithm transmitting control bits is flagged.
-	tx := &scriptProto{acts: []Action{Transmit(mac.CtrlMsg(mac.MakeControl(3)))}}
-	system := sys(2, tx)
-	system.Info.PlainPacket = true
-	s := NewSim(system, &injectOnce{}, Options{Strict: true})
-	err := s.Run(1)
-	if err == nil || !strings.Contains(err.Error(), "plain-packet") {
-		t.Errorf("want plain-packet violation, got %v", err)
-	}
-}
-
-func TestObliviousScheduleViolation(t *testing.T) {
-	// Schedule says station 0 must be off in round 0, but it listens.
-	st := &scriptProto{acts: []Action{Listen()}}
-	system := sys(2, st)
-	system.Schedule = sched.Func{N: 1, P: 1, F: func(int, int64) bool { return false }}
-	s := NewSim(system, &injectOnce{}, Options{Strict: true})
-	err := s.Run(1)
-	if err == nil || !strings.Contains(err.Error(), "oblivious schedule") {
-		t.Errorf("want schedule violation, got %v", err)
-	}
-}
-
-func TestInjectionOutOfRange(t *testing.T) {
-	st := &scriptProto{acts: []Action{Off()}}
-	s := NewSim(sys(2, st), &injectOnce{injs: []Injection{{Station: 5, Dest: 0}}}, Options{Strict: true})
-	err := s.Run(1)
-	if err == nil || !strings.Contains(err.Error(), "out of range") {
-		t.Errorf("want out-of-range violation, got %v", err)
+	cases := []struct {
+		name   string
+		rounds int64
+		injs   scriptAdv
+		system func() *System
+		// want is the lenient list with validators attached; bare, when
+		// non-nil, is the list without them (the schedule scan is the
+		// only check that needs a validator).
+		want, bare []string
+		strict     string
+	}{{
+		name:   "transmit while off",
+		rounds: 1,
+		system: func() *System { return sys(2, &scriptProto{acts: []Action{{Transmit: true}}}) },
+		want:   []string{"station 0 transmits while off"},
+		strict: "round 0: station 0 transmits while off",
+	}, {
+		name:   "energy cap",
+		rounds: 1,
+		system: func() *System { return sys(2, listen(1), listen(1), listen(1)) },
+		want:   []string{"3 stations on exceeds energy cap 2"},
+		strict: "round 0: 3 stations on exceeds energy cap 2",
+	}, {
+		name:   "plain packet",
+		rounds: 1,
+		system: func() *System {
+			system := sys(2, &scriptProto{acts: []Action{Transmit(mac.CtrlMsg(mac.MakeControl(3)))}})
+			system.Info.PlainPacket = true
+			return system
+		},
+		want:   []string{"station 0 violates plain-packet discipline (packet=false, ctrl=8 bits)"},
+		strict: "round 0: station 0 violates plain-packet discipline (packet=false, ctrl=8 bits)",
+	}, {
+		name:   "oblivious schedule",
+		rounds: 1,
+		system: func() *System {
+			// The schedule says station 0 is off in round 0, but it listens.
+			system := sys(2, listen(1))
+			system.Schedule = sched.Func{N: 1, P: 1, F: func(int, int64) bool { return false }}
+			return system
+		},
+		want:   []string{"station 0 violates oblivious schedule: on=true"},
+		bare:   []string{},
+		strict: "round 0: station 0 violates oblivious schedule: on=true",
+	}, {
+		name:   "injection out of range",
+		rounds: 1,
+		injs:   scriptAdv{0: {{Station: 5, Dest: 0}}},
+		system: func() *System { return sys(2, &scriptProto{}) },
+		want:   []string{"injection out of range: {Station:5 Dest:0}"},
+		strict: "round 0: injection out of range: {Station:5 Dest:0}",
+	}, {
+		name:   "mixed",
+		rounds: 2,
+		injs:   scriptAdv{0: {{Station: 5, Dest: 0}, {Station: 1, Dest: 2}, {Station: 0, Dest: -1}}},
+		system: func() *System {
+			return sys(2, &scriptProto{acts: []Action{{Transmit: true}}}, listen(2), listen(2), listen(2))
+		},
+		want: []string{
+			"injection out of range: {Station:5 Dest:0}",
+			"injection out of range: {Station:0 Dest:-1}",
+			"station 0 transmits while off",
+			"3 stations on exceeds energy cap 2",
+			"3 stations on exceeds energy cap 2",
+		},
+		strict: "round 0: injection out of range: {Station:5 Dest:0}",
+	}}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			run := func(opt Options) (*Sim, error) {
+				s := NewSim(c.system(), c.injs, opt)
+				return s, s.Run(c.rounds)
+			}
+			bare := c.want
+			if c.bare != nil {
+				bare = c.bare
+			}
+			for _, v := range []struct {
+				name string
+				opt  Options
+				want []string
+			}{
+				{"no validator", Options{}, bare},
+				{"ForceChecked", Options{ForceChecked: true}, c.want},
+			} {
+				s, err := run(v.opt)
+				if err != nil {
+					t.Fatalf("%s: lenient run returned %v", v.name, err)
+				}
+				if got := s.Tracker().Violations; !slices.Equal(got, v.want) {
+					t.Errorf("%s: lenient violations:\n got %q\nwant %q", v.name, got, v.want)
+				}
+			}
+			s, err := run(Options{Strict: true})
+			if err == nil || err.Error() != c.strict {
+				t.Errorf("strict error = %v, want %q", err, c.strict)
+			}
+			if got := s.Tracker().Violations; !slices.Equal(got, c.want[:1]) {
+				t.Errorf("strict violations = %q, want %q", got, c.want[:1])
+			}
+		})
 	}
 }
 

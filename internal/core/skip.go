@@ -2,8 +2,8 @@ package core
 
 // Quiescence fast-forward (DESIGN.md §16). When a system declares its
 // idle-round profile (System.Idle) and every station implements
-// mac.Skipper, the fast path replaces idle rounds with two tiers of
-// closed-form bookkeeping:
+// mac.Skipper, a sim with no validator attached replaces idle rounds
+// with two tiers of closed-form bookkeeping:
 //
 //   - a quiescent tick: the O(n) station sweep collapses to an O(1)
 //     counter update, while all per-round external state (adversary

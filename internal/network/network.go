@@ -17,7 +17,9 @@ type Options struct {
 	Strict bool
 	// CheckEvery enables each channel's packet-conservation checker.
 	CheckEvery int64
-	// ForceChecked keeps every channel on the fully-validating path.
+	// ForceChecked attaches every channel's schedule-conformance scan,
+	// which also keeps the quiescence engine off (see
+	// core.Options.ForceChecked).
 	ForceChecked bool
 	// SampleEvery sets the aggregate tracker's queue-curve resolution:
 	// 0 keeps the metrics.NewTracker default, a negative value disables
@@ -48,8 +50,8 @@ type Options struct {
 	Recorder func(round int64, ch int, injs []core.Injection)
 	// Tracer, when non-nil, supplies each channel's event tracer (nil
 	// returns are fine). Like core.Options.Tracer, a non-nil tracer
-	// forces that channel onto the checked path — and forces Workers to
-	// 1, so tracers sharing one writer interleave deterministically:
+	// attaches that channel's validators — and forces Workers to 1, so
+	// tracers sharing one writer interleave deterministically:
 	// all of round t's channel-0 lines before its channel-1 lines.
 	Tracer func(ch int) core.Tracer
 	// Disruptor, when non-nil, supplies the jammed channels each round

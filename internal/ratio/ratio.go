@@ -6,8 +6,11 @@
 package ratio
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 )
 
 // Rat is an exact rational number. The zero value is 0/1. Rats are always
@@ -175,6 +178,27 @@ func (r Rat) String() string {
 		return fmt.Sprintf("%d", r.n)
 	}
 	return fmt.Sprintf("%d/%d", r.n, r.d)
+}
+
+// ParseFraction parses "p/q", or an integer p as p/1, and returns the
+// numerator and denominator as written, unreduced, so a rate reads back
+// the way it was given. A zero denominator is an error: "p/0" names no
+// rate. Errors do not repeat s; callers add it with their context.
+func ParseFraction(s string) (num, den int64, err error) {
+	p, q, isFrac := strings.Cut(s, "/")
+	if num, err = strconv.ParseInt(p, 10, 64); err != nil {
+		return 0, 0, err
+	}
+	if !isFrac {
+		return num, 1, nil
+	}
+	if den, err = strconv.ParseInt(q, 10, 64); err != nil {
+		return 0, 0, err
+	}
+	if den == 0 {
+		return 0, 0, errors.New("zero denominator")
+	}
+	return num, den, nil
 }
 
 func abs(x int64) int64 {

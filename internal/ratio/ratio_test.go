@@ -191,3 +191,30 @@ func TestLargeAccumulationStaysExact(t *testing.T) {
 		t.Errorf("accumulated %v, want 9900", acc)
 	}
 }
+
+func TestParseFraction(t *testing.T) {
+	cases := []struct {
+		in       string
+		num, den int64
+		wantErr  bool
+	}{
+		{"1/2", 1, 2, false},
+		{"2/4", 2, 4, false}, // kept as written, not reduced
+		{"-3/7", -3, 7, false},
+		{"5", 5, 1, false},
+		{"0", 0, 1, false},
+		{"1/0", 0, 0, true},
+		{"0/0", 0, 0, true},
+		{"abc/zz", 0, 0, true},
+		{"1/zz", 0, 0, true},
+		{"1/2/3", 0, 0, true},
+		{"", 0, 0, true},
+	}
+	for _, c := range cases {
+		num, den, err := ParseFraction(c.in)
+		if (err != nil) != c.wantErr || num != c.num || den != c.den {
+			t.Errorf("ParseFraction(%q) = %d, %d, %v; want %d, %d, error %v",
+				c.in, num, den, err, c.num, c.den, c.wantErr)
+		}
+	}
+}

@@ -148,7 +148,8 @@ func (p *Phased) Draw(round int64, budget int) []core.Injection {
 
 // DrawAppend implements adversary.BufferedPattern: it dispatches to the
 // segment active at round, scanning the (short) segment list — no
-// allocation, so phased scenarios stay on the simulator's fast path.
+// allocation, so phased scenarios keep the simulator's round loop
+// allocation-free.
 func (p *Phased) DrawAppend(round int64, budget int, buf []core.Injection) []core.Injection {
 	r := round
 	if p.period > 0 {

@@ -550,8 +550,8 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 }
 
 // Replayer re-executes a recorded single-channel injection stream. It
-// implements core.Adversary and core.InjectAppender (so replays run on
-// the simulator's allocation-free fast path as well as the checked one)
+// implements core.Adversary and core.InjectAppender (so replays keep the
+// simulator's round loop allocation-free, validators attached or not)
 // and injects exactly what the trace recorded, no bucket and no RNG —
 // the recording already proved admissibility. Network traces (version
 // 2 with a channel dimension) replay through network.ReplaySource

@@ -68,8 +68,8 @@ func TraceConfig(t *Trace) (Config, error) {
 // is truncated to match, so the replay reproduces the partial run
 // rather than running the configured horizon past the recording. Tweak
 // the returned Config's Lenient / DisableChecks / ForceChecked fields
-// to replay on the fast or the checked path; a faithful replay
-// reproduces the recorded footer's counters bit-identically on both.
+// to replay with or without validators attached; a faithful replay
+// reproduces the recorded footer's counters bit-identically either way.
 func ReplayConfig(t *Trace) (Config, error) {
 	c, err := TraceConfig(t)
 	if err != nil {
