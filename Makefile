@@ -1,6 +1,6 @@
 GITREV := $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 
-.PHONY: test lint lint-smoke race fuzz cover bench bench-full baseline table serve smoke-serve cluster-smoke
+.PHONY: test lint lint-smoke race fuzz cover bench bench-full baseline table serve smoke-serve
 
 test:
 	go build ./... && go test ./...
@@ -59,13 +59,8 @@ serve:
 
 # End-to-end service smoke: start earmac-serve, submit a Table 1 config
 # twice, assert the second response is a byte-identical cache hit, drain
-# on SIGTERM (what the CI serve-smoke job runs).
+# on SIGTERM, then restart on the same -cache-dir and assert the disk
+# tier serves it again without simulating (what the CI serve-smoke job
+# runs).
 smoke-serve:
 	sh scripts/serve-smoke.sh
-
-# End-to-end cluster smoke: coordinator + two workers, one killed -9
-# mid-grid, SuiteReport byte-identical to a single-process run, then a
-# coordinator restart served entirely from the disk cache (what the CI
-# cluster-smoke job runs).
-cluster-smoke:
-	sh scripts/cluster-smoke.sh

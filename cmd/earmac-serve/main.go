@@ -20,15 +20,6 @@
 // With -cache-dir the result cache gains a disk tier: completed reports
 // survive restarts and POST /v1/cache/preload warms the memory tier.
 //
-// With -coordinator the process serves the cluster tier instead of
-// running simulations itself: POST /v1/suite expands the grid locally,
-// shards the cells across the -workers pool of earmac-serve processes,
-// and responds with the merged SuiteReport — byte-identical to a
-// single-process run of the same grid:
-//
-//	earmac-serve -addr :8320 -coordinator -workers localhost:8321,localhost:8322
-//	curl -s -X POST localhost:8320/v1/suite -d '{"algorithms":["orchestra"],"ns":[8,16],"base":{"rounds":200000}}'
-//
 // SIGTERM (and the first SIGINT) drains: submissions are refused,
 // queued jobs are cancelled without running, in-flight simulations run
 // to completion before the process exits. A second signal, or the
@@ -44,29 +35,21 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof on the default mux, served only via -pprof
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"earmac/internal/cluster"
 	"earmac/internal/service"
 )
 
 func main() {
 	var (
 		addr     = flag.String("addr", ":8321", "listen address")
-		parallel = flag.Int("parallel", 0, "simulation workers, or in-flight cells per suite in coordinator mode (0 = GOMAXPROCS)")
+		parallel = flag.Int("parallel", 0, "simulation workers (0 = GOMAXPROCS)")
 		queue    = flag.Int("queue", 64, "maximum queued jobs before submissions get 503 + Retry-After")
 		cacheN   = flag.Int("cache", 1024, "maximum in-memory cached results (content-addressed, LRU eviction)")
 		cacheDir = flag.String("cache-dir", "", "directory for the disk cache tier (results survive restarts; empty = memory only)")
 		netWork  = flag.Int("net-workers", 1, "channel-stepping workers per network job (0 = GOMAXPROCS, 1 = serial; results are identical at any value). The default stays serial because -parallel already runs jobs concurrently")
 		timeout  = flag.Duration("drain-timeout", time.Minute, "how long a drain waits for in-flight jobs before cancelling them")
-
-		coordinator = flag.Bool("coordinator", false, "serve the cluster tier: shard /v1/suite cells across -workers instead of simulating locally")
-		workers     = flag.String("workers", "", "comma-separated worker base URLs for -coordinator (host:port or http://host:port)")
-		cellTimeout = flag.Duration("cell-timeout", 5*time.Minute, "coordinator: per-attempt deadline for one cell dispatch")
-		retries     = flag.Int("retries", 3, "coordinator: extra attempts for a retryable cell failure, re-dispatched to another worker")
-		hedgeAfter  = flag.Duration("hedge-after", 30*time.Second, "coordinator: race a second attempt on another worker after this long (negative disables)")
 
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this separate address (e.g. localhost:6060; empty = off)")
 	)
@@ -82,18 +65,6 @@ func main() {
 				fmt.Fprintln(os.Stderr, "earmac-serve: pprof:", err)
 			}
 		}()
-	}
-
-	if *coordinator {
-		runCoordinator(*addr, *workers, cluster.Options{
-			CellTimeout:  *cellTimeout,
-			Retries:      *retries,
-			HedgeAfter:   *hedgeAfter,
-			Parallel:     *parallel,
-			CacheEntries: *cacheN,
-			CacheDir:     *cacheDir,
-		})
-		return
 	}
 
 	svc := service.New(service.Options{
@@ -139,50 +110,4 @@ func main() {
 		fmt.Fprintln(os.Stderr, "earmac-serve:", err)
 	}
 	fmt.Fprintln(os.Stderr, "earmac-serve: drained, bye")
-}
-
-// runCoordinator serves the cluster tier until a signal, then shuts the
-// listener down gracefully (in-flight suite requests complete).
-func runCoordinator(addr, workerList string, opts cluster.Options) {
-	for _, w := range strings.Split(workerList, ",") {
-		w = strings.TrimSpace(w)
-		if w == "" {
-			continue
-		}
-		if !strings.Contains(w, "://") {
-			w = "http://" + w
-		}
-		opts.Workers = append(opts.Workers, w)
-	}
-	coord, err := cluster.New(opts)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "earmac-serve: -coordinator needs -workers url[,url...]:", err)
-		os.Exit(2)
-	}
-	coord.Start()
-	httpSrv := &http.Server{Addr: addr, Handler: coord}
-
-	errc := make(chan error, 1)
-	go func() {
-		fmt.Fprintf(os.Stderr, "earmac-serve: coordinating %d workers on %s\n", len(opts.Workers), addr)
-		errc <- httpSrv.ListenAndServe()
-	}()
-
-	sigc := make(chan os.Signal, 2)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errc:
-		fmt.Fprintln(os.Stderr, "earmac-serve:", err)
-		os.Exit(1)
-	case sig := <-sigc:
-		fmt.Fprintf(os.Stderr, "earmac-serve: %v: shutting down (in-flight suites finish)\n", sig)
-	}
-
-	shutCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fmt.Fprintln(os.Stderr, "earmac-serve:", err)
-	}
-	coord.Stop()
-	fmt.Fprintln(os.Stderr, "earmac-serve: coordinator stopped, bye")
 }

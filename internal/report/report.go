@@ -13,12 +13,11 @@ import (
 )
 
 // CanonicalJSON fixes the one byte representation the serving tier
-// caches, serves, and merges for a report-shaped value: compact
-// json.Marshal plus a trailing newline. The result cache stores these
-// exact bytes and the cluster coordinator assembles its SuiteReport
-// from them, which is what makes the byte-identical guarantees
-// (cache hit == first run; distributed run == single-process run)
-// checkable with cmp rather than with semantic comparison.
+// caches and serves for a report-shaped value: compact json.Marshal
+// plus a trailing newline. The result cache stores these exact bytes,
+// which is what makes the byte-identical guarantees (cache hit == first
+// run; served run == in-process run) checkable with cmp rather than
+// with semantic comparison.
 func CanonicalJSON(v any) []byte {
 	raw, err := json.Marshal(v)
 	if err != nil {

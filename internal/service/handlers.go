@@ -52,6 +52,20 @@ const (
 	cacheMiss   = "miss"
 )
 
+// Request limits, checked before any work is done so that one request
+// cannot exhaust the process's memory (a Go out-of-memory error is
+// fatal, not recoverable).
+const (
+	// maxBodyBytes caps a POST body; a larger one is answered 413. A
+	// Config or Grid is a few hundred bytes.
+	maxBodyBytes = 1 << 20
+	// maxSuiteCells caps the cells one /v1/suite Grid may expand to; a
+	// larger grid is answered 400 before it is enumerated. 65,536 cells
+	// is about 23 MB of Configs, far more than the default 64-deep
+	// queue can admit.
+	maxSuiteCells = 1 << 16
+)
+
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -77,9 +91,9 @@ func submitCode(err error) int {
 
 // writeSubmitError writes an admission failure. A queue-full 503
 // carries a Retry-After header (seconds, derived from the backlog) so
-// well-behaved clients — the cluster coordinator's retry loop among
-// them — back off for roughly one drain interval instead of hammering.
-// A draining 503 carries none: the server is going away, not busy.
+// well-behaved clients back off for roughly one drain interval instead
+// of hammering. A draining 503 carries none: the server is going away,
+// not busy.
 func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
 	if errors.Is(err, errQueueFull) {
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
@@ -102,14 +116,29 @@ func recordParam(r *http.Request) (bool, error) {
 	return b, nil
 }
 
-// decodeConfig reads and validates a façade Config from the body.
-// Unknown fields are rejected so a typo'd field name fails loudly
+// decodeBody decodes a JSON request body of at most maxBodyBytes into
+// v. Unknown fields are rejected so a typo'd field name fails loudly
 // instead of silently running the default experiment.
-func decodeConfig(r *http.Request) (earmac.Config, error) {
-	var cfg earmac.Config
-	dec := json.NewDecoder(r.Body)
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&cfg); err != nil {
+	return dec.Decode(v)
+}
+
+// decodeCode maps a request-decoding or validation error to its status
+// code: 413 for a body over maxBodyBytes, 400 otherwise.
+func decodeCode(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
+// decodeConfig reads and validates a façade Config from the body.
+func decodeConfig(w http.ResponseWriter, r *http.Request) (earmac.Config, error) {
+	var cfg earmac.Config
+	if err := decodeBody(w, r, &cfg); err != nil {
 		return earmac.Config{}, fmt.Errorf("decoding config: %w", err)
 	}
 	if err := cfg.Validate(); err != nil {
@@ -125,9 +154,9 @@ func decodeConfig(r *http.Request) (earmac.Config, error) {
 // fingerprint may be waiting on it, and the completed result is cached
 // for the next request.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	cfg, err := decodeConfig(r)
+	cfg, err := decodeConfig(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, decodeCode(err), err)
 		return
 	}
 	record, err := recordParam(r)
@@ -179,9 +208,9 @@ type submitResponse struct {
 // id. A cache hit completes immediately (status "done", cached true);
 // joining a live identical submission returns that job's current state.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	cfg, err := decodeConfig(r)
+	cfg, err := decodeConfig(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, decodeCode(err), err)
 		return
 	}
 	record, err := recordParam(r)
@@ -206,10 +235,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // submitResponse per cell, in Grid.Configs order.
 func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
 	var g earmac.Grid
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&g); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding grid: %w", err))
+	if err := decodeBody(w, r, &g); err != nil {
+		writeError(w, decodeCode(err), fmt.Errorf("decoding grid: %w", err))
+		return
+	}
+	if cells := g.Cells(); cells > maxSuiteCells {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("grid has %d cells, above the limit of %d", cells, maxSuiteCells))
 		return
 	}
 	cfgs := earmac.NewSuite(g).Configs
@@ -418,9 +449,9 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 }
 
 // jobStats is the per-state job tally healthz serves: the live gauges
-// (queued, running) next to the cumulative terminal counters, so the
-// coordinator's health probe and the smoke scripts can see both the
-// instantaneous load and how jobs have been ending.
+// (queued, running) next to the cumulative terminal counters, so
+// monitoring and the smoke script can see both the instantaneous load
+// and how jobs have been ending.
 type jobStats struct {
 	Queued    int   `json:"queued"`
 	Running   int   `json:"running"`

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"earmac"
+	"earmac/internal/report"
 )
 
 // newTestServer starts a service with a deterministic single worker and
@@ -284,18 +285,21 @@ func TestSubmitValidationErrors(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
 	cases := []struct {
 		name, body string
+		wantStatus int
 		wantSub    string
 	}{
-		{"unknown-algorithm", `{"algorithm":"nope"}`, "unknown algorithm"},
-		{"bad-rate", `{"rho_num":3,"rho_den":2}`, "bad injection rate"},
-		{"unknown-field", `{"algorithm":"orchestra","typo_field":1}`, "unknown field"},
-		{"malformed", `{`, "decoding config"},
+		{"unknown-algorithm", `{"algorithm":"nope"}`, http.StatusBadRequest, "unknown algorithm"},
+		{"bad-rate", `{"rho_num":3,"rho_den":2}`, http.StatusBadRequest, "bad injection rate"},
+		{"unknown-field", `{"algorithm":"orchestra","typo_field":1}`, http.StatusBadRequest, "unknown field"},
+		{"malformed", `{`, http.StatusBadRequest, "decoding config"},
+		{"body-too-large", `{"algorithm":"` + strings.Repeat("a", maxBodyBytes) + `"}`,
+			http.StatusRequestEntityTooLarge, "request body too large"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			resp, raw := post(t, ts.URL+"/v1/run", c.body)
-			if resp.StatusCode != http.StatusBadRequest {
-				t.Fatalf("status %d, want 400 (%s)", resp.StatusCode, raw)
+			if resp.StatusCode != c.wantStatus {
+				t.Fatalf("status %d, want %d (%.200s)", resp.StatusCode, c.wantStatus, raw)
 			}
 			var eb errorBody
 			json.Unmarshal(raw, &eb)
@@ -303,6 +307,10 @@ func TestSubmitValidationErrors(t *testing.T) {
 				t.Errorf("error %q missing %q", eb.Error, c.wantSub)
 			}
 		})
+	}
+	// None of the rejected requests took the server down.
+	if resp, raw := post(t, ts.URL+"/v1/run", quickConfig); resp.StatusCode != http.StatusOK {
+		t.Fatalf("valid run after rejections: %d %s", resp.StatusCode, raw)
 	}
 }
 
@@ -402,9 +410,12 @@ func TestDrain(t *testing.T) {
 	}
 }
 
+// TestSuiteSubmission: a Grid expands to one job per cell, and each
+// served result is byte-identical to the same cell of an in-process
+// Suite.Run.
 func TestSuiteSubmission(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 2})
-	grid := `{"algorithms":["count-hop","orchestra"],"ns":[4,5],"base":{"rounds":10000}}`
+	grid := `{"algorithms":["count-hop","orchestra"],"ns":[4,5],"rhos":[{"num":1,"den":3},{"num":3,"den":4}],"base":{"rounds":8000}}`
 	resp, raw := post(t, ts.URL+"/v1/suite", grid)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("suite: %d %s", resp.StatusCode, raw)
@@ -413,11 +424,23 @@ func TestSuiteSubmission(t *testing.T) {
 	if err := json.Unmarshal(raw, &subs); err != nil {
 		t.Fatal(err)
 	}
-	if len(subs) != 4 {
-		t.Fatalf("suite expanded to %d cells, want 4", len(subs))
+	if len(subs) != 8 {
+		t.Fatalf("suite expanded to %d cells, want 8", len(subs))
 	}
-	for _, sub := range subs {
+	var g earmac.Grid
+	if err := json.Unmarshal([]byte(grid), &g); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := earmac.NewSuite(g).Run(context.Background(), earmac.SuiteOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sub := range subs {
 		waitState(t, ts, sub.ID, StateDone)
+		_, served := get(t, ts.URL+"/v1/jobs/"+sub.ID+"/result")
+		if want := report.CanonicalJSON(rep.Results[i].Report); !bytes.Equal(served, want) {
+			t.Errorf("cell %d: served report differs from in-process run:\n got: %s\nwant: %s", i, served, want)
+		}
 	}
 	// Resubmitting the same grid is now fully cached.
 	resp, raw = post(t, ts.URL+"/v1/suite", grid)
@@ -434,14 +457,34 @@ func TestSuiteSubmission(t *testing.T) {
 
 func TestSuiteValidationFailsWholeBatch(t *testing.T) {
 	svc, ts := newTestServer(t, Options{Workers: 1})
-	grid := `{"algorithms":["count-hop","no-such-alg"],"base":{"rounds":1000}}`
-	resp, raw := post(t, ts.URL+"/v1/suite", grid)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("suite with invalid cell: %d %s", resp.StatusCode, raw)
+	var axis []string
+	for v := 3; v <= 62; v++ {
+		axis = append(axis, strconv.Itoa(v))
 	}
-	queued, running := svc.counts()
-	if queued+running != 0 {
-		t.Errorf("invalid suite admitted %d jobs", queued+running)
+	sixty := "[" + strings.Join(axis, ",") + "]"
+	cases := []struct{ name, grid, wantSub string }{
+		{"invalid-cell", `{"algorithms":["count-hop","no-such-alg"],"base":{"rounds":1000}}`, "unknown algorithm"},
+		// 60^4 ≈ 13M cells from a body under 1 KB: enumerating them
+		// would allocate gigabytes of Configs, so the grid is refused
+		// by its size alone.
+		{"too-many-cells", `{"ns":` + sixty + `,"ks":` + sixty + `,"betas":` + sixty + `,"seeds":` + sixty +
+			`,"base":{"algorithm":"count-hop","rounds":10}}`, "above the limit"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			resp, raw := post(t, ts.URL+"/v1/suite", c.grid)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("status %d, want 400 (%s)", resp.StatusCode, raw)
+			}
+			var eb errorBody
+			json.Unmarshal(raw, &eb)
+			if !strings.Contains(eb.Error, c.wantSub) {
+				t.Errorf("error %q missing %q", eb.Error, c.wantSub)
+			}
+			if queued, running := svc.counts(); queued+running != 0 {
+				t.Errorf("rejected suite admitted %d jobs", queued+running)
+			}
+		})
 	}
 }
 
@@ -482,9 +525,9 @@ func TestQueueFull(t *testing.T) {
 }
 
 // TestQueueFullRetryAfter: the queue-full 503 carries a Retry-After
-// header (whole seconds, derived from the backlog) that clients — the
-// cluster coordinator's retry loop among them — can honour. A draining
-// 503 carries none: the server is going away, not busy.
+// header (whole seconds, derived from the backlog) that clients can
+// honour. A draining 503 carries none: the server is going away, not
+// busy.
 func TestQueueFullRetryAfter(t *testing.T) {
 	svc, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 1})
 	long := func(n int) string {
@@ -996,7 +1039,7 @@ func TestCacheEvictionLRU(t *testing.T) {
 }
 
 // TestCacheDiskTier: the disk tier persists entries across cache
-// instances (the coordinator-restart scenario), promotes them back into
+// instances (the server-restart scenario), promotes them back into
 // memory on a miss, counts disk hits, and keeps entries that were
 // evicted from the memory LRU.
 func TestCacheDiskTier(t *testing.T) {

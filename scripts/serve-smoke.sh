@@ -1,9 +1,11 @@
 #!/usr/bin/env sh
-# Smoke test for earmac-serve: start the daemon, submit one Table 1
-# config twice, and assert the second response is served from the
-# content-addressed cache byte-identical to the first; then check that
-# SIGTERM drains gracefully. The CI serve-smoke job runs this script;
-# locally: make smoke-serve.
+# Smoke test for earmac-serve: start the daemon over a disk cache,
+# submit one Table 1 config twice, and assert the second response is
+# served from the content-addressed cache byte-identical to the first;
+# check that SIGTERM drains gracefully; then restart on the same
+# -cache-dir and assert the preloaded disk tier serves the config again,
+# byte-identical, without simulating it. The CI serve-smoke job runs
+# this script; locally: make smoke-serve.
 set -eu
 
 ADDR="${EARMAC_SERVE_ADDR:-127.0.0.1:8321}"
@@ -15,23 +17,50 @@ cleanup() {
 }
 trap cleanup EXIT
 
+# start_server LOG: start earmac-serve over $WORK/cache, logging to
+# $WORK/LOG, and wait until /v1/healthz answers.
+start_server() {
+    "$WORK/earmac-serve" -addr "$ADDR" -parallel 2 -cache-dir "$WORK/cache" 2>"$WORK/$1" &
+    SERVE_PID=$!
+    echo "serve-smoke: waiting for /v1/healthz"
+    i=0
+    until curl -sf "http://$ADDR/v1/healthz" >/dev/null 2>&1; do
+        i=$((i + 1))
+        if [ "$i" -gt 50 ]; then
+            echo "serve-smoke: server never became healthy" >&2
+            cat "$WORK/$1" >&2
+            exit 1
+        fi
+        sleep 0.2
+    done
+}
+
+# drain_server LOG: SIGTERM the server and wait for its graceful exit.
+drain_server() {
+    kill -TERM "$SERVE_PID"
+    i=0
+    while kill -0 "$SERVE_PID" 2>/dev/null; do
+        i=$((i + 1))
+        if [ "$i" -gt 100 ]; then
+            echo "serve-smoke: server did not drain within 20s" >&2
+            cat "$WORK/$1" >&2
+            exit 1
+        fi
+        sleep 0.2
+    done
+    wait "$SERVE_PID" 2>/dev/null || true
+    SERVE_PID=""
+    grep -q 'drained, bye' "$WORK/$1" || {
+        echo "serve-smoke: no graceful-drain message in server log:" >&2
+        cat "$WORK/$1" >&2
+        exit 1
+    }
+}
+
 echo "serve-smoke: building earmac-serve"
 go build -o "$WORK/earmac-serve" ./cmd/earmac-serve
 
-"$WORK/earmac-serve" -addr "$ADDR" -parallel 2 2>"$WORK/serve.log" &
-SERVE_PID=$!
-
-echo "serve-smoke: waiting for /v1/healthz"
-i=0
-until curl -sf "http://$ADDR/v1/healthz" >/dev/null 2>&1; do
-    i=$((i + 1))
-    if [ "$i" -gt 50 ]; then
-        echo "serve-smoke: server never became healthy" >&2
-        cat "$WORK/serve.log" >&2
-        exit 1
-    fi
-    sleep 0.2
-done
+start_server serve.log
 
 # Table 1, row "orchestra, ρ=1, β=2": the full-rate adversary the paper's
 # O(n²+β) latency bound is exercised against.
@@ -63,23 +92,34 @@ grep -q '"algorithm":"orchestra"' "$WORK/r1.json" || {
 }
 
 echo "serve-smoke: SIGTERM drain"
-kill -TERM "$SERVE_PID"
-i=0
-while kill -0 "$SERVE_PID" 2>/dev/null; do
-    i=$((i + 1))
-    if [ "$i" -gt 100 ]; then
-        echo "serve-smoke: server did not drain within 20s" >&2
-        cat "$WORK/serve.log" >&2
-        exit 1
-    fi
-    sleep 0.2
-done
-wait "$SERVE_PID" 2>/dev/null || true
-SERVE_PID=""
-grep -q 'drained, bye' "$WORK/serve.log" || {
-    echo "serve-smoke: no graceful-drain message in server log:" >&2
-    cat "$WORK/serve.log" >&2
+drain_server serve.log
+
+echo "serve-smoke: restart on the same -cache-dir"
+start_server serve2.log
+curl -sf -X POST "http://$ADDR/v1/cache/preload" >"$WORK/preload.json"
+grep -q '"loaded":1[,}]' "$WORK/preload.json" || {
+    echo "serve-smoke: preload did not load the one cached report:" >&2
+    cat "$WORK/preload.json" >&2
     exit 1
 }
 
-echo "serve-smoke: OK (cache hit byte-identical, graceful drain)"
+echo "serve-smoke: submission after restart (expect cache hit, byte-identical)"
+curl -sf -D "$WORK/h3" -o "$WORK/r3.json" -X POST "http://$ADDR/v1/run" -d "$CONFIG"
+grep -qi '^x-earmac-cache: *hit' "$WORK/h3" || {
+    echo "serve-smoke: response after restart not served from cache:" >&2
+    cat "$WORK/h3" >&2
+    exit 1
+}
+cmp "$WORK/r1.json" "$WORK/r3.json" || {
+    echo "serve-smoke: response after restart is not byte-identical" >&2
+    exit 1
+}
+curl -sf "http://$ADDR/v1/healthz" >"$WORK/health.json"
+grep -q '"misses":0[,}]' "$WORK/health.json" && grep -Eq '"jobs":\{[^}]*"done":0[,}]' "$WORK/health.json" || {
+    echo "serve-smoke: the restarted server simulated again:" >&2
+    cat "$WORK/health.json" >&2
+    exit 1
+}
+drain_server serve2.log
+
+echo "serve-smoke: OK (cache hit byte-identical, graceful drain, disk tier across a restart)"

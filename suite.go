@@ -3,6 +3,7 @@ package earmac
 import (
 	"context"
 	"errors"
+	"math"
 
 	"earmac/internal/pool"
 )
@@ -35,6 +36,23 @@ type Grid struct {
 	// instead of a derived one.
 	Seeds []int64 `json:"seeds,omitempty"`
 	Base  Config  `json:"base,omitempty"`
+}
+
+// Cells returns how many configs Configs enumerates: the product of the
+// dimension lengths, an empty dimension counting as one. The product
+// saturates at math.MaxInt instead of overflowing, so a caller can size
+// a grid before enumerating it.
+func (g Grid) Cells() int {
+	cells := 1
+	for _, d := range [...]int{len(g.Algorithms), len(g.Ns), len(g.Ks), len(g.Rhos),
+		len(g.Betas), len(g.Patterns), len(g.Channels), len(g.Seeds)} {
+		d = max(d, 1)
+		if cells > math.MaxInt/d {
+			return math.MaxInt
+		}
+		cells *= d
+	}
+	return cells
 }
 
 // Configs enumerates the cross product in deterministic order: algorithm
@@ -82,7 +100,7 @@ func (g Grid) Configs() []Config {
 	if deriveSeed {
 		seeds = []int64{0} // placeholder; the cell derives its own
 	}
-	cfgs := make([]Config, 0, len(algs)*len(ns)*len(ks)*len(rhos)*len(betas)*len(pats)*len(chans)*len(seeds))
+	cfgs := make([]Config, 0, g.Cells())
 	for _, alg := range algs {
 		for _, n := range ns {
 			for _, k := range ks {
@@ -212,26 +230,6 @@ func runCell(ctx context.Context, i int, cfg Config) SuiteResult {
 		res.Verdict = VerdictUnstable
 	}
 	return res
-}
-
-// MergeResults assembles a SuiteReport from per-cell results produced
-// elsewhere — the cluster coordinator's path, where cells run on
-// different worker processes and arrive in completion order. Results
-// are placed by their Index, never by arrival order, and missing cells
-// keep the same skipped placeholder Run would leave (Config included),
-// so the merged report is byte-identical to a single-process Run over
-// the same Configs. A result whose index is out of range is dropped.
-func (s Suite) MergeResults(results []SuiteResult) SuiteReport {
-	ordered := make([]SuiteResult, len(s.Configs))
-	for i := range ordered {
-		ordered[i] = SuiteResult{Index: i, Config: s.Configs[i], Verdict: VerdictSkipped}
-	}
-	for _, r := range results {
-		if r.Index >= 0 && r.Index < len(ordered) {
-			ordered[r.Index] = r
-		}
-	}
-	return aggregate(ordered)
 }
 
 func aggregate(results []SuiteResult) SuiteReport {

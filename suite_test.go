@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -26,6 +27,19 @@ func TestGridConfigsCrossProduct(t *testing.T) {
 	cfgs := grid64().Configs()
 	if len(cfgs) != 64 {
 		t.Fatalf("got %d configs, want 64", len(cfgs))
+	}
+	if got := grid64().Cells(); got != 64 {
+		t.Errorf("Cells() = %d, want 64", got)
+	}
+	// Eight dimensions of 256 values cross to 2^64 cells: Cells
+	// saturates instead of wrapping around.
+	huge := Grid{
+		Algorithms: make([]string, 256), Ns: make([]int, 256), Ks: make([]int, 256),
+		Rhos: make([]Rho, 256), Betas: make([]int64, 256), Patterns: make([]string, 256),
+		Channels: make([]int, 256), Seeds: make([]int64, 256),
+	}
+	if got := huge.Cells(); got != math.MaxInt {
+		t.Errorf("Cells() of a 2^64-cell grid = %d, want math.MaxInt", got)
 	}
 	// Deterministic order: algorithm outermost, pattern innermost.
 	if cfgs[0].Algorithm != "orchestra" || cfgs[0].Pattern != "uniform" {
