@@ -26,12 +26,19 @@
 //     the relays adopted during Gossip — and j consumes it.
 //
 // lg x denotes ⌈log₂(x+1)⌉ throughout, as in the paper.
+//
+// A station's old packets are those of its snapshot still queued, and
+// they are exactly its queued packets with ID ≤ oldMax, the ID of the
+// newest snapshot packet. The own queue is pushed only from the
+// injection staging, in injection order, and the simulator numbers
+// packets in injection order, so IDs rise along the queue (drainStaging
+// asserts it): every packet pushed after the snapshot has a larger ID
+// than every snapshot packet.
 package adjwin
 
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"earmac/internal/core"
 	"earmac/internal/mac"
@@ -92,12 +99,14 @@ type station struct {
 	winStart int64
 	nextL    int64
 
-	q       *pktq.Queue  // own packets (old snapshot members + new)
+	q       *pktq.Queue  // own packets (old snapshot members + new), IDs rising
 	relayQ  *pktq.Queue  // packets adopted during this window's gossip
 	staging []mac.Packet // injected this round, queued on next Act
+	lastID  int64        // ID of the packet last pushed onto q
 
-	// Snapshot at window start (the "old" packets).
-	oldSet       map[int64]bool
+	// Snapshot at window start (the "old" packets: those in q with ID ≤
+	// oldMax; see the package doc).
+	oldMax       int64
 	oldRemaining int
 	snapshot     []mac.Packet
 	snapSize     int64
@@ -153,6 +162,7 @@ func NewWithWindow(n int, L int64) (*core.System, error) {
 			id: i, n: n,
 			q:         pktq.New(n),
 			relayQ:    pktq.New(n),
+			lastID:    -1,
 			pendingTx: -1,
 			nextL:     L,
 			winStart:  0,
@@ -192,11 +202,13 @@ func (s *station) beginWindow(round int64) {
 	// Snapshot: everything queued now is old for this window.
 	s.snapshot = s.q.AppendTo(s.snapshot[:0])
 	s.snapSize = int64(len(s.snapshot))
-	s.oldSet = make(map[int64]bool, len(s.snapshot))
+	s.oldMax = -1
+	if len(s.snapshot) > 0 {
+		s.oldMax = s.snapshot[len(s.snapshot)-1].ID
+	}
 	s.snapCnt = make([]int64, s.n)
 	s.snapCntLess = make([]int64, s.n)
 	for _, p := range s.snapshot {
-		s.oldSet[p.ID] = true
 		s.snapCnt[p.Dest]++
 	}
 	var acc int64
@@ -231,12 +243,22 @@ func min64(a, b int64) int64 {
 	return b
 }
 
+// drainStaging queues this round's injections, in injection order. The
+// old-packet test p.ID ≤ oldMax relies on IDs rising along q, so an
+// injection out of ID order is a fatal error.
 func (s *station) drainStaging() {
 	for _, p := range s.staging {
+		if p.ID <= s.lastID {
+			panic(fmt.Sprintf("adjwin: station %d queues packet %d after packet %d", s.id, p.ID, s.lastID))
+		}
+		s.lastID = p.ID
 		s.q.Push(p)
 	}
 	s.staging = s.staging[:0]
 }
+
+// old reports whether a packet of q belongs to the window's snapshot.
+func (s *station) old(p mac.Packet) bool { return p.ID <= s.oldMax }
 
 func (s *station) Act(round int64) core.Action {
 	if !s.started || round == s.winStart+s.sh.L {
@@ -261,11 +283,11 @@ func (s *station) Act(round int64) core.Action {
 // destination j (which delivers it immediately). Large stations always
 // have one: the gossip spend is bounded by (n−1)(2+3·lgL) < 4n·lgL.
 func (s *station) popOld(j int) mac.Packet {
-	if p, ok := s.q.FrontTo(j); ok && s.oldSet[p.ID] {
+	if p, ok := s.q.FrontTo(j); ok && s.old(p) {
 		return p
 	}
 	p, ok := s.q.Front()
-	if !ok || !s.oldSet[p.ID] {
+	if !ok || !s.old(p) {
 		panic(fmt.Sprintf("adjwin: station %d ran out of old packets during coded transfer", s.id))
 	}
 	return p
@@ -343,14 +365,19 @@ func (s *station) prepareMain() {
 	}
 
 	// Sender plan: the full snapshot sorted by (dest, arrival); gossip-
-	// spent packets leave holes (silent slots).
+	// spent packets leave holes (silent slots). A counting sort: dest d's
+	// packets start at snapCntLess[d], in snapshot (arrival) order.
 	s.mainList = nil
 	s.blockStart = -1
 	sender := (!s.dedicated && s.large[s.id]) || (s.dedicated && s.id == s.dedX)
 	if sender {
 		s.mainList = make([]mac.Packet, len(s.snapshot))
-		copy(s.mainList, s.snapshot)
-		sort.SliceStable(s.mainList, func(a, b int) bool { return s.mainList[a].Dest < s.mainList[b].Dest })
+		next := make([]int64, s.n)
+		copy(next, s.snapCntLess)
+		for _, p := range s.snapshot {
+			s.mainList[next[p.Dest]] = p
+			next[p.Dest]++
+		}
 		if s.dedicated {
 			s.blockStart = 0
 		} else {
@@ -414,7 +441,7 @@ func (s *station) actAux(o int64) core.Action {
 		// Send one pending packet destined to j: an old packet if I am
 		// small, or an adopted relay.
 		if s.small {
-			if p, ok := s.q.FrontTo(j); ok && s.oldSet[p.ID] {
+			if p, ok := s.q.FrontTo(j); ok && s.old(p) {
 				s.pendingTx = p.ID
 				return core.Transmit(mac.PacketMsg(p))
 			}
@@ -456,7 +483,6 @@ func (s *station) observeGossip(off int64, fb mac.Feedback) {
 
 	if s.pendingTx >= 0 && fb.Kind == mac.FbHeard {
 		s.q.Remove(s.pendingTx)
-		delete(s.oldSet, s.pendingTx)
 		s.oldRemaining--
 		s.pendingTx = -1
 		return
@@ -506,7 +532,6 @@ func (s *station) observeDelivery(fb mac.Feedback) {
 		s.relayQ.Remove(s.pendingTx)
 	} else {
 		s.q.Remove(s.pendingTx)
-		delete(s.oldSet, s.pendingTx)
 		s.oldRemaining--
 	}
 	s.pendingTx = -1

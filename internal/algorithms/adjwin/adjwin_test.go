@@ -1,10 +1,12 @@
 package adjwin
 
 import (
+	"strings"
 	"testing"
 
 	"earmac/internal/adversary"
 	"earmac/internal/core"
+	"earmac/internal/mac"
 	"earmac/internal/metrics"
 )
 
@@ -224,4 +226,27 @@ func TestBurstAbsorbed(t *testing.T) {
 	if tr.Pending() != 0 {
 		t.Errorf("burst not drained: pending=%d", tr.Pending())
 	}
+}
+
+// TestOutOfOrderInjectionPanics pins the invariant behind the old-packet
+// test p.ID ≤ oldMax: a station's own queue must receive IDs in rising
+// order, so a packet pushed after the snapshot is never mistaken for an
+// old one.
+func TestOutOfOrderInjectionPanics(t *testing.T) {
+	sys, err := New(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := sys.Stations[1]
+	st.Inject(mac.Packet{ID: 5, Src: 1, Dest: 2})
+	st.Act(0)
+	st.Inject(mac.Packet{ID: 7, Src: 1, Dest: 0})
+	st.Inject(mac.Packet{ID: 6, Src: 1, Dest: 0})
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "queues packet 6 after packet 7") {
+			t.Errorf("out-of-order injection: recovered %q, want the push-order panic", msg)
+		}
+	}()
+	st.Act(1)
 }

@@ -137,9 +137,11 @@ func (l *Layout) CriticalRate() (num, den int64) {
 	return int64(l.K) * int64(l.K), 2 * int64(l.N) * (2*int64(l.N) - int64(l.K))
 }
 
+// pairQueue is one station's packet queue for one of its pairs, with
+// the pair ring's phase tail implementing OF-RRW's old/new distinction.
 type pairQueue struct {
-	q     *pktq.Queue
-	tagOf map[int64]int64
+	q    *pktq.Queue
+	tail broadcast.PhaseTail
 }
 
 type station struct {
@@ -171,7 +173,7 @@ func newStation(id int, lay *Layout) *station {
 	}
 	for i, p := range pairs {
 		s.rings[i] = broadcast.NewRing(lay.members[p])
-		s.subs[i] = &pairQueue{q: pktq.New(lay.N), tagOf: map[int64]int64{}}
+		s.subs[i] = &pairQueue{q: pktq.New(lay.N)}
 		s.localOf[p] = i
 	}
 	return s
@@ -181,7 +183,7 @@ func (s *station) Inject(p mac.Packet) {
 	i := s.localOf[s.lay.PairFor(s.id, p.Dest)]
 	sub := s.subs[i]
 	sub.q.Push(p)
-	sub.tagOf[p.ID] = s.rings[i].Phase()
+	sub.tail.Pushed(s.rings[i].Phase())
 }
 
 func (s *station) Act(round int64) core.Action {
@@ -204,7 +206,7 @@ func (s *station) Act(round int64) core.Action {
 	}
 	sub := s.subs[s.cursor]
 	front, ok := sub.q.Front()
-	if !ok || sub.tagOf[front.ID] >= ring.Phase() {
+	if !ok || sub.tail.FrontIsNew(ring.Phase(), sub.q.Len()) {
 		return core.Listen() // silence advances the token
 	}
 	s.pendingTx = front.ID
@@ -219,9 +221,7 @@ func (s *station) Observe(round int64, fb mac.Feedback) {
 	case mac.FbHeard:
 		ring.ObserveHeard()
 		if s.pendingTx >= 0 {
-			sub := s.subs[s.cursor]
-			sub.q.Remove(s.pendingTx)
-			delete(sub.tagOf, s.pendingTx)
+			s.subs[s.cursor].q.Remove(s.pendingTx)
 			s.pendingTx = -1
 		}
 	case mac.FbSilence:

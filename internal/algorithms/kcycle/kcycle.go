@@ -139,32 +139,27 @@ func (l *Layout) HomeGroup(src, dest int) int {
 func (l *Layout) NextGroup(g int) int { return (g + 1) % l.L }
 
 // grpQueue is one station's packet queue for one of its groups, with
-// per-packet phase tags implementing OF-RRW's old/new distinction.
+// the group ring's phase tail implementing OF-RRW's old/new distinction.
 type grpQueue struct {
-	q     *pktq.Queue
-	tagOf map[int64]int64
+	q    *pktq.Queue
+	tail broadcast.PhaseTail
 }
 
 func newGrpQueue(n int) *grpQueue {
-	return &grpQueue{q: pktq.New(n), tagOf: make(map[int64]int64)}
+	return &grpQueue{q: pktq.New(n)}
 }
 
 func (gq *grpQueue) push(p mac.Packet, phase int64) {
 	gq.q.Push(p)
-	gq.tagOf[p.ID] = phase
-}
-
-func (gq *grpQueue) remove(id int64) {
-	gq.q.Remove(id)
-	delete(gq.tagOf, id)
+	gq.tail.Pushed(phase)
 }
 
 // oldFront returns the oldest packet if it is old for the given phase.
-// Tags are non-decreasing in arrival order, so a new front means the
+// Phases are non-decreasing in arrival order, so a new front means the
 // whole queue is new.
 func (gq *grpQueue) oldFront(phase int64) (mac.Packet, bool) {
 	p, ok := gq.q.Front()
-	if !ok || gq.tagOf[p.ID] >= phase {
+	if !ok || gq.tail.FrontIsNew(phase, gq.q.Len()) {
 		return mac.Packet{}, false
 	}
 	return p, true
@@ -242,7 +237,7 @@ func (s *station) Observe(round int64, fb mac.Feedback) {
 	case mac.FbHeard:
 		ring.ObserveHeard()
 		if s.pendingTx >= 0 {
-			s.subs[i].remove(s.pendingTx)
+			s.subs[i].q.Remove(s.pendingTx)
 			s.pendingTx = -1
 		}
 		p := fb.Msg.Packet

@@ -50,14 +50,13 @@ type station struct {
 	delivered int          // prefix of sigmaCur already delivered
 	sigmaNext []mac.Packet // schedule being taught this conducting season
 
-	taught     map[int][]bool // conductor → receive mask for its next conducting season
-	activeMask []bool         // snapshot of taught[conductor] for the current season
-	// maskBufs double-buffers the taught masks per conductor: a mask is
-	// written during one of the conductor's seasons and read (as
-	// activeMask) during the next, so two buffers per conductor suffice
-	// and learning allocates nothing in steady state.
-	maskBufs map[int]*[2][]bool
-	maskFlip map[int]int
+	activeMask []bool // taught(conductor) for the current season
+	// masks holds, per conductor, the receive masks it taught this
+	// station, double-buffered: a mask is written during one of the
+	// conductor's seasons and read (as activeMask) during the next, so
+	// two buffers per conductor suffice and learning allocates nothing
+	// in steady state. Nil until this station's first learning round.
+	masks []taughtMasks
 
 	ctrl mac.Control // conductor's reused teaching-message buffer
 
@@ -81,11 +80,8 @@ func New(n int) (*core.System, error) {
 		stations[i] = &station{
 			id: i, n: n,
 			ctrl:      mac.MakeControl(1 + n - 1),
-			maskBufs:  make(map[int]*[2][]bool),
-			maskFlip:  make(map[int]int),
 			list:      batonlist.New(ids),
 			pending:   pktq.New(n),
-			taught:    make(map[int][]bool),
 			curSeason: -1,
 		}
 	}
@@ -171,7 +167,7 @@ func (s *station) startSeason(season int64) {
 	s.activeMask = nil
 	s.announceBig = false
 	if conductor != s.id {
-		s.activeMask = s.taught[conductor]
+		s.activeMask = s.taught(conductor)
 		return
 	}
 	// Conducting: bigness is judged on old packets (pending plus packets
@@ -255,27 +251,42 @@ func (s *station) Observe(round int64, fb mac.Feedback) {
 		for slot := range mask {
 			mask[slot] = fb.Msg.Ctrl.Bit(1 + slot)
 		}
-		s.taught[conductor] = mask
 		if fb.Msg.Ctrl.Bit(0) {
 			s.seasonBig = true
 		}
 	}
 }
 
-// nextMaskBuf returns the mask buffer to fill for the conductor's next
-// season: the one not currently aliased by a possibly-active mask.
+// taughtMasks is one conductor's pair of mask buffers; buf[cur] is the
+// mask it taught last (nil before its first teaching).
+type taughtMasks struct {
+	buf [2][]bool
+	cur int
+}
+
+// taught returns the receive mask the conductor taught this station for
+// its next conducting season, or nil if it has taught none.
+func (s *station) taught(conductor int) []bool {
+	if s.masks == nil {
+		return nil
+	}
+	m := &s.masks[conductor]
+	return m.buf[m.cur]
+}
+
+// nextMaskBuf flips to and returns the mask buffer to fill for the
+// conductor's next season: the one not currently aliased by a
+// possibly-active mask.
 func (s *station) nextMaskBuf(conductor int) []bool {
-	bufs := s.maskBufs[conductor]
-	if bufs == nil {
-		bufs = &[2][]bool{}
-		s.maskBufs[conductor] = bufs
+	if s.masks == nil {
+		s.masks = make([]taughtMasks, s.n)
 	}
-	flip := 1 - s.maskFlip[conductor]
-	s.maskFlip[conductor] = flip
-	if bufs[flip] == nil {
-		bufs[flip] = make([]bool, s.seasonLen())
+	m := &s.masks[conductor]
+	m.cur = 1 - m.cur
+	if m.buf[m.cur] == nil {
+		m.buf[m.cur] = make([]bool, s.seasonLen())
 	}
-	return bufs[flip]
+	return m.buf[m.cur]
 }
 
 func (s *station) QueueLen() int {
@@ -313,7 +324,7 @@ func (s *station) SkipIdle(from, to int64) {
 	if h := s.list.Holder(); h == s.id {
 		s.activeMask = nil
 	} else {
-		s.activeMask = s.taught[h]
+		s.activeMask = s.taught(h)
 	}
 }
 

@@ -108,8 +108,9 @@ type station struct {
 	id   int
 	lay  *Layout
 	q    *pktq.Queue
-	rng  *rand.Rand
-	perm []int // OnSetInto scratch, reused every round
+	seed int64
+	rng  *rand.Rand // seeded from seed at the first gamble; most stations of a sparse run never gamble
+	perm []int      // OnSetInto scratch, reused every round
 
 	pendingTx int64
 }
@@ -141,7 +142,12 @@ func (s *station) Act(round int64) core.Action {
 	if !found {
 		return core.Listen()
 	}
-	// The ALOHA gamble: transmit with probability 1/k.
+	// The ALOHA gamble: transmit with probability 1/k. The stream
+	// depends only on the seed and the number of draws, so building the
+	// generator late changes no output.
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(s.seed))
+	}
 	if s.rng.Intn(s.lay.K) != 0 {
 		return core.Listen()
 	}
@@ -193,7 +199,7 @@ func NewSeeded(n, k int, seed uint64) (*core.System, error) {
 			id:        i,
 			lay:       lay,
 			q:         pktq.New(n),
-			rng:       rand.New(rand.NewSource(int64(seed) + int64(i)*7919)),
+			seed:      int64(seed) + int64(i)*7919,
 			perm:      make([]int, n),
 			pendingTx: -1,
 		}

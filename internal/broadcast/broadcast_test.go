@@ -1,6 +1,7 @@
 package broadcast
 
 import (
+	"math/rand"
 	"testing"
 
 	"earmac/internal/adversary"
@@ -77,6 +78,43 @@ func TestEmptyRingPanics(t *testing.T) {
 		}
 	}()
 	NewRing(nil)
+}
+
+// TestPhaseTailMatchesTags drives PhaseTail through random pushes,
+// phase advances (single and skipped), front checks and old-front pops
+// (which PhaseTail is not told about), against a queue of per-packet
+// phase tags — the representation it replaces.
+func TestPhaseTailMatchesTags(t *testing.T) {
+	for seed := int64(0); seed < 2000; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var tail PhaseTail
+		var tags []int64 // the queue, front first: each packet's push phase
+		phase := int64(0)
+		for op := 0; op < 400; op++ {
+			switch rng.Intn(4) {
+			case 0:
+				tail.Pushed(phase)
+				tags = append(tags, phase)
+			case 1:
+				if rng.Intn(4) == 0 {
+					phase += 1 + rng.Int63n(5)
+				} else {
+					phase++
+				}
+			default:
+				if len(tags) == 0 {
+					continue
+				}
+				want := tags[0] >= phase
+				if got := tail.FrontIsNew(phase, len(tags)); got != want {
+					t.Fatalf("seed %d op %d: FrontIsNew = %v, tags %v at phase %d", seed, op, got, tags, phase)
+				}
+				if !want {
+					tags = tags[1:]
+				}
+			}
+		}
+	}
 }
 
 func TestMBTFRetainWhileBig(t *testing.T) {

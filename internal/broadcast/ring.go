@@ -75,6 +75,36 @@ func (r *Ring) SkipSilences(m int64) {
 	r.turns = int(t % n)
 }
 
+// PhaseTail is OF-RRW's old/new distinction for one FIFO queue fed by
+// one Ring: a packet is new while the ring is still in the phase the
+// packet was pushed in. Ring phases never decrease, so the packets
+// pushed in the latest push's phase form a suffix of the queue, and it
+// suffices to remember that phase and how many pushes it saw. This
+// holds when the queue is read only at its front and loses only old
+// fronts, as in every OF-RRW user here. Removals then need no
+// bookkeeping: while last is the current phase none of its packets can
+// leave, and once the phase moves on, n is not read again before the
+// next push resets it.
+type PhaseTail struct {
+	last int64 // ring phase of the latest push
+	n    int   // pushes in phase last
+}
+
+// Pushed records a push at the tail during the given ring phase.
+func (t *PhaseTail) Pushed(phase int64) {
+	if phase != t.last {
+		t.last, t.n = phase, 0
+	}
+	t.n++
+}
+
+// FrontIsNew reports whether the front of a queue of qlen packets was
+// pushed in the current ring phase — and hence, phases being monotone,
+// whether the whole queue is new and must be withheld.
+func (t *PhaseTail) FrontIsNew(phase int64, qlen int) bool {
+	return t.last == phase && t.n >= qlen
+}
+
 // Equal reports replica equality.
 func (r *Ring) Equal(o *Ring) bool {
 	if r.pos != o.pos || r.phase != o.phase || r.turns != o.turns || len(r.members) != len(o.members) {

@@ -30,28 +30,22 @@ type rrwStation struct {
 	q         *pktq.Queue
 	pendingTx int64
 	oldFirst  bool
-	phaseOf   map[int64]int64 // packet ID → ring phase at injection (OF-RRW)
+	tail      PhaseTail // OF-RRW: the queue's suffix pushed in the latest phase
 }
 
 func newRRWStation(id int, members []int, oldFirst bool) *rrwStation {
-	s := &rrwStation{
+	return &rrwStation{
 		id:        id,
 		ring:      NewRing(members),
 		q:         pktq.New(len(members)),
 		pendingTx: -1,
 		oldFirst:  oldFirst,
 	}
-	if oldFirst {
-		s.phaseOf = make(map[int64]int64)
-	}
-	return s
 }
 
 func (s *rrwStation) Inject(p mac.Packet) {
 	s.q.Push(p)
-	if s.oldFirst {
-		s.phaseOf[p.ID] = s.ring.Phase()
-	}
+	s.tail.Pushed(s.ring.Phase())
 }
 
 func (s *rrwStation) Act(round int64) core.Action {
@@ -63,7 +57,7 @@ func (s *rrwStation) Act(round int64) core.Action {
 	if !ok {
 		return core.Listen()
 	}
-	if s.oldFirst && s.phaseOf[front.ID] >= s.ring.Phase() {
+	if s.oldFirst && s.tail.FrontIsNew(s.ring.Phase(), s.q.Len()) {
 		// The oldest packet is new for this phase, hence all are: withhold.
 		return core.Listen()
 	}
@@ -76,9 +70,6 @@ func (s *rrwStation) Observe(round int64, fb mac.Feedback) {
 	case mac.FbHeard:
 		if s.pendingTx >= 0 {
 			s.q.Remove(s.pendingTx)
-			if s.oldFirst {
-				delete(s.phaseOf, s.pendingTx)
-			}
 		}
 		s.ring.ObserveHeard()
 	case mac.FbSilence:

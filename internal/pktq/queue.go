@@ -2,23 +2,34 @@
 // injection-arrival order with per-destination indexing. The paper assumes
 // a station "can scan its queue and access any packet in negligible time";
 // this implementation makes the operations the algorithms actually use
-// O(1) (push, pops, removal by ID, per-destination counts).
+// O(1) (push, pops, removal by ID, per-destination counts; the ID lookups
+// in expectation).
 //
 // The queue is built for the simulator's steady-state hot path: nodes live
-// in an index-addressed arena recycled through a free list, and the
+// in an index-addressed arena recycled through a free list, the
 // per-destination index is a slice keyed by the destination station name
-// (destinations are 0..n-1), so a push/pop cycle at constant queue depth
-// performs no allocation.
+// (destinations are 0..n-1), and the ID index is an open-addressing table
+// over the arena that doubles at a new depth record and never shrinks, so
+// a push/pop cycle at constant queue depth performs no allocation.
 package pktq
 
 import (
 	"fmt"
+	"math/bits"
 
 	"earmac/internal/mac"
 )
 
 // none marks the absence of a node link.
 const none = int32(-1)
+
+// fib is 2⁶⁴/φ: multiplying by it and keeping the top bits (Fibonacci
+// hashing) spreads runs of sequential packet IDs across the ID index,
+// where keeping the low bits would cluster them into long probe runs.
+const fib = 0x9e3779b97f4a7c15
+
+// minIndex is the ID index's size at a queue's first push.
+const minIndex = 8
 
 type node struct {
 	pkt          mac.Packet
@@ -33,7 +44,13 @@ type destList struct {
 
 // Queue is a packet queue. The zero value is not usable; call New.
 type Queue struct {
-	byID   map[int64]int32
+	// index maps packet IDs to arena nodes by linear probing: a slot
+	// holds node+1 (0 is empty), and keys are compared through the
+	// node's packet, so a slot is 4 bytes. Deletion shifts the probe run
+	// back, leaving no tombstones. The table is at most half full; it is
+	// nil until the first push.
+	index  []int32
+	shift  uint       // 64 − log₂ len(index): keeps the hash's top bits
 	byDest []destList // indexed by destination station
 	nodes  []node     // arena; freed nodes are threaded through .next
 	free   int32      // head of the free list
@@ -43,14 +60,13 @@ type Queue struct {
 }
 
 // New returns an empty queue for destinations in [0, nDests). Pushing a
-// packet with a larger destination grows the index transparently, so
-// nDests is a capacity hint, not a hard bound.
+// packet with a larger destination grows the destination index
+// transparently, so nDests is a capacity hint, not a hard bound.
 func New(nDests int) *Queue {
 	if nDests < 0 {
 		nDests = 0
 	}
 	return &Queue{
-		byID:   make(map[int64]int32),
 		byDest: make([]destList, nDests),
 		free:   none,
 		head:   none,
@@ -70,7 +86,8 @@ func (q *Queue) alloc(p mac.Packet) int32 {
 	return int32(len(q.nodes) - 1)
 }
 
-// dest returns the destination list for d, growing the index if needed.
+// dest returns the destination list for d, growing the destination index
+// if needed.
 func (q *Queue) dest(d int) *destList {
 	if d >= len(q.byDest) {
 		//earmac:alloc -- amortized index growth past the New(nDests) hint; sized callers never reach it
@@ -81,6 +98,58 @@ func (q *Queue) dest(d int) *destList {
 	return &q.byDest[d]
 }
 
+// home returns id's home slot in the ID index: the top bits of its
+// Fibonacci hash.
+func (q *Queue) home(id int64) int { return int((uint64(id) * fib) >> q.shift) }
+
+// slot probes the ID index for id. It returns the slot holding id and
+// true, or the empty slot that ends id's probe run and false. The index
+// must be non-empty.
+func (q *Queue) slot(id int64) (int, bool) {
+	mask := len(q.index) - 1
+	for i := q.home(id); ; i = (i + 1) & mask {
+		e := q.index[i]
+		if e == 0 {
+			return i, false
+		}
+		if q.nodes[e-1].pkt.ID == id {
+			return i, true
+		}
+	}
+}
+
+// grow doubles the ID index (or creates it) and reinserts every entry.
+// The index grows only when the queue reaches a new depth record, so a
+// queue at constant depth never calls it.
+func (q *Queue) grow() {
+	old := q.index
+	size := max(2*len(old), minIndex)
+	//earmac:alloc -- amortized doubling at a new depth record; a queue at constant depth never reaches it
+	q.index = make([]int32, size)
+	q.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	for _, e := range old {
+		if e != 0 {
+			i, _ := q.slot(q.nodes[e-1].pkt.ID)
+			q.index[i] = e
+		}
+	}
+}
+
+// unindex empties slot i, shifting the rest of its probe run back so
+// every entry stays reachable from its home slot.
+func (q *Queue) unindex(i int) {
+	mask := len(q.index) - 1
+	for j := (i + 1) & mask; q.index[j] != 0; j = (j + 1) & mask {
+		// The entry at j may fill the hole at i when i lies cyclically
+		// in [home, j).
+		if home := q.home(q.nodes[q.index[j]-1].pkt.ID); (j-home)&mask >= (j-i)&mask {
+			q.index[i] = q.index[j]
+			i = j
+		}
+	}
+	q.index[i] = 0
+}
+
 // Len returns the number of queued packets.
 //
 //earmac:hotpath
@@ -89,15 +158,12 @@ func (q *Queue) Len() int { return q.size }
 // Has reports whether the packet with the given ID is queued.
 //
 //earmac:hotpath
-func (q *Queue) Has(id int64) bool { _, ok := q.byID[id]; return ok }
-
-// Get returns the queued packet with the given ID.
-func (q *Queue) Get(id int64) (mac.Packet, bool) {
-	n, ok := q.byID[id]
-	if !ok {
-		return mac.Packet{}, false
+func (q *Queue) Has(id int64) bool {
+	if q.size == 0 {
+		return false
 	}
-	return q.nodes[n].pkt, true
+	_, ok := q.slot(id)
+	return ok
 }
 
 // Count returns the number of queued packets with the given destination.
@@ -110,19 +176,6 @@ func (q *Queue) Count(dest int) int {
 	return q.byDest[dest].count
 }
 
-// CountLess returns the number of queued packets whose destination is
-// strictly smaller than dest (used by the Adjust-Window gossip stage).
-func (q *Queue) CountLess(dest int) int {
-	if dest > len(q.byDest) {
-		dest = len(q.byDest)
-	}
-	total := 0
-	for d := 0; d < dest; d++ {
-		total += q.byDest[d].count
-	}
-	return total
-}
-
 // Push appends a packet. Pushing a duplicate ID panics: packet ownership
 // is exactly-once by design and a duplicate indicates an algorithm bug.
 // A negative destination panics, since the per-destination index is
@@ -130,14 +183,18 @@ func (q *Queue) CountLess(dest int) int {
 //
 //earmac:hotpath
 func (q *Queue) Push(p mac.Packet) {
-	if _, dup := q.byID[p.ID]; dup {
+	if 2*(q.size+1) > len(q.index) {
+		q.grow()
+	}
+	i, dup := q.slot(p.ID)
+	if dup {
 		panic(fmt.Sprintf("pktq: duplicate packet %v", p))
 	}
 	if p.Dest < 0 {
 		panic(fmt.Sprintf("pktq: negative destination on %v", p))
 	}
 	n := q.alloc(p)
-	q.byID[p.ID] = n
+	q.index[i] = n + 1
 	if q.tail == none {
 		q.head, q.tail = n, n
 	} else {
@@ -190,7 +247,8 @@ func (q *Queue) PopFront() (mac.Packet, bool) {
 		return mac.Packet{}, false
 	}
 	p := q.nodes[q.head].pkt
-	q.unlink(q.head)
+	i, _ := q.slot(p.ID)
+	q.unlink(i)
 	return p, true
 }
 
@@ -206,20 +264,9 @@ func (q *Queue) PopFrontTo(dest int) (mac.Packet, bool) {
 		return mac.Packet{}, false
 	}
 	p := q.nodes[dl.head].pkt
-	q.unlink(dl.head)
+	i, _ := q.slot(p.ID)
+	q.unlink(i)
 	return p, true
-}
-
-// PopPrefer removes and returns the oldest packet destined to dest if one
-// exists, and otherwise the oldest packet overall. Used by coded transfer,
-// where sending a packet addressed to the listener delivers it for free.
-//
-//earmac:hotpath
-func (q *Queue) PopPrefer(dest int) (mac.Packet, bool) {
-	if p, ok := q.PopFrontTo(dest); ok {
-		return p, true
-	}
-	return q.PopFront()
 }
 
 // Remove deletes the packet with the given ID, reporting whether it was
@@ -227,15 +274,20 @@ func (q *Queue) PopPrefer(dest int) (mac.Packet, bool) {
 //
 //earmac:hotpath
 func (q *Queue) Remove(id int64) bool {
-	n, ok := q.byID[id]
+	if q.size == 0 {
+		return false
+	}
+	i, ok := q.slot(id)
 	if !ok {
 		return false
 	}
-	q.unlink(n)
+	q.unlink(i)
 	return true
 }
 
-func (q *Queue) unlink(n int32) {
+// unlink removes the packet in ID index slot i.
+func (q *Queue) unlink(i int) {
+	n := q.index[i] - 1
 	nd := &q.nodes[n]
 	if nd.prev != none {
 		q.nodes[nd.prev].next = nd.next
@@ -259,7 +311,7 @@ func (q *Queue) unlink(n int32) {
 		dl.tail = nd.dprev
 	}
 	dl.count--
-	delete(q.byID, nd.pkt.ID)
+	q.unindex(i)
 	q.size--
 	// Recycle the node: clear the packet so the arena does not retain it,
 	// then thread it onto the free list through .next.
@@ -276,23 +328,4 @@ func (q *Queue) AppendTo(buf []mac.Packet) []mac.Packet {
 		buf = append(buf, q.nodes[n].pkt)
 	}
 	return buf
-}
-
-// IDs returns the queued packet IDs in arrival order.
-func (q *Queue) IDs() []int64 {
-	out := make([]int64, 0, q.size)
-	for n := q.head; n != none; n = q.nodes[n].next {
-		out = append(out, q.nodes[n].pkt.ID)
-	}
-	return out
-}
-
-// Each calls f on every queued packet in arrival order; f returning false
-// stops the iteration.
-func (q *Queue) Each(f func(mac.Packet) bool) {
-	for n := q.head; n != none; n = q.nodes[n].next {
-		if !f(q.nodes[n].pkt) {
-			return
-		}
-	}
 }

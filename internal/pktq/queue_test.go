@@ -32,8 +32,8 @@ func TestEmptyQueue(t *testing.T) {
 	if q.Remove(99) {
 		t.Error("Remove on empty queue succeeded")
 	}
-	if q.Count(0) != 0 || q.CountLess(5) != 0 {
-		t.Error("counts on empty queue nonzero")
+	if q.Count(0) != 0 || q.Has(0) {
+		t.Error("empty queue reports a packet")
 	}
 }
 
@@ -93,15 +93,6 @@ func TestCounts(t *testing.T) {
 	if q.Count(3) != 3 || q.Count(1) != 2 || q.Count(0) != 1 || q.Count(2) != 0 {
 		t.Error("Count wrong")
 	}
-	if q.CountLess(3) != 3 { // dests 0,1,1
-		t.Errorf("CountLess(3) = %d, want 3", q.CountLess(3))
-	}
-	if q.CountLess(0) != 0 {
-		t.Errorf("CountLess(0) = %d", q.CountLess(0))
-	}
-	if q.CountLess(100) != 7 {
-		t.Errorf("CountLess(100) = %d", q.CountLess(100))
-	}
 }
 
 func TestRemoveByID(t *testing.T) {
@@ -119,13 +110,13 @@ func TestRemoveByID(t *testing.T) {
 		t.Error("removed packet still present")
 	}
 	want := []int64{0, 1, 3, 4}
-	got := q.IDs()
+	got := q.AppendTo(nil)
 	if len(got) != len(want) {
-		t.Fatalf("IDs = %v", got)
+		t.Fatalf("queue = %v", got)
 	}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("IDs[%d] = %d, want %d", i, got[i], want[i])
+		if got[i].ID != want[i] {
+			t.Errorf("queue[%d] = %v, want ID %d", i, got[i], want[i])
 		}
 	}
 	if q.Count(1) != 4 {
@@ -154,60 +145,38 @@ func TestRemoveHeadAndTail(t *testing.T) {
 	}
 }
 
-func TestPopPrefer(t *testing.T) {
-	q := New(10)
-	q.Push(pk(1, 3))
-	q.Push(pk(2, 8))
-	p, ok := q.PopPrefer(8)
-	if !ok || p.ID != 2 {
-		t.Errorf("PopPrefer(8) = %v", p)
-	}
-	p, ok = q.PopPrefer(8) // no dest-8 packet left: falls back to oldest
-	if !ok || p.ID != 1 {
-		t.Errorf("PopPrefer(8) fallback = %v", p)
-	}
-	if _, ok = q.PopPrefer(8); ok {
-		t.Error("PopPrefer on empty queue succeeded")
-	}
-}
-
 func TestDuplicatePushPanics(t *testing.T) {
+	mustPanic := func(name string, q *Queue, p mac.Packet) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: duplicate push of %d did not panic", name, p.ID)
+			}
+		}()
+		q.Push(p)
+	}
 	q := New(10)
 	q.Push(pk(1, 0))
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate push did not panic")
-		}
-	}()
-	q.Push(pk(1, 5))
-}
+	mustPanic("fresh index", q, pk(1, 5))
 
-func TestGetAndEach(t *testing.T) {
-	q := New(10)
-	q.Push(pk(10, 2))
-	q.Push(pk(11, 4))
-	p, ok := q.Get(11)
-	if !ok || p.Dest != 4 {
-		t.Errorf("Get(11) = %v, %v", p, ok)
+	// A duplicate after the ID index has doubled several times, pushed
+	// out of order.
+	q = New(10)
+	for i := int64(0); i < 100; i++ {
+		q.Push(pk(1000-7*i, int(i%10)))
 	}
-	if _, ok := q.Get(99); ok {
-		t.Error("Get(99) succeeded")
+	if len(q.index) <= minIndex {
+		t.Fatalf("index did not grow: %d slots", len(q.index))
 	}
-	var seen []int64
-	q.Each(func(p mac.Packet) bool {
-		seen = append(seen, p.ID)
-		return true
-	})
-	if len(seen) != 2 || seen[0] != 10 || seen[1] != 11 {
-		t.Errorf("Each order = %v", seen)
+	mustPanic("grown index", q, pk(1000-7*42, 3))
+
+	// A removed ID may come back.
+	if !q.Remove(1000 - 7*42) {
+		t.Fatal("Remove failed")
 	}
-	seen = nil
-	q.Each(func(p mac.Packet) bool {
-		seen = append(seen, p.ID)
-		return false
-	})
-	if len(seen) != 1 {
-		t.Errorf("Each early stop visited %v", seen)
+	q.Push(pk(1000-7*42, 3))
+	if !q.Has(1000-7*42) || q.Len() != 100 {
+		t.Error("re-push after remove lost the packet")
 	}
 }
 
@@ -252,29 +221,47 @@ func (m *refModel) count(d int) int {
 	}
 	return c
 }
-func (m *refModel) countLess(d int) int {
-	c := 0
+func (m *refModel) has(id int64) bool {
 	for _, p := range m.pkts {
-		if p.Dest < d {
-			c++
+		if p.ID == id {
+			return true
 		}
 	}
-	return c
+	return false
 }
 
 // TestAgainstReferenceModel drives random operation sequences against the
-// naive model and checks every observable.
+// naive model and checks every observable. Pushed IDs come out of order,
+// as relays push them, from a shuffled pool that never repeats a live ID;
+// each sequence is long enough to double the ID index several times, and
+// removals and Has probes also ask for absent IDs.
 func TestAgainstReferenceModel(t *testing.T) {
+	const pool = 4096
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		q := New(10)
 		ref := &refModel{}
-		nextID := int64(0)
-		for op := 0; op < 300; op++ {
+		// ids[:next] have been pushed; an ID returns to the pool's unused
+		// tail when it leaves the queue.
+		ids := rng.Perm(pool)
+		next := 0
+		release := func(id int64) {
+			for i := 0; i < next; i++ {
+				if int64(ids[i]) == id {
+					next--
+					ids[i], ids[next] = ids[next], ids[i]
+					return
+				}
+			}
+		}
+		for op := 0; op < 2500; op++ {
 			switch rng.Intn(5) {
 			case 0, 1: // push (biased so queues grow)
-				p := pk(nextID, rng.Intn(6))
-				nextID++
+				if next == pool {
+					break
+				}
+				p := pk(int64(ids[next]), rng.Intn(6))
+				next++
 				q.Push(p)
 				ref.push(p)
 			case 2:
@@ -283,6 +270,9 @@ func TestAgainstReferenceModel(t *testing.T) {
 				if gok != wok || gp != wp {
 					return false
 				}
+				if gok {
+					release(gp.ID)
+				}
 			case 3:
 				d := rng.Intn(6)
 				gp, gok := q.PopFrontTo(d)
@@ -290,19 +280,38 @@ func TestAgainstReferenceModel(t *testing.T) {
 				if gok != wok || gp != wp {
 					return false
 				}
+				if gok {
+					release(gp.ID)
+				}
 			case 4:
-				id := int64(rng.Intn(int(nextID + 1)))
-				if q.Remove(id) != ref.remove(id) {
+				id := int64(rng.Intn(pool + 8)) // absent IDs included
+				removed := q.Remove(id)
+				if removed != ref.remove(id) {
 					return false
+				}
+				if removed {
+					release(id)
 				}
 			}
 			if q.Len() != len(ref.pkts) {
 				return false
 			}
 			d := rng.Intn(7)
-			if q.Count(d) != ref.count(d) || q.CountLess(d) != ref.countLess(d) {
+			if q.Count(d) != ref.count(d) {
 				return false
 			}
+			id := int64(rng.Intn(pool + 8))
+			if q.Has(id) != ref.has(id) {
+				return false
+			}
+			for _, p := range ref.pkts {
+				if !q.Has(p.ID) {
+					return false
+				}
+			}
+		}
+		if len(q.index) < 8*minIndex { // the index doubled at least thrice
+			return false
 		}
 		// Final: snapshot order matches.
 		snap := q.AppendTo(nil)
@@ -369,4 +378,60 @@ func TestNegativeDestPanics(t *testing.T) {
 		}
 	}()
 	q.Push(pk(1, -1))
+}
+
+// TestQueueZeroAllocs pins the steady-state contract: once a queue has
+// reached its depth, pushes and removals at that depth, with IDs out of
+// order, touch neither the arena nor the ID index allocator.
+func TestQueueZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocs-per-run is meaningless under the race detector")
+	}
+	const depth = 300
+	q := New(8)
+	rng := rand.New(rand.NewSource(1))
+	live := make([]int64, 0, depth)
+	var next int64
+	push := func() {
+		// Interleave two ID streams, as a station holding both its own
+		// injections and adopted relays does.
+		id := next
+		if next%2 == 1 {
+			id = 1<<40 - next
+		}
+		next++
+		q.Push(pk(id, int(id&7)))
+		live = append(live, id)
+	}
+	for len(live) < depth {
+		push()
+	}
+	step := func() {
+		i := rng.Intn(len(live))
+		if !q.Remove(live[i]) {
+			t.Fatal("live packet missing")
+		}
+		live[i] = live[len(live)-1]
+		live = live[:len(live)-1]
+		push()
+		if p, ok := q.PopFront(); ok {
+			for j, id := range live {
+				if id == p.ID {
+					live[j] = live[len(live)-1]
+					live = live[:len(live)-1]
+					break
+				}
+			}
+		}
+		push()
+	}
+	for i := 0; i < 1000; i++ {
+		step()
+	}
+	if a := testing.AllocsPerRun(1000, step); a != 0 {
+		t.Errorf("%.3f allocs per step at constant depth, want 0", a)
+	}
+	if q.Len() != depth {
+		t.Errorf("Len = %d, want %d", q.Len(), depth)
+	}
 }
