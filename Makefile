@@ -27,6 +27,7 @@ race:
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzBucket$$' -fuzztime 10s ./internal/adversary
 	go test -run '^$$' -fuzz '^FuzzTraceRoundTrip$$' -fuzztime 10s ./internal/scenario
+	go test -run '^$$' -fuzz '^FuzzAdmissible$$' -fuzztime 10s ./internal/scenario
 
 # Statement coverage with a per-package summary. Writes cover.out (the
 # profile the CI cover job uploads as an artifact); the summary script

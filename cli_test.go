@@ -335,6 +335,49 @@ func TestCLIRejectsBadRates(t *testing.T) {
 	}
 }
 
+// TestCLIAuditRejectsMalformedHeader: earmac-trace audit reads a
+// trace's header config as earmac-sim -replay does, so a header config
+// that does not validate, or that leaves a rate or the channel count
+// the audit reads unset, is a read error (exit 2) and never a panic.
+// The binary is built rather than run via `go run`, which reports every
+// failure as exit 1.
+func TestCLIAuditRejectsMalformedHeader(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the CLI binary")
+	}
+	bin := t.TempDir()
+	runCLI(t, "build", "-o", bin, "./cmd/earmac-trace")
+	traces := map[string]string{
+		"no-channels.jsonl": `{"earmac_trace":2,"n":4,"rounds":10,"channels":2,"config":{"algorithm":"orchestra","n":4,"rho_num":1,"rho_den":2,"beta":2,"topology":"line","rounds":10}}
+{"r":1,"i":[[0,1]]}
+`,
+		"zero-rate.jsonl": `{"earmac_trace":1,"n":4,"rounds":10,"config":{"algorithm":"orchestra","n":4,"rho_num":0,"rho_den":0,"beta":2,"rounds":10}}
+{"r":1,"i":[[0,1]]}
+`,
+		"no-jam-den.jsonl": `{"earmac_trace":3,"n":4,"rounds":10,"config":{"algorithm":"aloha","n":4,"rho_num":1,"rho_den":2,"beta":2,"rounds":10,"jam_rho_num":1}}
+{"r":1,"k":"jam"}
+`,
+	}
+	dir := t.TempDir()
+	for name, body := range traces {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cmd := exec.Command(filepath.Join(bin, "earmac-trace"), "audit", path)
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exitErr *exec.ExitError
+		if !errors.As(err, &exitErr) || exitErr.ExitCode() != 2 {
+			t.Errorf("audit %s: err %v, want exit status 2\nstdout:\n%s", name, err, stdout.String())
+		}
+		if strings.Contains(stderr.String(), "panic:") {
+			t.Errorf("audit %s panicked:\n%s", name, stderr.String())
+		}
+	}
+}
+
 // And the sweep CSV error path: -mode channels without -topology fails
 // fast instead of sweeping a single channel silently.
 func TestCLISweepChannelsNeedsTopology(t *testing.T) {

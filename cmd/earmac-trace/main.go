@@ -70,10 +70,21 @@ func audit(path string) error {
 	}
 	tr, err := earmac.ReadTrace(f)
 	f.Close()
-	if err != nil {
-		fail(fmt.Errorf("%s: %v", path, err))
+	var cfg earmac.Config
+	if err == nil {
+		cfg, err = earmac.ReplayConfig(tr) // read the header as earmac-sim -replay does
 	}
-	cfg, err := earmac.TraceConfig(tr)
+	if err == nil {
+		err = cfg.Validate()
+	}
+	// A recorder writes the defaulted config, so a header that leaves a
+	// rate or the channel count the audit reads unset was not written
+	// by one.
+	if err == nil && (cfg.RhoNum == 0 || cfg.RhoDen == 0 || cfg.Beta == 0 ||
+		(cfg.Topology != "" && cfg.Channels == 0) ||
+		(cfg.JamRhoNum > 0 && (cfg.JamRhoDen == 0 || cfg.JamBeta == 0))) {
+		err = fmt.Errorf("earmac: %w: the header config leaves a rate or the channel count unset", earmac.ErrBadTrace)
+	}
 	if err != nil {
 		fail(fmt.Errorf("%s: %v", path, err))
 	}

@@ -344,7 +344,7 @@ func prepare(cfg Config) (run, error) {
 	sys, grp := duty.Wrap(sys, cfg.dutyParams())
 	var adv core.Adversary
 	if cfg.Replay != nil {
-		adv = scenario.NewReplayer(cfg.Replay)
+		adv = scenario.NewReplayer(cfg.Replay.Events)
 	} else {
 		pat, err := buildPattern(cfg, cfg.N, cfg.Seed)
 		if err != nil {
@@ -512,9 +512,9 @@ func prepareNetwork(cfg Config) (run, error) {
 		}
 		return sys, nil
 	}
-	var entry network.Source
+	var entry []core.Adversary
 	if cfg.Replay != nil {
-		entry = network.NewReplaySource(cfg.Replay)
+		entry = network.NewReplaySource(cfg.Replay, cfg.Channels)
 	} else {
 		pats := make([]adversary.Pattern, cfg.Channels)
 		for c := range pats {

@@ -149,6 +149,42 @@ func TestFastPathZeroAllocsStochasticScenario(t *testing.T) {
 	}
 }
 
+// TestFastPathZeroAllocsReplay pins trace replay to the same floor: a
+// scenario.Replayer re-injecting a recorded run keeps the steady-state
+// round loop allocation-free.
+func TestFastPathZeroAllocsReplay(t *testing.T) {
+	if testing.Short() {
+		t.Skip("steady-state warmup is long")
+	}
+	const warmup, measure = 20000, 10000
+	build := func() *core.System {
+		sys, err := orchestra.New(6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	var events []scenario.Event
+	rec := core.NewSim(build(), adversary.New(adversary.T(1, 4, 2), adversary.Uniform(6, 5)), core.Options{
+		InjectionObserver: func(round int64, injs []core.Injection) {
+			ev := scenario.Event{Round: round}
+			for _, in := range injs {
+				ev.Injs = append(ev.Injs, [2]int{in.Station, in.Dest})
+			}
+			events = append(events, ev)
+		},
+	})
+	// steadyAllocs runs up to five windows, and AllocsPerRun runs each
+	// twice; a replay past the recording would measure idle rounds.
+	if err := rec.Run(warmup + 10*measure); err != nil {
+		t.Fatal(err)
+	}
+	perRound := steadyAllocsPerRound(t, build(), scenario.NewReplayer(events), warmup, measure)
+	if perRound != 0 {
+		t.Errorf("replayed steady state allocates %.4f allocs/round, want 0", perRound)
+	}
+}
+
 // TestCheckedConservationZeroAllocs extends the allocation floor to the
 // strict, conservation-checked loop that expt.Run and earmac.Run use:
 // the per-round ledger bookkeeping and the periodic CheckConservation

@@ -24,12 +24,7 @@ func NewMaxQueue(n int, typ Type) *MaxQueue {
 	return &MaxQueue{bucket: NewBucket(typ), n: n}
 }
 
-// Inject implements core.Adversary.
-func (a *MaxQueue) Inject(round int64) []core.Injection {
-	return a.InjectAppend(round, nil)
-}
-
-// InjectAppend implements core.InjectAppender.
+// InjectAppend implements core.Adversary.
 func (a *MaxQueue) InjectAppend(round int64, buf []core.Injection) []core.Injection {
 	budget := a.bucket.Tick()
 	for i := 0; i < budget; i++ {
@@ -76,12 +71,7 @@ func NewAntiToken(n int, typ Type) *AntiToken {
 	return &AntiToken{bucket: NewBucket(typ), n: n, holder: 0, target: n - 1}
 }
 
-// Inject implements core.Adversary.
-func (a *AntiToken) Inject(round int64) []core.Injection {
-	return a.InjectAppend(round, nil)
-}
-
-// InjectAppend implements core.InjectAppender.
+// InjectAppend implements core.Adversary.
 func (a *AntiToken) InjectAppend(round int64, buf []core.Injection) []core.Injection {
 	budget := a.bucket.Tick()
 	for i := 0; i < budget; i++ {

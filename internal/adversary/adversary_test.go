@@ -112,17 +112,16 @@ func TestBucketWindowProperty(t *testing.T) {
 
 func TestAdvRespectsBudgetAndClamps(t *testing.T) {
 	// Pattern tries to inject 100 packets per round; the bucket must clamp.
-	greedy := PatternFunc(func(round int64, budget int) []core.Injection {
-		injs := make([]core.Injection, 100)
-		for i := range injs {
-			injs[i] = core.Injection{Station: 0, Dest: 1}
+	greedy := AppendFunc(func(round int64, budget int, buf []core.Injection) []core.Injection {
+		for i := 0; i < 100; i++ {
+			buf = append(buf, core.Injection{Station: 0, Dest: 1})
 		}
-		return injs
+		return buf
 	})
 	a := New(T(1, 2, 1), greedy)
 	var total int
 	for r := int64(0); r < 100; r++ {
-		total += len(a.Inject(r))
+		total += len(a.InjectAppend(r, nil))
 	}
 	// ρ·100 + β = 51.
 	if total != 51 {
@@ -134,8 +133,8 @@ func TestUniformDeterministicAndInRange(t *testing.T) {
 	p1 := Uniform(7, 42)
 	p2 := Uniform(7, 42)
 	for r := int64(0); r < 50; r++ {
-		a := p1.Draw(r, 3)
-		b := p2.Draw(r, 3)
+		a := p1.DrawAppend(r, 3, nil)
+		b := p2.DrawAppend(r, 3, nil)
 		if len(a) != 3 || len(b) != 3 {
 			t.Fatal("wrong count")
 		}
@@ -152,7 +151,7 @@ func TestUniformDeterministicAndInRange(t *testing.T) {
 
 func TestSingleTarget(t *testing.T) {
 	p := SingleTarget(2, 5)
-	injs := p.Draw(0, 4)
+	injs := p.DrawAppend(0, 4, nil)
 	if len(injs) != 4 {
 		t.Fatal("wrong count")
 	}
@@ -166,7 +165,7 @@ func TestSingleTarget(t *testing.T) {
 func TestHotSourceAvoidsSelf(t *testing.T) {
 	p := HotSource(1, 4)
 	for r := int64(0); r < 20; r++ {
-		for _, in := range p.Draw(r, 3) {
+		for _, in := range p.DrawAppend(r, 3, nil) {
 			if in.Station != 1 {
 				t.Error("wrong source")
 			}
@@ -181,7 +180,7 @@ func TestRoundRobinSpreads(t *testing.T) {
 	p := RoundRobin(3)
 	seen := map[int]int{}
 	for r := int64(0); r < 9; r++ {
-		for _, in := range p.Draw(r, 1) {
+		for _, in := range p.DrawAppend(r, 1, nil) {
 			seen[in.Station]++
 			if in.Dest != (in.Station+1)%3 {
 				t.Errorf("dest %d for src %d", in.Dest, in.Station)
@@ -198,7 +197,7 @@ func TestRoundRobinSpreads(t *testing.T) {
 func TestBurstyOnlyFiresOnPeriod(t *testing.T) {
 	p := Bursty(SingleTarget(0, 1), 5)
 	for r := int64(0); r < 20; r++ {
-		injs := p.Draw(r, 2)
+		injs := p.DrawAppend(r, 2, nil)
 		if r%5 == 4 && len(injs) != 2 {
 			t.Errorf("round %d: burst missing", r)
 		}
@@ -211,7 +210,7 @@ func TestBurstyOnlyFiresOnPeriod(t *testing.T) {
 func TestDiurnalDutyCycle(t *testing.T) {
 	p := Diurnal(SingleTarget(0, 1), 100, 1, 4)
 	for r := int64(0); r < 300; r++ {
-		injs := p.Draw(r, 1)
+		injs := p.DrawAppend(r, 1, nil)
 		active := r%100 < 25
 		if active && len(injs) != 1 {
 			t.Errorf("round %d: expected injection during active phase", r)
@@ -226,14 +225,14 @@ func TestPacedAndStop(t *testing.T) {
 	p := Paced(SingleTarget(0, 1), 3)
 	var total int
 	for r := int64(0); r < 9; r++ {
-		total += len(p.Draw(r, 1))
+		total += len(p.DrawAppend(r, 1, nil))
 	}
 	if total != 3 {
 		t.Errorf("paced injected %d, want 3", total)
 	}
 	st := Stop(SingleTarget(0, 1), 5)
 	for r := int64(0); r < 10; r++ {
-		injs := st.Draw(r, 1)
+		injs := st.DrawAppend(r, 1, nil)
 		if r >= 5 && len(injs) != 0 {
 			t.Errorf("round %d: injections after stop", r)
 		}
@@ -249,7 +248,7 @@ func TestLeastOnTargetsMinOnStation(t *testing.T) {
 		return st != 2 && int64(st) == round%3
 	}}
 	adv := LeastOn(s, T(1, 1, 1))
-	injs := adv.Inject(0)
+	injs := adv.InjectAppend(0, nil)
 	if len(injs) == 0 {
 		t.Fatal("no injections")
 	}
@@ -267,7 +266,7 @@ func TestLeastPairTargetsMinPair(t *testing.T) {
 	// Stations 0,1 always on together; 2,3 never on.
 	s := sched.Func{N: 4, P: 2, F: func(st int, round int64) bool { return st < 2 }}
 	adv := LeastPair(s, T(1, 1, 1))
-	injs := adv.Inject(0)
+	injs := adv.InjectAppend(0, nil)
 	if len(injs) == 0 {
 		t.Fatal("no injections")
 	}
@@ -291,14 +290,14 @@ func TestCriticalRates(t *testing.T) {
 func TestLemma1SwitchesToCaseI(t *testing.T) {
 	l := NewLemma1(4, 6)
 	// Round 0: no injections (observation round).
-	if injs := l.Inject(0); len(injs) != 0 {
+	if injs := l.InjectAppend(0, nil); len(injs) != 0 {
 		t.Fatalf("round 0 injections: %v", injs)
 	}
 	// Stations 0 and 1 are on in round 0; 2 and 3 off → target is 2 or 3.
 	l.ObserveRound(0, []bool{true, true, false, false})
 	var caseIISeen, caseISeen bool
 	for r := int64(1); r < 40; r++ {
-		injs := l.Inject(r)
+		injs := l.InjectAppend(r, nil)
 		for _, in := range injs {
 			if in.Dest == l.s {
 				caseISeen = true
@@ -319,12 +318,12 @@ func TestLemma1SwitchesToCaseI(t *testing.T) {
 
 func TestLemma1RetargetsWhenAddressedTargetWakes(t *testing.T) {
 	l := NewLemma1(5, 2)
-	l.Inject(0)
+	l.InjectAppend(0, nil)
 	on := []bool{true, true, false, false, false}
 	l.ObserveRound(0, on)
 	oldS := -1
 	for r := int64(1); r < 30; r++ {
-		l.Inject(r)
+		l.InjectAppend(r, nil)
 		if l.addressed[l.s] && oldS == -1 {
 			oldS = l.s
 			// Wake the addressed target: adversary must move on.
@@ -348,7 +347,7 @@ func TestLemma1RateRespectsType(t *testing.T) {
 	var total int
 	on := []bool{true, true, false}
 	for r := int64(0); r < 100; r++ {
-		total += len(l.Inject(r))
+		total += len(l.InjectAppend(r, nil))
 		l.ObserveRound(r, on)
 	}
 	if total > 101 { // ρ·100 + β = 101

@@ -93,12 +93,7 @@ func NewLemma1(n int, patience int64) *Lemma1 {
 	return l
 }
 
-// Inject implements core.Adversary.
-func (l *Lemma1) Inject(round int64) []core.Injection {
-	return l.InjectAppend(round, nil)
-}
-
-// InjectAppend implements core.InjectAppender.
+// InjectAppend implements core.Adversary.
 func (l *Lemma1) InjectAppend(round int64, buf []core.Injection) []core.Injection {
 	budget := l.bucket.Tick()
 	defer func() { l.round = round }()

@@ -6,78 +6,41 @@ import (
 	"earmac/internal/core"
 )
 
-// Pattern decides where packets go. Draw is called once per round with
-// the bucket's budget (maximum packets injectable this round) and returns
-// at most that many injections. Patterns are deterministic: randomized
+// Pattern decides where packets go. DrawAppend is called once per round
+// with the bucket's budget (maximum packets injectable this round) and
+// appends at most that many injections to buf, returning the extended
+// slice; the caller reuses buf across rounds, so the steady-state round
+// loop performs no allocation. Patterns are deterministic: randomized
 // ones take an explicit seed.
 type Pattern interface {
-	Draw(round int64, budget int) []core.Injection
-}
-
-// BufferedPattern is an optional Pattern extension implementing the
-// simulator's buffer-reuse contract: DrawAppend appends at most budget
-// injections to buf and returns the extended slice, so the steady-state
-// round loop performs no allocation. Draw and DrawAppend must produce
-// the same injections. All patterns in this package implement it.
-type BufferedPattern interface {
-	Pattern
 	DrawAppend(round int64, budget int, buf []core.Injection) []core.Injection
 }
 
-// PatternFunc adapts a draw function to a Pattern.
-type PatternFunc func(round int64, budget int) []core.Injection
-
-// Draw implements Pattern.
-func (f PatternFunc) Draw(round int64, budget int) []core.Injection { return f(round, budget) }
-
-// AppendFunc adapts an append-style function to a BufferedPattern.
+// AppendFunc adapts an append-style function to a Pattern.
 type AppendFunc func(round int64, budget int, buf []core.Injection) []core.Injection
 
-// Draw implements Pattern.
-func (f AppendFunc) Draw(round int64, budget int) []core.Injection { return f(round, budget, nil) }
-
-// DrawAppend implements BufferedPattern.
+// DrawAppend implements Pattern.
 //
 //earmac:hotpath
 func (f AppendFunc) DrawAppend(round int64, budget int, buf []core.Injection) []core.Injection {
 	return f(round, budget, buf)
 }
 
-// DrawAppend invokes the pattern through the buffer-reuse contract when
-// it supports one, falling back to an allocating Draw otherwise.
-//
-//earmac:hotpath
-func DrawAppend(p Pattern, round int64, budget int, buf []core.Injection) []core.Injection {
-	if bp, ok := p.(BufferedPattern); ok {
-		return bp.DrawAppend(round, budget, buf)
-	}
-	return append(buf, p.Draw(round, budget)...)
-}
-
 // Adv is a leaky-bucket adversary combining a Type with a Pattern; it
-// implements core.Adversary and core.InjectAppender.
+// implements core.Adversary.
 type Adv struct {
 	bucket *Bucket
 	pat    Pattern
-	buffed BufferedPattern // pat, when it supports the append contract
 }
 
 // New builds an adversary of the given type driven by the pattern.
 func New(typ Type, pat Pattern) *Adv {
-	a := &Adv{bucket: NewBucket(typ), pat: pat}
-	a.buffed, _ = pat.(BufferedPattern)
-	return a
+	return &Adv{bucket: NewBucket(typ), pat: pat}
 }
 
-// Inject implements core.Adversary: it offers the pattern this round's
-// budget and debits the bucket for what the pattern used.
-func (a *Adv) Inject(round int64) []core.Injection {
-	return a.InjectAppend(round, nil)
-}
-
-// InjectAppend implements core.InjectAppender, appending this round's
-// injections to buf without allocating when the pattern supports the
-// buffer-reuse contract.
+// InjectAppend implements core.Adversary: it offers the pattern this
+// round's budget, clips what it drew to the budget, and debits the
+// bucket for what was kept.
 //
 //earmac:hotpath
 func (a *Adv) InjectAppend(round int64, buf []core.Injection) []core.Injection {
@@ -87,11 +50,7 @@ func (a *Adv) InjectAppend(round int64, buf []core.Injection) []core.Injection {
 		return buf
 	}
 	start := len(buf)
-	if a.buffed != nil {
-		buf = a.buffed.DrawAppend(round, budget, buf)
-	} else {
-		buf = append(buf, a.pat.Draw(round, budget)...)
-	}
+	buf = a.pat.DrawAppend(round, budget, buf)
 	if len(buf)-start > budget {
 		buf = buf[:start+budget]
 	}
@@ -164,19 +123,14 @@ type burstyPat struct {
 	period int64
 }
 
-// Draw implements Pattern.
-func (b *burstyPat) Draw(round int64, budget int) []core.Injection {
-	return b.DrawAppend(round, budget, nil)
-}
-
-// DrawAppend implements BufferedPattern.
+// DrawAppend implements Pattern.
 //
 //earmac:hotpath
 func (b *burstyPat) DrawAppend(round int64, budget int, buf []core.Injection) []core.Injection {
 	if round%b.period != b.period-1 {
 		return buf
 	}
-	return DrawAppend(b.inner, round, budget, buf)
+	return b.inner.DrawAppend(round, budget, buf)
 }
 
 // NextDrawRound implements PatternSkipper: the first burst boundary at
@@ -200,19 +154,14 @@ type pacedPat struct {
 	stride int64
 }
 
-// Draw implements Pattern.
-func (p *pacedPat) Draw(round int64, budget int) []core.Injection {
-	return p.DrawAppend(round, budget, nil)
-}
-
-// DrawAppend implements BufferedPattern.
+// DrawAppend implements Pattern.
 //
 //earmac:hotpath
 func (p *pacedPat) DrawAppend(round int64, budget int, buf []core.Injection) []core.Injection {
 	if p.stride > 1 && round%p.stride != 0 {
 		return buf
 	}
-	return DrawAppend(p.inner, round, budget, buf)
+	return p.inner.DrawAppend(round, budget, buf)
 }
 
 // NextDrawRound implements PatternSkipper.
@@ -243,19 +192,14 @@ type diurnalPat struct {
 	dutyDen int64
 }
 
-// Draw implements Pattern.
-func (d *diurnalPat) Draw(round int64, budget int) []core.Injection {
-	return d.DrawAppend(round, budget, nil)
-}
-
-// DrawAppend implements BufferedPattern.
+// DrawAppend implements Pattern.
 //
 //earmac:hotpath
 func (d *diurnalPat) DrawAppend(round int64, budget int, buf []core.Injection) []core.Injection {
 	if (round%d.period)*d.dutyDen >= d.period*d.dutyNum {
 		return buf
 	}
-	return DrawAppend(d.inner, round, budget, buf)
+	return d.inner.DrawAppend(round, budget, buf)
 }
 
 // nextActive returns the first round >= from inside an active window.
@@ -289,19 +233,14 @@ type stopPat struct {
 	after int64
 }
 
-// Draw implements Pattern.
-func (s *stopPat) Draw(round int64, budget int) []core.Injection {
-	return s.DrawAppend(round, budget, nil)
-}
-
-// DrawAppend implements BufferedPattern.
+// DrawAppend implements Pattern.
 //
 //earmac:hotpath
 func (s *stopPat) DrawAppend(round int64, budget int, buf []core.Injection) []core.Injection {
 	if round >= s.after {
 		return buf
 	}
-	return DrawAppend(s.inner, round, budget, buf)
+	return s.inner.DrawAppend(round, budget, buf)
 }
 
 // NextDrawRound implements PatternSkipper. Once the stop round is

@@ -122,15 +122,14 @@ func TestStarvationUnderPermanentFlood(t *testing.T) {
 	// of β+1 packets makes station 0 big before station 4 conducts for the
 	// second time; one victim packet at station 4 then waits forever.
 	n := 6
-	early := adversary.PatternFunc(func(round int64, budget int) []core.Injection {
+	early := adversary.AppendFunc(func(round int64, budget int, buf []core.Injection) []core.Injection {
 		if round == 10 {
-			return []core.Injection{{Station: 4, Dest: 5}}
+			return append(buf, core.Injection{Station: 4, Dest: 5})
 		}
-		injs := make([]core.Injection, budget)
-		for i := range injs {
-			injs[i] = core.Injection{Station: 0, Dest: 1 + int(round)%2}
+		for i := 0; i < budget; i++ {
+			buf = append(buf, core.Injection{Station: 0, Dest: 1 + int(round)%2})
 		}
-		return injs
+		return buf
 	})
 	sys, err := New(n)
 	if err != nil {

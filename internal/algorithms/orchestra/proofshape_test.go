@@ -72,12 +72,11 @@ func TestDenseIntervalLightRoundBudget(t *testing.T) {
 	D := int64(n*n*n - 2*n + 1)
 	lc := &lightCounter{n: n, sys: sys, threshold: D}
 
-	pat := adversary.PatternFunc(func(round int64, budget int) []core.Injection {
-		injs := make([]core.Injection, budget)
-		for i := range injs {
-			injs[i] = core.Injection{Station: 0, Dest: 1 + (int(round)+i)%(n-1)}
+	pat := adversary.AppendFunc(func(round int64, budget int, buf []core.Injection) []core.Injection {
+		for i := 0; i < budget; i++ {
+			buf = append(buf, core.Injection{Station: 0, Dest: 1 + (int(round)+i)%(n-1)})
 		}
-		return injs
+		return buf
 	})
 	adv := adversary.New(adversary.T(1, 1, 200), pat)
 	tr := metrics.NewTracker()

@@ -57,12 +57,11 @@ type chaosAdv struct {
 	n   int
 }
 
-func (a *chaosAdv) Inject(round int64) []Injection {
-	injs := make([]Injection, a.rng.Intn(3))
-	for i := range injs {
-		injs[i] = Injection{Station: a.rng.Intn(a.n), Dest: a.rng.Intn(a.n)}
+func (a *chaosAdv) InjectAppend(round int64, buf []Injection) []Injection {
+	for k := a.rng.Intn(3); k > 0; k-- {
+		buf = append(buf, Injection{Station: a.rng.Intn(a.n), Dest: a.rng.Intn(a.n)})
 	}
-	return injs
+	return buf
 }
 
 // TestChaosAccountingConsistency drives random protocols and checks the

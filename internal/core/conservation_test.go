@@ -11,7 +11,9 @@ import (
 // scriptAdv injects a fixed list per round.
 type scriptAdv map[int64][]Injection
 
-func (a scriptAdv) Inject(round int64) []Injection { return a[round] }
+func (a scriptAdv) InjectAppend(round int64, buf []Injection) []Injection {
+	return append(buf, a[round]...)
+}
 
 // faultCase is one faulty execution for the conservation checker: the
 // stations follow their scripts, the before hooks tamper with queues

@@ -123,20 +123,11 @@ type Injection struct {
 // Adversary generates packet injections. Implementations enforce their
 // own (ρ, β) leaky-bucket constraint; see the adversary package.
 type Adversary interface {
-	// Inject returns the injections for the given round. Called once per
-	// round before stations act.
-	Inject(round int64) []Injection
-}
-
-// InjectAppender is an optional Adversary extension for the simulator's
-// allocation-free round loop: InjectAppend appends this round's
-// injections to buf and returns the extended slice, so the caller can
-// reuse one scratch buffer across rounds. The simulator detects the
-// capability once at NewSim and then calls InjectAppend instead of
-// Inject on every round; the two must produce the same injections.
-// The returned slice is owned by the caller and is only valid until the
-// next call.
-type InjectAppender interface {
+	// InjectAppend appends the injections for the given round to buf and
+	// returns the extended slice. Called once per round before stations
+	// act. The simulator passes one scratch buffer, reused every round,
+	// so the steady-state round loop allocates nothing; the returned
+	// slice is owned by the caller and valid only until the next call.
 	InjectAppend(round int64, buf []Injection) []Injection
 }
 

@@ -38,10 +38,10 @@ type Options struct {
 	// ExtraInjections, when non-nil, supplies externally-sourced
 	// injections — relay arrivals from a surrounding topology layer
 	// (internal/network) — appended after the adversary's injections
-	// each round. It reuses the InjectAppender buffer contract, so the
+	// each round. It appends into the same scratch buffer, so the
 	// steady-state round loop stays allocation-free; when nil (every
 	// single-channel run) the hook costs one pointer comparison.
-	ExtraInjections InjectAppender
+	ExtraInjections Adversary
 	// DeliveryObserver, when non-nil, receives every delivered packet in
 	// the round it was delivered. It is the hook relay layers intercept
 	// deliveries with; like InjectionObserver it attaches no validator.
@@ -117,7 +117,7 @@ const (
 //
 // With no validator attached (FastPath) the loop allocates nothing in
 // steady state — injections land in a reused scratch buffer (see
-// InjectAppender) and all statistics go to the tracker's flat counters
+// Adversary) and all statistics go to the tracker's flat counters
 // — and quiescent stretches may be fast-forwarded (quiesce.go). The
 // tracker totals are the same either way for any well-behaved system;
 // only schedule-conformance violations go unnoticed without the scan.
@@ -129,16 +129,15 @@ type Sim struct {
 
 	// Adversary capabilities, resolved once so the round loop performs no
 	// per-round type assertions.
-	advAppend InjectAppender
-	roundObs  RoundObserver
-	queueObs  QueueObserver
-	fbObs     FeedbackObserver
-	injObs    func(round int64, injs []Injection)
-	extInj    InjectAppender
-	delObs    func(round int64, p mac.Packet)
-	disrupt   func(round int64) Disrupt
-	dropObs   func(round int64, p mac.Packet)
-	roundEnd  func(round int64)
+	roundObs RoundObserver
+	queueObs QueueObserver
+	fbObs    FeedbackObserver
+	injObs   func(round int64, injs []Injection)
+	extInj   Adversary
+	delObs   func(round int64, p mac.Packet)
+	disrupt  func(round int64) Disrupt
+	dropObs  func(round int64, p mac.Packet)
+	roundEnd func(round int64)
 
 	// Validators (see the type comment); each is nil when not attached.
 	sched  sched.Schedule
@@ -184,7 +183,6 @@ func NewSim(sys *System, adv Adversary, opt Options) *Sim {
 		queueLen: make([]int, sys.N()),
 	}
 	if adv != nil {
-		s.advAppend, _ = adv.(InjectAppender)
 		s.roundObs, _ = adv.(RoundObserver)
 		s.queueObs, _ = adv.(QueueObserver)
 		s.fbObs, _ = adv.(FeedbackObserver)
@@ -291,40 +289,24 @@ func (s *Sim) Step() error {
 	return s.step()
 }
 
-// inject obtains this round's injections, reusing the scratch buffer when
-// the adversary supports the append contract.
-func (s *Sim) inject(t int64) []Injection {
-	if s.advAppend != nil {
-		s.injBuf = s.advAppend.InjectAppend(t, s.injBuf[:0])
-		return s.injBuf
-	}
-	if s.adv != nil {
-		return s.adv.Inject(t)
-	}
-	return nil
-}
-
-// gather assembles one round's full injection list: the adversary's
-// injections (reported to InjectionObserver) followed by the
-// externally-sourced ones (ExtraInjections; not reported — they are
-// derived state, reproducible from the adversarial stream). Every
-// executed or ticked round calls it; with no external injector it is
-// just inject + observe, so single-channel runs pay nothing extra.
+// gather assembles one round's full injection list in the reused
+// scratch buffer: the adversary's injections (reported to
+// InjectionObserver) followed by the externally-sourced ones
+// (ExtraInjections; not reported — they are derived state, reproducible
+// from the adversarial stream). Every executed or ticked round calls it.
 func (s *Sim) gather(t int64) []Injection {
-	injs := s.inject(t)
-	if s.injObs != nil && len(injs) > 0 {
-		s.injObs(t, injs)
+	buf := s.injBuf[:0]
+	if s.adv != nil {
+		buf = s.adv.InjectAppend(t, buf)
+		if s.injObs != nil && len(buf) > 0 {
+			s.injObs(t, buf)
+		}
 	}
-	if s.extInj == nil {
-		return injs
+	if s.extInj != nil {
+		buf = s.extInj.InjectAppend(t, buf)
 	}
-	if s.advAppend == nil {
-		// injs is owned by the adversary (or nil); move it into the
-		// scratch buffer before appending the external stream.
-		s.injBuf = append(s.injBuf[:0], injs...)
-	}
-	s.injBuf = s.extInj.InjectAppend(t, s.injBuf)
-	return s.injBuf
+	s.injBuf = buf
+	return buf
 }
 
 // NextPacketID returns the ID the next accepted injection will be

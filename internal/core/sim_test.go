@@ -51,11 +51,11 @@ func (p *scriptProto) AppendHeld(dst []mac.Packet) []mac.Packet { return append(
 // injectOnce injects a fixed list at round 0.
 type injectOnce struct{ injs []Injection }
 
-func (a *injectOnce) Inject(round int64) []Injection {
+func (a *injectOnce) InjectAppend(round int64, buf []Injection) []Injection {
 	if round == 0 {
-		return a.injs
+		buf = append(buf, a.injs...)
 	}
-	return nil
+	return buf
 }
 
 func sys(cap int, protos ...Protocol) *System {

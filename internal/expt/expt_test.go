@@ -61,7 +61,7 @@ func TestPatternRegistry(t *testing.T) {
 			t.Errorf("BuildPattern(%q): %v", name, err)
 			continue
 		}
-		injs := p.Draw(255, 2) // round 255 hits the bursty period too
+		injs := p.DrawAppend(255, 2, nil) // round 255 hits the bursty period too
 		for _, in := range injs {
 			if in.Station < 0 || in.Station >= 5 || in.Dest < 0 || in.Dest >= 5 {
 				t.Errorf("pattern %q out of range: %+v", name, in)

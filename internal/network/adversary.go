@@ -8,24 +8,6 @@ import (
 	"earmac/internal/ratio"
 )
 
-// Source supplies each round's adversarial entry injections for one
-// channel, in global station coordinates, appended to buf. Rounds are
-// queried in increasing order, each channel exactly once per round;
-// every injection's source station must belong to the queried channel.
-//
-// Concurrency contract: with Options.Workers != 1 the network calls
-// AppendEntries concurrently for *distinct* channels (never for the
-// same channel — a channel always steps on the same worker). A Source
-// must therefore keep its mutable per-round state partitioned per
-// channel, the way Adversary keeps per-channel buckets and pattern
-// RNGs and ReplaySource keeps per-channel cursors. Determinism follows
-// for free: each channel's entry stream depends only on (round, ch)
-// and that channel's own state, so it is identical at any worker
-// count.
-type Source interface {
-	AppendEntries(round int64, ch int, buf []core.Injection) []core.Injection
-}
-
 // SplitType divides a global (ρ, β) adversary type evenly across
 // channels, with exact rational arithmetic: each of the `channels`
 // entry buckets gets rate ρ/channels and burstiness β/channels floored
@@ -60,77 +42,51 @@ func SplitType(typ adversary.Type, channels int) adversary.Type {
 	}
 }
 
-// Adversary is the network-level injection source: one injection
-// pattern per channel, each clipped online by that channel's own
-// leaky bucket of the evenly split global (ρ, β) budget (SplitType).
-// Patterns draw over the global station space; each drawn source is
-// folded into the entry channel (local = station mod N), while the
-// destination stays global — so any registered single-channel pattern
-// doubles as a network workload without modification.
-type Adversary struct {
-	topo    *Topology
-	buckets []*adversary.Bucket
-	pats    []adversary.Pattern
-}
-
-// NewAdversary builds the budget-splitting entry source. pats must hold
-// one pattern per channel (independent seeds keep channels'
-// randomness uncorrelated); each draws with the per-channel budget.
-func NewAdversary(topo *Topology, typ adversary.Type, pats []adversary.Pattern) (*Adversary, error) {
+// NewAdversary builds the network's budget-splitting entry: channel c's
+// entry adversary is an ordinary leaky-bucket adversary.Adv of the
+// evenly split global budget (SplitType) driven by pats[c], so each
+// channel's draws are clipped online by that channel's own bucket.
+// pats must hold one pattern per channel (independent seeds keep
+// channels' randomness uncorrelated). Patterns draw over the global
+// station space; each drawn source is folded into the entry channel
+// (local = station mod N), while the destination stays global — so any
+// registered single-channel pattern doubles as a network workload
+// without modification.
+func NewAdversary(topo *Topology, typ adversary.Type, pats []adversary.Pattern) ([]core.Adversary, error) {
 	if len(pats) != topo.Channels() {
 		return nil, fmt.Errorf("network: %d patterns for %d channels", len(pats), topo.Channels())
 	}
 	split := SplitType(typ, topo.Channels())
-	a := &Adversary{
-		topo:    topo,
-		buckets: make([]*adversary.Bucket, topo.Channels()),
-		pats:    pats,
+	entry := make([]core.Adversary, len(pats))
+	for c, p := range pats {
+		entry[c] = adversary.New(split, &foldPat{inner: p, topo: topo, ch: c})
 	}
-	for c := range a.buckets {
-		a.buckets[c] = adversary.NewBucket(split)
-	}
-	return a, nil
+	return entry, nil
 }
 
-// AppendEntries implements Source. All mutable state (bucket levels,
-// pattern RNGs) is per-channel, satisfying Source's concurrency
-// contract for distinct channels.
-func (a *Adversary) AppendEntries(round int64, ch int, buf []core.Injection) []core.Injection {
-	b := a.buckets[ch]
-	budget := b.Tick()
-	if budget == 0 {
-		b.Spend(0)
-		return buf
-	}
+// foldPat folds the sources its inner pattern draws over the global
+// station space into channel ch; destinations stay global.
+type foldPat struct {
+	inner adversary.Pattern
+	topo  *Topology
+	ch    int
+}
+
+// DrawAppend implements adversary.Pattern.
+//
+//earmac:hotpath
+func (f *foldPat) DrawAppend(round int64, budget int, buf []core.Injection) []core.Injection {
 	start := len(buf)
-	buf = adversary.DrawAppend(a.pats[ch], round, budget, buf)
-	if len(buf)-start > budget {
-		buf = buf[:start+budget]
-	}
-	n := a.topo.StationsPerChannel()
+	buf = f.inner.DrawAppend(round, budget, buf)
+	n := f.topo.StationsPerChannel()
 	for i := start; i < len(buf); i++ {
-		buf[i].Station = a.topo.Global(ch, buf[i].Station%n)
+		buf[i].Station = f.topo.Global(f.ch, buf[i].Station%n)
 	}
-	b.Spend(len(buf) - start)
 	return buf
 }
 
-// NextEntryRound implements SourceSkipper: channel ch's bucket is
-// credit-starved for a computable stretch (rounds the pattern is never
-// consulted on), and from the first affordable round the pattern's own
-// skipper, if any, bounds the next draw. Stochastic patterns without a
-// skipper return the first affordable round itself, pinning spans.
-func (a *Adversary) NextEntryRound(from int64, ch int) int64 {
-	j := a.buckets[ch].RoundsToCredit()
-	if j < 0 {
-		return -1
-	}
-	return adversary.NextDraw(a.pats[ch], from+j)
-}
-
-// SkipEntries implements SourceSkipper: each skipped round is
-// entry-free, so channel ch's bucket advances exactly as Tick+Spend(0)
-// per round would.
-func (a *Adversary) SkipEntries(from, to int64, ch int) {
-	a.buckets[ch].SkipRounds(to - from)
+// NextDrawRound implements adversary.PatternSkipper: folding moves no
+// draw, so the inner pattern's horizon stands.
+func (f *foldPat) NextDrawRound(from int64) int64 {
+	return adversary.NextDraw(f.inner, from)
 }

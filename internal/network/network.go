@@ -174,11 +174,10 @@ type chanState struct {
 // §13 states the argument. Networks built with Workers != 1 own worker
 // goroutines — call Close when done.
 type Network struct {
-	topo      *Topology
-	chans     []*chanState
-	entry     Source
-	entrySkip SourceSkipper // entry as a SourceSkipper, nil when it has no horizon
-	opt       Options
+	topo         *Topology
+	chans        []*chanState
+	entryHorizon bool // every channel's entry adversary is a core.EventSkipper
+	opt          Options
 
 	agg           *metrics.Tracker
 	round         int64
@@ -190,21 +189,23 @@ type Network struct {
 
 // New assembles a network. build constructs channel c's system (every
 // channel runs its own replica set of topo.StationsPerChannel()
-// stations); entry supplies the adversarial entry injections. When the
-// resolved Options.Workers is not 1, entry.AppendEntries is called
-// concurrently for distinct channels (never for the same channel), so
-// a Source must keep its per-channel state independent — Adversary and
-// ReplaySource both do.
-func New(topo *Topology, build func(ch int) (*core.System, error), entry Source, opt Options) (*Network, error) {
+// stations); entry must hold one adversary per channel, entry[c]
+// injecting in global coordinates from channel c's stations. Each is
+// called only from its own channel's step, so with Options.Workers != 1
+// distinct channels' adversaries run concurrently and must share no
+// mutable state — NewAdversary's and NewReplaySource's do not.
+func New(topo *Topology, build func(ch int) (*core.System, error), entry []core.Adversary, opt Options) (*Network, error) {
 	C := topo.Channels()
-	n := &Network{
-		topo:  topo,
-		chans: make([]*chanState, C),
-		entry: entry,
-		opt:   opt,
-		agg:   metrics.NewTracker(),
+	if len(entry) != C {
+		return nil, fmt.Errorf("network: %d entry adversaries for %d channels", len(entry), C)
 	}
-	n.entrySkip, _ = entry.(SourceSkipper)
+	n := &Network{
+		topo:         topo,
+		chans:        make([]*chanState, C),
+		entryHorizon: true,
+		opt:          opt,
+		agg:          metrics.NewTracker(),
+	}
 	switch {
 	case opt.SampleEvery < 0:
 		n.agg.SampleEvery = 0
@@ -226,7 +227,9 @@ func New(topo *Topology, build func(ch int) (*core.System, error), entry Source,
 			tr.TrackStations(sys.N())
 		}
 		cs := &chanState{trk: tr}
-		cs.feed = feed{net: n, cs: cs, ch: c}
+		cs.feed = feed{net: n, cs: cs, ch: c, adv: entry[c]}
+		cs.feed.skip, _ = entry[c].(core.EventSkipper)
+		n.entryHorizon = n.entryHorizon && cs.feed.skip != nil
 		cs.relay = relayFeed{cs: cs}
 		n.chans[c] = cs
 		var tracer core.Tracer
@@ -281,22 +284,22 @@ func (n *Network) Close() {
 }
 
 // feed is channel ch's core.Adversary: it pulls the channel's entry
-// injections from the network Source, buffers them for the post-barrier
-// Recorder flush, and routes them into local coordinates.
+// injections from the channel's entry adversary, buffers them for the
+// post-barrier Recorder flush, and routes them into local coordinates.
 type feed struct {
-	net *Network
-	cs  *chanState
-	ch  int
+	net  *Network
+	cs   *chanState
+	ch   int
+	adv  core.Adversary
+	skip core.EventSkipper // adv's skip contract, nil when it has none
 }
 
-func (f *feed) Inject(round int64) []core.Injection { return f.InjectAppend(round, nil) }
-
-// InjectAppend implements core.InjectAppender.
+// InjectAppend implements core.Adversary.
 //
 //earmac:hotpath
 func (f *feed) InjectAppend(round int64, buf []core.Injection) []core.Injection {
 	cs := f.cs
-	cs.entries = f.net.entry.AppendEntries(round, f.ch, cs.entries[:0])
+	cs.entries = f.adv.InjectAppend(round, cs.entries[:0])
 	for _, in := range cs.entries {
 		buf = f.net.admit(round, f.ch, cs, in, buf)
 	}
@@ -309,7 +312,7 @@ type relayFeed struct {
 	cs *chanState
 }
 
-// InjectAppend implements core.InjectAppender.
+// InjectAppend implements core.Adversary.
 //
 //earmac:hotpath
 func (r *relayFeed) InjectAppend(round int64, buf []core.Injection) []core.Injection {
@@ -395,8 +398,8 @@ func (n *Network) onDrop(cs *chanState, ch int, p mac.Packet) {
 }
 
 // stepChannel advances one channel by one round: the worker-team body.
-// It touches only chanState c (plus the immutable topology and the
-// Source's channel-c state), so channels step concurrently without
+// It touches only chanState c (plus the immutable topology and channel
+// c's own entry adversary), so channels step concurrently without
 // locks; everything the fold needs is parked in the chanState.
 //
 //earmac:hotpath

@@ -10,6 +10,7 @@ import (
 	"earmac/internal/adversary"
 	"earmac/internal/algorithms/orchestra"
 	"earmac/internal/core"
+	"earmac/internal/scenario"
 )
 
 // TestStepWorkerCountInvariance is the internal half of the determinism
@@ -59,40 +60,65 @@ func TestStepWorkerCountInvariance(t *testing.T) {
 
 // TestNetworkZeroAllocs: after warmup the network round loop — relay
 // hand-off, worker dispatch, sims, packet-id ring traffic, and the
-// deterministic fold — runs without touching the allocator. SampleEvery
-// < 0 disables the aggregate queue curve, the one steady-state append.
+// deterministic fold — runs without touching the allocator, whether the
+// entry is the live budget-split adversary or per-channel replayers of
+// a recorded run. SampleEvery < 0 disables the aggregate queue curve,
+// the one steady-state append.
 func TestNetworkZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocs-per-round is meaningless under the race detector")
 	}
-	for _, workers := range []int{1, 2} {
-		topo := mustCompile(t, Spec{Kind: Line, Channels: 4, N: 6})
+	const warmup, window = 20000, 2000
+	topo := mustCompile(t, Spec{Kind: Line, Channels: 4, N: 6})
+	build := func(entry []core.Adversary, workers int, rec func(int64, int, []core.Injection)) *Network {
 		net, err := New(topo, func(ch int) (*core.System, error) {
 			return orchestra.New(6)
-		}, mkUniformAdversary(t, topo, adversary.T(1, 2, 4), 31), Options{
-			SampleEvery: -1, Workers: workers,
-		})
+		}, entry, Options{SampleEvery: -1, Workers: workers, Recorder: rec})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := net.Run(20000); err != nil {
-			t.Fatal(err)
-		}
-		best := -1.0
-		for window := 0; window < 5 && best != 0; window++ {
-			allocs := testing.AllocsPerRun(1, func() {
-				if err := net.Run(2000); err != nil {
-					t.Error(err)
-				}
-			})
-			if best < 0 || allocs < best {
-				best = allocs
+		return net
+	}
+	live := func() []core.Adversary { return mkUniformAdversary(t, topo, adversary.T(1, 2, 4), 31) }
+	var trace scenario.Trace
+	recorded := build(live(), 1, recordEntries(&trace))
+	// Up to five windows, each run twice by AllocsPerRun: a replay past
+	// the recording would measure idle rounds.
+	if err := recorded.Run(warmup + 10*window); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name  string
+		entry func() []core.Adversary
+	}{
+		{"live", live},
+		{"replay", func() []core.Adversary { return NewReplaySource(&trace, topo.Channels()) }},
+	}
+	for _, c := range cases {
+		for _, workers := range []int{1, 2} {
+			net := build(c.entry(), workers, nil)
+			if err := net.Run(warmup); err != nil {
+				t.Fatal(err)
 			}
-		}
-		net.Close()
-		if best != 0 {
-			t.Errorf("workers=%d: steady-state round loop allocates (%v allocs in the best window)",
-				workers, best)
+			best := -1.0
+			for w := 0; w < 5 && best != 0; w++ {
+				allocs := testing.AllocsPerRun(1, func() {
+					if err := net.Run(window); err != nil {
+						t.Error(err)
+					}
+				})
+				if best < 0 || allocs < best {
+					best = allocs
+				}
+			}
+			net.Close()
+			if net.Tracker().Injected == 0 {
+				t.Errorf("%s, workers=%d: no entry injections", c.name, workers)
+			}
+			if best != 0 {
+				t.Errorf("%s, workers=%d: steady-state round loop allocates (%v allocs in the best window)",
+					c.name, workers, best)
+			}
 		}
 	}
 }

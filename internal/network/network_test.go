@@ -53,14 +53,12 @@ func rrBuild(n int) func(ch int) (*core.System, error) {
 	}
 }
 
-// scriptSource injects a fixed list of global (src, dest) pairs at
-// given (round, channel) points.
-type scriptSource struct {
-	at map[[2]int64][]core.Injection // key: (round, channel)
-}
+// scriptEntry is one channel's entry adversary: it injects a fixed list
+// of global (src, dest) pairs at given rounds.
+type scriptEntry map[int64][]core.Injection
 
-func (s *scriptSource) AppendEntries(round int64, ch int, buf []core.Injection) []core.Injection {
-	return append(buf, s.at[[2]int64{round, int64(ch)}]...)
+func (s scriptEntry) InjectAppend(round int64, buf []core.Injection) []core.Injection {
+	return append(buf, s[round]...)
 }
 
 func mustCompile(t *testing.T, s Spec) *Topology {
@@ -78,9 +76,10 @@ func mustCompile(t *testing.T, s Spec) *Topology {
 // accounted from network entry.
 func TestRelayAcrossLine(t *testing.T) {
 	topo := mustCompile(t, Spec{Kind: Line, Channels: 2, N: 2})
-	src := &scriptSource{at: map[[2]int64][]core.Injection{
-		{0, 0}: {{Station: 0, Dest: 3}}, // global 0 (ch 0) -> global 3 (ch 1, local 1)
-	}}
+	src := []core.Adversary{
+		scriptEntry{0: {{Station: 0, Dest: 3}}}, // global 0 (ch 0) -> global 3 (ch 1, local 1)
+		scriptEntry{},
+	}
 	net, err := New(topo, rrBuild(2), src, Options{Strict: true, CheckEvery: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -114,9 +113,7 @@ func TestRelayAcrossLine(t *testing.T) {
 func TestMultiHopStar(t *testing.T) {
 	topo := mustCompile(t, Spec{Kind: Star, Channels: 3, N: 2})
 	// Global 2 is channel 1 local 0; global 5 is channel 2 local 1.
-	src := &scriptSource{at: map[[2]int64][]core.Injection{
-		{0, 1}: {{Station: 2, Dest: 5}},
-	}}
+	src := []core.Adversary{scriptEntry{}, scriptEntry{0: {{Station: 2, Dest: 5}}}, scriptEntry{}}
 	net, err := New(topo, rrBuild(2), src, Options{Strict: true, CheckEvery: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +133,7 @@ func TestMultiHopStar(t *testing.T) {
 	}
 }
 
-func mkUniformAdversary(t *testing.T, topo *Topology, typ adversary.Type, seed int64) *Adversary {
+func mkUniformAdversary(t *testing.T, topo *Topology, typ adversary.Type, seed int64) []core.Adversary {
 	t.Helper()
 	pats := make([]adversary.Pattern, topo.Channels())
 	for c := range pats {
@@ -149,6 +146,30 @@ func mkUniformAdversary(t *testing.T, topo *Topology, typ adversary.Type, seed i
 	return adv
 }
 
+// recordEntries returns a Recorder that appends every channel's entry
+// injections to tr as trace-v2 events.
+func recordEntries(tr *scenario.Trace) func(round int64, ch int, injs []core.Injection) {
+	return func(round int64, ch int, injs []core.Injection) {
+		ev := scenario.Event{Round: round, Channel: ch}
+		for _, in := range injs {
+			ev.Injs = append(ev.Injs, [2]int{in.Station, in.Dest})
+		}
+		tr.Events = append(tr.Events, ev)
+	}
+}
+
+// TestNewRejectsEntryCount: a network takes exactly one entry adversary
+// per channel.
+func TestNewRejectsEntryCount(t *testing.T) {
+	topo := mustCompile(t, Spec{Kind: Line, Channels: 3, N: 2})
+	entry := mkUniformAdversary(t, topo, adversary.T(1, 2, 3), 1)
+	for _, e := range [][]core.Adversary{nil, entry[:2], append(entry, entry[0])} {
+		if _, err := New(topo, rrBuild(2), e, Options{}); err == nil {
+			t.Errorf("New accepted %d entry adversaries for 3 channels", len(e))
+		}
+	}
+}
+
 // TestBudgetSplitAdmissible records the entry streams of a loaded run
 // and audits every channel against its split bucket — the budget-split
 // invariant the network adversary promises.
@@ -156,13 +177,7 @@ func TestBudgetSplitAdmissible(t *testing.T) {
 	topo := mustCompile(t, Spec{Kind: Clique, Channels: 3, N: 3})
 	typ := adversary.T(2, 3, 3)
 	var trace scenario.Trace
-	rec := func(round int64, ch int, injs []core.Injection) {
-		ev := scenario.Event{Round: round, Channel: ch}
-		for _, in := range injs {
-			ev.Injs = append(ev.Injs, [2]int{in.Station, in.Dest})
-		}
-		trace.Events = append(trace.Events, ev)
-	}
+	rec := recordEntries(&trace)
 	net, err := New(topo, rrBuild(3), mkUniformAdversary(t, topo, typ, 17), Options{
 		Strict: true, CheckEvery: 997, Recorder: rec,
 	})
@@ -201,7 +216,7 @@ func TestBudgetSplitAdmissible(t *testing.T) {
 // reproduces them again.
 func TestFastCheckedNetworkEquivalence(t *testing.T) {
 	typ := adversary.T(1, 2, 2)
-	build := func(forceChecked bool, entry Source, rec func(int64, int, []core.Injection)) *Network {
+	build := func(forceChecked bool, entry []core.Adversary, rec func(int64, int, []core.Injection)) *Network {
 		topo := mustCompile(t, Spec{Kind: Line, Channels: 3, N: 3})
 		if entry == nil {
 			entry = mkUniformAdversary(t, topo, typ, 23)
@@ -216,13 +231,7 @@ func TestFastCheckedNetworkEquivalence(t *testing.T) {
 		return net
 	}
 	var trace scenario.Trace
-	rec := func(round int64, ch int, injs []core.Injection) {
-		ev := scenario.Event{Round: round, Channel: ch}
-		for _, in := range injs {
-			ev.Injs = append(ev.Injs, [2]int{in.Station, in.Dest})
-		}
-		trace.Events = append(trace.Events, ev)
-	}
+	rec := recordEntries(&trace)
 	fast := build(false, nil, rec)
 	if err := fast.Run(4000); err != nil {
 		t.Fatal(err)
@@ -240,7 +249,7 @@ func TestFastCheckedNetworkEquivalence(t *testing.T) {
 			t.Errorf("channel %d counters differ between paths", c)
 		}
 	}
-	replay := build(false, NewReplaySource(&trace), nil)
+	replay := build(false, NewReplaySource(&trace, 3), nil)
 	if err := replay.Run(4000); err != nil {
 		t.Fatal(err)
 	}

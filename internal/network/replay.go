@@ -5,97 +5,29 @@ import (
 	"earmac/internal/scenario"
 )
 
-// ReplaySource re-executes the entry stream of a recorded trace-v2
-// network run. Events carry (round, channel, global [src, dest] pairs);
-// routing and relaying are recomputed deterministically, so the replay
+// NewReplaySource returns the entry adversaries that re-execute a
+// recorded trace-v2 network run: one scenario.Replayer per channel, over
+// that channel's entry events, which carry global [src, dest] pairs.
+// Routing and relaying are recomputed deterministically, so the replay
 // reproduces the recorded run bit-for-bit without the trace having to
-// store any relay traffic. It implements Source; like the
-// single-channel scenario.Replayer it applies no bucket and no RNG —
-// the recording already proved admissibility.
-//
-// Events are bucketed per channel at construction and consumed through
-// one cursor per channel, so AppendEntries for distinct channels never
-// touch shared state — the Source contract parallel stepping
-// (Options.Workers != 1) relies on.
-type ReplaySource struct {
-	byCh [][]scenario.Event // per channel, in increasing round order
-	cur  []int              // per-channel replay cursor
-}
-
-// NewReplaySource returns a source positioned at round 0. Buckets are
-// sized by the larger of the header's channel count and the highest
-// event channel, so ad-hoc traces without a header replay too; events
-// with a negative channel (possible only in a hand-edited trace) are
-// dropped, matching the driver's behavior of never querying such a
-// channel.
-func NewReplaySource(t *scenario.Trace) *ReplaySource {
-	C := t.Header.Channels
+// store any relay traffic; like any Replayer it applies no bucket and no
+// RNG — the recording already proved admissibility. Kinded events
+// (jam/outage/sleep, trace v3) are not entry injections: jams replay
+// through JamReplay, the rest are derived state recomputed during the
+// replay. Events on a channel outside [0, channels), possible only in a
+// hand-edited trace, are dropped, as a network of that many channels
+// never queries such a channel.
+func NewReplaySource(t *scenario.Trace, channels int) []core.Adversary {
+	byCh := make([][]scenario.Event, channels)
 	for _, ev := range t.Events {
-		if ev.Channel >= C {
-			C = ev.Channel + 1
-		}
-	}
-	if C < 1 {
-		C = 1
-	}
-	r := &ReplaySource{
-		byCh: make([][]scenario.Event, C),
-		cur:  make([]int, C),
-	}
-	for _, ev := range t.Events {
-		if ev.Channel < 0 || ev.Kind != "" {
-			// Kinded events (jam/outage/sleep, trace v3) are not entry
-			// injections; jams replay through JamReplay, the rest are
-			// derived state recomputed during the replay.
+		if ev.Kind != "" || ev.Channel < 0 || ev.Channel >= channels {
 			continue
 		}
-		r.byCh[ev.Channel] = append(r.byCh[ev.Channel], ev)
+		byCh[ev.Channel] = append(byCh[ev.Channel], ev)
 	}
-	return r
+	entry := make([]core.Adversary, channels)
+	for c, evs := range byCh {
+		entry[c] = scenario.NewReplayer(evs)
+	}
+	return entry
 }
-
-// AppendEntries implements Source. Within one channel the driver
-// queries rounds in increasing order, matching the trace's event order;
-// events for rounds the driver skipped are passed over. Calls for
-// distinct channels are independent and may run concurrently.
-//
-//earmac:hotpath
-func (r *ReplaySource) AppendEntries(round int64, ch int, buf []core.Injection) []core.Injection {
-	if ch < 0 || ch >= len(r.byCh) {
-		return buf
-	}
-	evs := r.byCh[ch]
-	i := r.cur[ch]
-	for i < len(evs) && evs[i].Round < round {
-		i++ // skipped by the driver
-	}
-	if i < len(evs) && evs[i].Round == round {
-		for _, p := range evs[i].Injs {
-			buf = append(buf, core.Injection{Station: p[0], Dest: p[1]})
-		}
-		i++
-	}
-	r.cur[ch] = i
-	return buf
-}
-
-// NextEntryRound implements SourceSkipper: the first recorded entry
-// event on channel ch at round >= from — exact, not just a bound. The
-// scan is read-only and starts at the channel cursor, which
-// AppendEntries keeps near the current round.
-func (r *ReplaySource) NextEntryRound(from int64, ch int) int64 {
-	if ch < 0 || ch >= len(r.byCh) {
-		return -1
-	}
-	evs := r.byCh[ch]
-	for i := r.cur[ch]; i < len(evs); i++ {
-		if evs[i].Round >= from {
-			return evs[i].Round
-		}
-	}
-	return -1
-}
-
-// SkipEntries implements SourceSkipper: replay cursors self-heal (the
-// next AppendEntries skips past passed rounds), so skipping is free.
-func (r *ReplaySource) SkipEntries(from, to int64, ch int) {}

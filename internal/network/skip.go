@@ -6,18 +6,6 @@ package network
 // whole spans itself, from Run, when it can prove the span free of
 // entries, relays, and disruption on every channel at once.
 
-// SourceSkipper is the optional Source extension for entry streams with
-// a computable horizon. NextEntryRound returns a lower bound on the
-// earliest round >= from at which the source may produce an entry
-// injection on channel ch (-1: never again) — it may be early but must
-// never be late. SkipEntries advances channel ch's state (leaky-bucket
-// credit) exactly as to-from zero-entry rounds would; the skipped
-// rounds are proven draw-free, so no pattern RNG advances.
-type SourceSkipper interface {
-	NextEntryRound(from int64, ch int) int64
-	SkipEntries(from, to int64, ch int)
-}
-
 // JamHorizon is the optional Disruptor extension for jam streams with a
 // computable next jam round (-1: none remains). A replayed stream
 // (JamReplay) knows its future; a live Jammer spends budget through a
@@ -29,36 +17,38 @@ type JamHorizon interface {
 }
 
 // NextEventRound implements core.EventSkipper for a channel's entry
-// feed: the network Source's horizon when it has one, else the queried
+// feed: the entry adversary's horizon when it has one, else the queried
 // round itself (pinning the channel's span horizon).
 func (f *feed) NextEventRound(from int64) int64 {
-	if ss := f.net.entrySkip; ss != nil {
-		return ss.NextEntryRound(from, f.ch)
+	if f.skip != nil {
+		return f.skip.NextEventRound(from)
 	}
 	return from
 }
 
 // SkipIdle implements core.EventSkipper: invoked by the channel sim's
-// SkipSpan during a network-level span skip.
+// SkipSpan during a network-level span skip, which runs only when every
+// channel's entry adversary has a skip contract.
 func (f *feed) SkipIdle(from, to int64) {
-	if ss := f.net.entrySkip; ss != nil {
-		ss.SkipEntries(from, to, f.ch)
+	if f.skip != nil {
+		f.skip.SkipIdle(from, to)
 	}
 }
 
 // trySpan attempts a network-level span skip starting at n.round,
 // bounded by end. A span requires: the escape hatch off and a
-// horizon-capable entry source; no packet in flight anywhere (relay
-// outboxes, outage holds, or registered with a channel sim); every
-// channel quiescent on a constant idle profile; and jam/outage horizons
-// covering the span. Each channel accrues its own counters via
-// core.SkipSpan; the aggregate accrues the constant per-round totals in
-// closed form. Anything unprovable just returns — the Run loop degrades
-// to per-round stepping with per-channel O(1) ticks.
+// horizon-capable entry adversary on every channel; no packet in
+// flight anywhere (relay outboxes, outage holds, or registered with a
+// channel sim); every channel quiescent on a constant idle profile; and
+// jam/outage horizons covering the span. Each channel accrues its own
+// counters via core.SkipSpan; the aggregate accrues the constant
+// per-round totals in closed form. Anything unprovable just returns —
+// the Run loop degrades to per-round stepping with per-channel O(1)
+// ticks.
 //
 //earmac:hotpath
 func (n *Network) trySpan(end int64) {
-	if n.opt.NoSkip || n.entrySkip == nil || n.relayInFlight != 0 {
+	if n.opt.NoSkip || !n.entryHorizon || n.relayInFlight != 0 {
 		return
 	}
 	from := n.round

@@ -34,10 +34,7 @@ func Quiet() adversary.Pattern { return quietPat{} }
 
 type quietPat struct{}
 
-// Draw implements adversary.Pattern.
-func (quietPat) Draw(round int64, budget int) []core.Injection { return nil }
-
-// DrawAppend implements adversary.BufferedPattern.
+// DrawAppend implements adversary.Pattern.
 func (quietPat) DrawAppend(round int64, budget int, buf []core.Injection) []core.Injection {
 	return buf
 }
@@ -141,12 +138,7 @@ func NewPhased(segs []Segment) (*Phased, error) {
 	return p, nil
 }
 
-// Draw implements adversary.Pattern.
-func (p *Phased) Draw(round int64, budget int) []core.Injection {
-	return p.DrawAppend(round, budget, nil)
-}
-
-// DrawAppend implements adversary.BufferedPattern: it dispatches to the
+// DrawAppend implements adversary.Pattern: it dispatches to the
 // segment active at round, scanning the (short) segment list — no
 // allocation, so phased scenarios keep the simulator's round loop
 // allocation-free.
@@ -157,7 +149,7 @@ func (p *Phased) DrawAppend(round int64, budget int, buf []core.Injection) []cor
 	}
 	for i, end := range p.ends {
 		if end < 0 || r < end {
-			return adversary.DrawAppend(p.pats[i], round, budget, buf)
+			return p.pats[i].DrawAppend(round, budget, buf)
 		}
 	}
 	return buf // open-ended schedules always match the last segment

@@ -549,27 +549,25 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	return t, nil
 }
 
-// Replayer re-executes a recorded single-channel injection stream. It
-// implements core.Adversary and core.InjectAppender (so replays keep the
-// simulator's round loop allocation-free, validators attached or not)
-// and injects exactly what the trace recorded, no bucket and no RNG —
-// the recording already proved admissibility. Network traces (version
-// 2 with a channel dimension) replay through network.ReplaySource
-// instead, which routes each event to its entry channel.
+// Replayer re-executes a recorded injection stream. It implements
+// core.Adversary (so replays keep the simulator's round loop
+// allocation-free, validators attached or not) and injects exactly
+// what the recorded events carry, no bucket and no RNG — the recording
+// already proved admissibility. A single-channel replay walks the
+// whole trace; a network replay runs one Replayer per channel over
+// that channel's entry events (network.NewReplaySource), so channels
+// stepped concurrently share no replay state.
 type Replayer struct {
 	events []Event
 	cur    int
 }
 
-// NewReplayer returns a replayer positioned at round 0.
-func NewReplayer(t *Trace) *Replayer { return &Replayer{events: t.Events} }
+// NewReplayer returns a replayer over events, positioned at round 0.
+// The events must be in increasing round order, at most one injection
+// event per round, as ReadTrace guarantees for each channel's stream.
+func NewReplayer(events []Event) *Replayer { return &Replayer{events: events} }
 
-// Inject implements core.Adversary.
-func (r *Replayer) Inject(round int64) []core.Injection {
-	return r.InjectAppend(round, nil)
-}
-
-// InjectAppend implements core.InjectAppender. Kinded events (trace v3)
+// InjectAppend implements core.Adversary. Kinded events (trace v3)
 // are not injections and are skipped; jams replay through the façade's
 // jam-replay disruptor, outages and sleep are derived state recomputed
 // during the replay.
@@ -614,8 +612,9 @@ func (r *Replayer) SkipIdle(from, to int64) {}
 // CheckAdmissible verifies that every prefix of a single-channel trace
 // respects the (ρ, β) leaky-bucket contract, by driving the same
 // integer Bucket the live adversary clips against over the trace's
-// rounds (cost is linear in the last event's round number). For a
-// network trace, use CheckAdmissibleSplit with the per-channel type.
+// rounds (cost is linear in the number of events, not in their round
+// numbers; see walkBuckets). For a network trace, use
+// CheckAdmissibleSplit with the per-channel type.
 func CheckAdmissible(t *Trace, typ adversary.Type) error {
 	return checkAdmissible(t, typ, 1)
 }
@@ -656,23 +655,15 @@ func checkGlobalAdmissible(t *Trace, typ adversary.Type) error {
 	if len(t.Events) == 0 {
 		return nil
 	}
-	b := adversary.NewBucket(typ)
 	last := t.Events[len(t.Events)-1].Round
-	i := 0
-	for r := int64(0); r <= last; r++ {
-		budget := b.Tick()
-		spent := 0
-		for i < len(t.Events) && t.Events[i].Round == r {
-			spent += len(t.Events[i].Injs)
-			i++
-			if spent > budget {
-				return fmt.Errorf("scenario: round %d: the network-wide entry stream injects %d packets but the effective global %v bucket allows %d",
-					r, spent, typ, budget)
-			}
+	return walkBuckets(t.Events, last, typ, 1, func(r int64, ev *Event, spent, budgets []int) error {
+		spent[0] += len(ev.Injs)
+		if spent[0] > budgets[0] {
+			return fmt.Errorf("scenario: round %d: the network-wide entry stream injects %d packets but the effective global %v bucket allows %d",
+				r, spent[0], typ, budgets[0])
 		}
-		b.Spend(spent)
-	}
-	return nil
+		return nil
+	})
 }
 
 // CheckJamAdmissible verifies a trace's recorded jam stream against the
@@ -688,24 +679,17 @@ func CheckJamAdmissible(t *Trace, typ adversary.Type) error {
 	if last < 0 {
 		return nil
 	}
-	b := adversary.NewBucket(typ)
-	i := 0
-	for r := int64(0); r <= last; r++ {
-		budget := b.Tick()
-		spent := 0
-		for i < len(t.Events) && t.Events[i].Round == r {
-			if t.Events[i].Kind == KindJam {
-				spent++
-				if spent > budget {
-					return fmt.Errorf("scenario: round %d: %d channels jammed but the %v jam bucket allows %d",
-						r, spent, typ, budget)
-				}
-			}
-			i++
+	return walkBuckets(t.Events, last, typ, 1, func(r int64, ev *Event, spent, budgets []int) error {
+		if ev.Kind != KindJam {
+			return nil
 		}
-		b.Spend(spent)
-	}
-	return nil
+		spent[0]++
+		if spent[0] > budgets[0] {
+			return fmt.Errorf("scenario: round %d: %d channels jammed but the %v jam bucket allows %d",
+				r, spent[0], typ, budgets[0])
+		}
+		return nil
+	})
 }
 
 func checkAdmissible(t *Trace, typ adversary.Type, channels int) error {
@@ -715,35 +699,57 @@ func checkAdmissible(t *Trace, typ adversary.Type, channels int) error {
 	if len(t.Events) == 0 {
 		return nil
 	}
-	buckets := make([]*adversary.Bucket, channels)
+	last := t.Events[len(t.Events)-1].Round
+	return walkBuckets(t.Events, last, typ, channels, func(r int64, ev *Event, spent, budgets []int) error {
+		c := ev.Channel
+		if c < 0 || c >= channels {
+			return fmt.Errorf("scenario: round %d: event channel %d outside [0, %d)", r, c, channels)
+		}
+		spent[c] += len(ev.Injs)
+		if spent[c] > budgets[c] {
+			return fmt.Errorf("scenario: round %d channel %d injects %d packets but the %v bucket allows %d",
+				r, c, spent[c], typ, budgets[c])
+		}
+		return nil
+	})
+}
+
+// walkBuckets is the audits' one walk: `streams` buckets of type typ
+// over rounds 0..last, each round a Tick, a charge per event, and a
+// Spend of what was charged. Only rounds with events are visited: the
+// idle rounds between advance every bucket by one SkipRounds, exactly
+// that many Tick/Spend(0) pairs, so the cost is O(events × streams).
+// charge books one event of round r against its budget and returns the
+// audit's error. An event past last or out of round order ends the
+// walk, since ticking round by round never reached it.
+func walkBuckets(events []Event, last int64, typ adversary.Type, streams int,
+	charge func(r int64, ev *Event, spent, budgets []int) error) error {
+	buckets := make([]*adversary.Bucket, streams)
 	for c := range buckets {
 		buckets[c] = adversary.NewBucket(typ)
 	}
-	budgets := make([]int, channels)
-	spent := make([]int, channels)
-	last := t.Events[len(t.Events)-1].Round
-	i := 0
-	for r := int64(0); r <= last; r++ {
+	budgets := make([]int, streams)
+	spent := make([]int, streams)
+	next := int64(0) // the first round not yet walked
+	for i := 0; i < len(events); {
+		r := events[i].Round
+		if r < next || r > last {
+			break
+		}
 		for c, b := range buckets {
+			b.SkipRounds(r - next)
 			budgets[c] = b.Tick()
 			spent[c] = 0
 		}
-		for i < len(t.Events) && t.Events[i].Round == r {
-			ev := t.Events[i]
-			i++
-			if ev.Channel < 0 || ev.Channel >= channels {
-				return fmt.Errorf("scenario: round %d: event channel %d outside [0, %d)",
-					r, ev.Channel, channels)
-			}
-			spent[ev.Channel] += len(ev.Injs)
-			if spent[ev.Channel] > budgets[ev.Channel] {
-				return fmt.Errorf("scenario: round %d channel %d injects %d packets but the %v bucket allows %d",
-					r, ev.Channel, spent[ev.Channel], typ, budgets[ev.Channel])
+		for ; i < len(events) && events[i].Round == r; i++ {
+			if err := charge(r, &events[i], spent, budgets); err != nil {
+				return err
 			}
 		}
 		for c, b := range buckets {
 			b.Spend(spent[c])
 		}
+		next = r + 1
 	}
 	return nil
 }

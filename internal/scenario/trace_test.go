@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -142,7 +145,7 @@ func TestReadTraceToleratesMissingFooter(t *testing.T) {
 
 func TestReplayerReproducesStream(t *testing.T) {
 	tr := sampleTrace()
-	r := NewReplayer(tr)
+	r := NewReplayer(tr.Events)
 	var buf []core.Injection
 	for round := int64(0); round < 100; round++ {
 		buf = r.InjectAppend(round, buf[:0])
@@ -175,6 +178,47 @@ func TestCheckAdmissible(t *testing.T) {
 	}}
 	if err := CheckAdmissible(bad, typ); err == nil {
 		t.Error("inadmissible trace accepted")
+	}
+	// A hostile round number costs one bucket skip, not 9×10^18 ticks;
+	// the budget there is the full-credit one.
+	far := &Trace{Events: []Event{
+		{Round: 1, Injs: [][2]int{{0, 1}}},
+		{Round: 9e18, Injs: [][2]int{{0, 1}}},
+	}}
+	if err := CheckAdmissible(far, typ); err != nil {
+		t.Errorf("admissible far trace rejected: %v", err)
+	}
+	far.Events[1].Injs = [][2]int{{0, 1}, {1, 0}}
+	want := "scenario: round 9000000000000000000 channel 0 injects 2 packets but the (ρ=1/2, β=1) bucket allows 1"
+	if err := CheckAdmissible(far, typ); err == nil || err.Error() != want {
+		t.Errorf("far overdraw: got %v, want %q", err, want)
+	}
+}
+
+// TestCheckJamAdmissible: the jam audit charges one unit per jam event,
+// whatever its channel, against one global bucket, and entry events
+// cost it nothing.
+func TestCheckJamAdmissible(t *testing.T) {
+	typ := adversary.T(1, 4, 1) // one jam per four rounds, burst 1
+	ok := &Trace{Events: []Event{
+		{Round: 0, Kind: KindJam},
+		{Round: 2, Injs: [][2]int{{0, 1}, {1, 0}}},
+		{Round: 4, Channel: 1, Kind: KindJam},
+		{Round: 9e18, Kind: KindJam},
+	}}
+	if err := CheckJamAdmissible(ok, typ); err != nil {
+		t.Errorf("admissible jam stream rejected: %v", err)
+	}
+	for _, r := range []int64{3, 9e18} {
+		bad := &Trace{Events: []Event{
+			{Round: 0, Kind: KindJam},
+			{Round: r, Kind: KindJam},
+			{Round: r, Channel: 1, Kind: KindJam},
+		}}
+		want := fmt.Sprintf("scenario: round %d: 2 channels jammed but the (ρ=1/4, β=1) jam bucket allows 1", r)
+		if err := CheckJamAdmissible(bad, typ); err == nil || err.Error() != want {
+			t.Errorf("round %d: got %v, want %q", r, err, want)
+		}
 	}
 }
 
@@ -283,4 +327,180 @@ func TestCheckAdmissibleSplit(t *testing.T) {
 	if err := CheckAdmissibleSplit(oob, typ, 2); err == nil {
 		t.Error("out-of-range channel accepted")
 	}
+	// Hostile round numbers cost one bucket skip per channel. Both
+	// channels bursting at round 9×10^18 is admissible per channel but
+	// overdraws the effective global (ρ=1, β=2) bucket's 3 with 4.
+	far := &Trace{Events: []Event{
+		{Round: 1, Channel: 1, Injs: [][2]int{{4, 5}}},
+		{Round: 9e18, Channel: 0, Injs: [][2]int{{0, 1}}},
+		{Round: 9e18, Channel: 1, Injs: [][2]int{{4, 5}}},
+	}}
+	if err := CheckAdmissibleSplit(far, typ, 2); err != nil {
+		t.Errorf("admissible far stream rejected: %v", err)
+	}
+	far.Events[2].Injs = [][2]int{{4, 5}, {5, 4}}
+	want := "scenario: round 9000000000000000000 channel 1 injects 2 packets but the (ρ=1/2, β=1) bucket allows 1"
+	if err := CheckAdmissibleSplit(far, typ, 2); err == nil || err.Error() != want {
+		t.Errorf("far per-channel overdraw: got %v, want %q", err, want)
+	}
+}
+
+// FuzzAdmissible checks the audits' skipping walk against the per-round
+// walk it replaced (kept below as the reference): for any trace
+// ReadTrace accepts whose last event is at round 2^16 or earlier,
+// CheckAdmissible, CheckAdmissibleSplit and CheckJamAdmissible return
+// exactly what ticking every round returns — nil, or the same error
+// text. Farther traces, like the round-9×10^18 seed, must just finish.
+// The corpus seeds are each golden trace's first lines: the fuzzer
+// minimizes every new input it finds, and minimizing one derived from
+// a whole trace takes longer than a fuzzing run.
+func FuzzAdmissible(f *testing.F) {
+	paths, err := filepath.Glob("../../testdata/traces/*.trace.jsonl")
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no corpus traces (%v)", err)
+	}
+	for i, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		lines := bytes.SplitAfterN(data, []byte("\n"), 25)
+		f.Add(bytes.Join(lines[:len(lines)-1], nil), uint8(i), uint8(2), uint8(i%3), uint8(i))
+	}
+	f.Add([]byte("{\"earmac_trace\":1,\"n\":4,\"rounds\":10}\n{\"r\":1,\"i\":[[0,1]]}\n{\"r\":9000000000000000000,\"i\":[[1,2]]}\n"),
+		uint8(1), uint8(2), uint8(2), uint8(0))
+	// Exactly at the (ρ=1/4, β=1) budget: a walk that skips one round
+	// too few rejects round 8.
+	f.Add([]byte("{\"earmac_trace\":1,\"n\":2,\"rounds\":9}\n{\"r\":0,\"i\":[[0,1]]}\n{\"r\":4,\"i\":[[0,1]]}\n{\"r\":8,\"i\":[[1,0]]}\n"),
+		uint8(1), uint8(3), uint8(1), uint8(0))
+	f.Add([]byte("{\"earmac_trace\":3,\"n\":4,\"rounds\":9,\"channels\":4}\n{\"r\":0,\"k\":\"jam\"}\n{\"r\":0,\"c\":1,\"i\":[[4,5],[5,4]]}\n{\"r\":0,\"c\":1,\"k\":\"jam\"}\n{\"r\":7,\"c\":3,\"i\":[[6,7]]}\n"),
+		uint8(1), uint8(3), uint8(1), uint8(1))
+	f.Fuzz(func(t *testing.T, data []byte, rn, rd, b, ch uint8) {
+		tr, err := ReadTrace(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		typ := adversary.T(int64(rn%5), int64(rd%8)+1, int64(b%4))
+		channels := int(ch%4) + 1
+		got := []error{
+			CheckAdmissible(tr, typ),
+			CheckAdmissibleSplit(tr, typ, channels),
+			CheckJamAdmissible(tr, typ),
+		}
+		if n := len(tr.Events); n > 0 && tr.Events[n-1].Round > 1<<16 {
+			return
+		}
+		want := []error{
+			refCheckAdmissible(tr, typ, 1),
+			refCheckAdmissible(tr, typ, channels),
+			refCheckJamAdmissible(tr, typ),
+		}
+		if want[1] == nil {
+			want[1] = refCheckGlobalAdmissible(tr, EffectiveGlobalType(typ, channels))
+		}
+		names := []string{"CheckAdmissible", fmt.Sprintf("CheckAdmissibleSplit over %d channels", channels), "CheckJamAdmissible"}
+		for i, name := range names {
+			if fmt.Sprint(got[i]) != fmt.Sprint(want[i]) {
+				t.Errorf("%s under %v = %v, per-round walk says %v", name, typ, got[i], want[i])
+			}
+		}
+	})
+}
+
+// refCheckAdmissible is the per-round per-channel audit walk, ticking
+// every round from 0 to the last event: the reference FuzzAdmissible
+// holds the skipping walk to.
+func refCheckAdmissible(t *Trace, typ adversary.Type, channels int) error {
+	if channels < 1 {
+		return fmt.Errorf("scenario: admissibility check over %d channels", channels)
+	}
+	if len(t.Events) == 0 {
+		return nil
+	}
+	buckets := make([]*adversary.Bucket, channels)
+	for c := range buckets {
+		buckets[c] = adversary.NewBucket(typ)
+	}
+	budgets := make([]int, channels)
+	spent := make([]int, channels)
+	last := t.Events[len(t.Events)-1].Round
+	i := 0
+	for r := int64(0); r <= last; r++ {
+		for c, b := range buckets {
+			budgets[c] = b.Tick()
+			spent[c] = 0
+		}
+		for i < len(t.Events) && t.Events[i].Round == r {
+			ev := t.Events[i]
+			i++
+			if ev.Channel < 0 || ev.Channel >= channels {
+				return fmt.Errorf("scenario: round %d: event channel %d outside [0, %d)",
+					r, ev.Channel, channels)
+			}
+			spent[ev.Channel] += len(ev.Injs)
+			if spent[ev.Channel] > budgets[ev.Channel] {
+				return fmt.Errorf("scenario: round %d channel %d injects %d packets but the %v bucket allows %d",
+					r, ev.Channel, spent[ev.Channel], typ, budgets[ev.Channel])
+			}
+		}
+		for c, b := range buckets {
+			b.Spend(spent[c])
+		}
+	}
+	return nil
+}
+
+// refCheckGlobalAdmissible is the per-round network-wide audit walk.
+func refCheckGlobalAdmissible(t *Trace, typ adversary.Type) error {
+	if len(t.Events) == 0 {
+		return nil
+	}
+	b := adversary.NewBucket(typ)
+	last := t.Events[len(t.Events)-1].Round
+	i := 0
+	for r := int64(0); r <= last; r++ {
+		budget := b.Tick()
+		spent := 0
+		for i < len(t.Events) && t.Events[i].Round == r {
+			spent += len(t.Events[i].Injs)
+			i++
+			if spent > budget {
+				return fmt.Errorf("scenario: round %d: the network-wide entry stream injects %d packets but the effective global %v bucket allows %d",
+					r, spent, typ, budget)
+			}
+		}
+		b.Spend(spent)
+	}
+	return nil
+}
+
+// refCheckJamAdmissible is the per-round jam audit walk.
+func refCheckJamAdmissible(t *Trace, typ adversary.Type) error {
+	last := int64(-1)
+	for _, ev := range t.Events {
+		if ev.Kind == KindJam {
+			last = ev.Round
+		}
+	}
+	if last < 0 {
+		return nil
+	}
+	b := adversary.NewBucket(typ)
+	i := 0
+	for r := int64(0); r <= last; r++ {
+		budget := b.Tick()
+		spent := 0
+		for i < len(t.Events) && t.Events[i].Round == r {
+			if t.Events[i].Kind == KindJam {
+				spent++
+				if spent > budget {
+					return fmt.Errorf("scenario: round %d: %d channels jammed but the %v jam bucket allows %d",
+						r, spent, typ, budget)
+				}
+			}
+			i++
+		}
+		b.Spend(spent)
+	}
+	return nil
 }
