@@ -259,9 +259,9 @@ func TestCLISweepFrontierGoldenCSV(t *testing.T) {
 }
 
 // TestCLITraceAuditGolden pins the earmac-trace audit subcommand against
-// committed corpus traces spanning all three format versions: a v1
-// single-channel trace, a v2 network trace (per-channel and effective
-// global budgets), and a v3 disruption trace with a jam stream.
+// committed corpus traces: a single-channel trace, a network trace
+// (per-channel and effective global budgets), and a disrupted network
+// trace with a jam stream.
 func TestCLITraceAuditGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shells out via go run")
@@ -302,8 +302,10 @@ func TestCLITraceDiffGolden(t *testing.T) {
 
 // TestCLIRejectsBadRates: a rate flag that does not parse, or has a
 // zero denominator, is a usage error (exit 2) on both CLIs instead of a
-// run at some other rate. The binaries are built rather than run via
-// `go run`, which reports every failure as exit 1.
+// run at some other rate, and so is a (ρ, β) whose bucket does not fit
+// int64 arithmetic, which used to panic. The binaries are built rather
+// than run via `go run`, which reports every failure as exit 1 (and a
+// Go panic exits 2 too, hence the typed error text and no "panic:").
 func TestCLIRejectsBadRates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the CLI binaries")
@@ -319,6 +321,12 @@ func TestCLIRejectsBadRates(t *testing.T) {
 		{"earmac-sim", []string{"-jam-rho", "1/0"}, `bad rate "1/0": zero denominator`},
 		{"earmac-sweep", []string{"-rho", "1/0"}, `bad -rho "1/0": zero denominator`},
 		{"earmac-sweep", []string{"-rho", "abc/zz"}, `bad -rho "abc/zz"`},
+		{"earmac-sim", []string{"-rho", "1/10", "-beta", "1000000000000000000", "-rounds", "10"}, "bad burstiness"},
+		{"earmac-sim", []string{"-rho", "1/1", "-beta", "9223372036854775807", "-rounds", "10"}, "bad burstiness"},
+		{"earmac-sim", []string{"-topology", "line", "-channels", "16", "-rho", "1/1000000000000000000", "-rounds", "10"},
+			"bad injection rate"},
+		{"earmac-sim", []string{"-alg", "aloha", "-jam-rho", "1/10", "-jam-beta", "1000000000000000000", "-rounds", "10"},
+			"bad burstiness"},
 	}
 	for _, c := range cases {
 		cmd := exec.Command(filepath.Join(bin, c.cmd), c.args...)
@@ -329,16 +337,19 @@ func TestCLIRejectsBadRates(t *testing.T) {
 		if !errors.As(err, &exitErr) || exitErr.ExitCode() != 2 {
 			t.Errorf("%s %v: err %v, want exit status 2\nstdout:\n%.500s", c.cmd, c.args, err, stdout.String())
 		}
-		if !strings.Contains(stderr.String(), c.want) {
-			t.Errorf("%s %v: stderr missing %q:\n%s", c.cmd, c.args, c.want, stderr.String())
+		if !strings.Contains(stderr.String(), c.want) || strings.Contains(stderr.String(), "panic:") {
+			t.Errorf("%s %v: stderr missing %q or panicking:\n%s", c.cmd, c.args, c.want, stderr.String())
 		}
 	}
 }
 
 // TestCLIAuditRejectsMalformedHeader: earmac-trace audit reads a
 // trace's header config as earmac-sim -replay does, so a header config
-// that does not validate, or that leaves a rate or the channel count
-// the audit reads unset, is a read error (exit 2) and never a panic.
+// that does not validate (a bucket overflowing int64 among them), or
+// that leaves a rate or the channel count the audit reads unset, is a
+// read error (exit 2) and never a panic; so is a channel id in a trace
+// whose header declares no channels, and a valid network config whose
+// effective global budget (ρ, max(β, C)) overflows int64 arithmetic.
 // The binary is built rather than run via `go run`, which reports every
 // failure as exit 1.
 func TestCLIAuditRejectsMalformedHeader(t *testing.T) {
@@ -356,6 +367,15 @@ func TestCLIAuditRejectsMalformedHeader(t *testing.T) {
 `,
 		"no-jam-den.jsonl": `{"earmac_trace":3,"n":4,"rounds":10,"config":{"algorithm":"aloha","n":4,"rho_num":1,"rho_den":2,"beta":2,"rounds":10,"jam_rho_num":1}}
 {"r":1,"k":"jam"}
+`,
+		"overflow.jsonl": `{"earmac_trace":3,"n":8,"rounds":10,"config":{"algorithm":"orchestra","n":8,"rho_num":1,"rho_den":10,"beta":1000000000000000000,"rounds":10}}
+{"r":1,"i":[[0,1]]}
+`,
+		"effective-global-overflow.jsonl": `{"earmac_trace":3,"n":4,"rounds":10,"channels":2,"config":{"algorithm":"orchestra","n":4,"rho_num":2,"rho_den":6000000000000000001,"beta":1,"topology":"line","channels":2,"rounds":10}}
+{"r":1,"i":[[0,1]]}
+`,
+		"channel-id.jsonl": `{"earmac_trace":3,"n":4,"rounds":10,"config":{"algorithm":"orchestra","n":4,"rho_num":1,"rho_den":2,"beta":2,"rounds":10}}
+{"r":1,"c":1,"i":[[0,1]]}
 `,
 	}
 	dir := t.TempDir()

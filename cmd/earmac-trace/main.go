@@ -33,7 +33,6 @@ import (
 	"earmac"
 	"earmac/internal/adversary"
 	"earmac/internal/network"
-	"earmac/internal/ratio"
 	"earmac/internal/scenario"
 )
 
@@ -91,18 +90,27 @@ func audit(path string) error {
 	fmt.Printf("%s: version %d, n %d, channels %d, %d events\n",
 		path, tr.Header.Version, tr.Header.N, tr.Header.Channels, len(tr.Events))
 
-	typ := adversary.Type{Rho: ratio.New(cfg.RhoNum, cfg.RhoDen), Beta: ratio.FromInt(cfg.Beta)}
+	typ := adversary.T(cfg.RhoNum, cfg.RhoDen, cfg.Beta)
 	if cfg.Topology == "" {
 		if err := scenario.CheckAdmissible(tr, typ); err != nil {
 			return err
 		}
 		fmt.Printf("  entry stream: OK under (ρ %s, β %s)\n", typ.Rho, typ.Beta)
 	} else {
-		split := network.SplitType(typ, cfg.Channels)
+		// The effective global bucket can overflow int64 where each
+		// channel's does not (its cap is C times a channel's): the audit
+		// cannot check such a budget, which is not a violation.
+		split, err := network.SplitType(typ, cfg.Channels)
+		eff := scenario.EffectiveGlobalType(split, cfg.Channels)
+		if err == nil {
+			err = adversary.CheckType(eff)
+		}
+		if err != nil {
+			fail(fmt.Errorf("%s: %v", path, err))
+		}
 		if err := scenario.CheckAdmissibleSplit(tr, split, cfg.Channels); err != nil {
 			return err
 		}
-		eff := scenario.EffectiveGlobalType(split, cfg.Channels)
 		fmt.Printf("  entry stream: OK under per-channel (ρ %s, β %s) and effective global (ρ %s, β %s)\n",
 			split.Rho, split.Beta, eff.Rho, eff.Beta)
 	}
@@ -119,7 +127,7 @@ func audit(path string) error {
 	case cfg.JamRhoNum <= 0:
 		return fmt.Errorf("%d jam events but the header config carries no jamming budget", jams)
 	default:
-		jt := adversary.Type{Rho: ratio.New(cfg.JamRhoNum, cfg.JamRhoDen), Beta: ratio.FromInt(cfg.JamBeta)}
+		jt := adversary.T(cfg.JamRhoNum, cfg.JamRhoDen, cfg.JamBeta)
 		if err := scenario.CheckJamAdmissible(tr, jt); err != nil {
 			return err
 		}

@@ -1,12 +1,15 @@
 package earmac
 
-// The disruption golden-trace corpus (ISSUE 8): jamming, outages, and
-// duty-cycled stations, each pinned by a committed trace-v3 recording.
-// The conformance test asserts the same three-way equivalence as the
-// other corpora — recorded run, checked-path replay, and fast-path
-// replay bit-identical on counters AND on the full re-recorded event
-// stream, kinded jam/outage/sleep events included — plus the jamming
-// budget audit and byte-stable re-encoding. Regenerate with
+// The disruption golden-trace corpus: jamming, outages, and
+// duty-cycled stations, each pinned by a committed recording with
+// kinded jam/outage/sleep events. The shared conformance loop
+// (checkCorpus in traces_test.go) asserts the same equivalences as the
+// other corpora — a live recording reproduces the file, re-encoding is
+// byte-stable, and the recorded run, the checked-path replay and the
+// fast-path replay are bit-identical on counters AND on the full
+// re-recorded event stream — and this corpus adds the jamming budget
+// audit and checks that every configured disruption left events.
+// Regenerate with
 //
 //	go test -run TestDisruptionGoldenTraceCorpus -update .
 
@@ -56,128 +59,39 @@ func disruptionCorpusCases() []corpusCase {
 }
 
 func TestDisruptionGoldenTraceCorpus(t *testing.T) {
-	cases := disruptionCorpusCases()
-	if *update {
-		if err := os.MkdirAll(traceDir, 0o755); err != nil {
-			t.Fatal(err)
+	checkCorpus(t, disruptionCorpusCases(), func(t *testing.T, cfg Config, tr *Trace) {
+		// Each configured disruption actually left events, and the
+		// footer shows its effect.
+		kinds := map[string]int{}
+		for _, ev := range tr.Events {
+			kinds[ev.Kind]++
 		}
-		for _, c := range cases {
-			f, err := os.Create(tracePath(c.name))
-			if err != nil {
-				t.Fatal(err)
+		final := tr.Footer.Counters
+		if cfg.JamRhoNum > 0 {
+			if kinds[scenario.KindJam] == 0 {
+				t.Error("jamming configured but no jam events recorded")
 			}
-			cfg := c.cfg
-			cfg.RecordTo = f
-			if _, err := Run(cfg); err != nil {
-				t.Fatalf("%s: recording: %v", c.name, err)
+			if final.JammedRounds == 0 {
+				t.Error("jamming configured but JammedRounds = 0")
 			}
-			if err := f.Close(); err != nil {
-				t.Fatal(err)
+			jt := adversary.T(cfg.JamRhoNum, cfg.JamRhoDen, cfg.JamBeta)
+			if err := scenario.CheckJamAdmissible(tr, jt); err != nil {
+				t.Errorf("recorded jam stream violates its budget: %v", err)
 			}
 		}
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			raw, err := os.ReadFile(tracePath(c.name))
-			if err != nil {
-				t.Fatalf("missing golden trace (regenerate with -update): %v", err)
+		if len(cfg.Outages) > 0 {
+			if kinds[scenario.KindOutage] != len(cfg.Outages) {
+				t.Errorf("%d outage windows configured, %d outage events recorded",
+					len(cfg.Outages), kinds[scenario.KindOutage])
 			}
-			tr, err := ReadTrace(bytes.NewReader(raw))
-			if err != nil {
-				t.Fatal(err)
+			if final.OutageRounds == 0 {
+				t.Error("outages configured but OutageRounds = 0")
 			}
-			if tr.Header.Version != TraceVersion {
-				t.Fatalf("header version %d, want %d (disrupted recordings declare v3)",
-					tr.Header.Version, TraceVersion)
-			}
-			if tr.Footer == nil || tr.Footer.Counters == nil {
-				t.Fatal("golden trace has no pinned counters")
-			}
-			want := *tr.Footer.Counters
-
-			// Re-encoding is byte-stable under the v3 writer.
-			var reenc bytes.Buffer
-			if err := WriteTrace(&reenc, tr); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(reenc.Bytes(), raw) {
-				t.Error("re-encoding the golden trace changed its bytes")
-			}
-
-			// Each configured disruption actually left events, and the
-			// footer shows its effect.
-			kinds := map[string]int{}
-			for _, ev := range tr.Events {
-				kinds[ev.Kind]++
-			}
-			cfg := c.cfg
-			if cfg.JamRhoNum > 0 {
-				if kinds[scenario.KindJam] == 0 {
-					t.Error("jamming configured but no jam events recorded")
-				}
-				if want.JammedRounds == 0 {
-					t.Error("jamming configured but JammedRounds = 0")
-				}
-				jt := adversary.T(cfg.JamRhoNum, cfg.JamRhoDen, cfg.JamBeta)
-				if err := scenario.CheckJamAdmissible(tr, jt); err != nil {
-					t.Errorf("recorded jam stream violates its budget: %v", err)
-				}
-			}
-			if len(cfg.Outages) > 0 {
-				if kinds[scenario.KindOutage] != len(cfg.Outages) {
-					t.Errorf("%d outage windows configured, %d outage events recorded",
-						len(cfg.Outages), kinds[scenario.KindOutage])
-				}
-				if want.OutageRounds == 0 {
-					t.Error("outages configured but OutageRounds = 0")
-				}
-			}
-			if cfg.SleepAfterIdle > 0 && kinds[scenario.KindSleep] == 0 {
-				t.Error("duty-cycling configured but no sleep transitions recorded")
-			}
-
-			// Three-way equivalence: checked and fast replays reproduce
-			// the counters and the full (kinded) event stream.
-			modes := []struct {
-				name   string
-				mutate func(*Config)
-			}{
-				{"checked", func(c *Config) { c.ForceChecked = true }},
-				{"fast", func(c *Config) { c.Lenient, c.DisableChecks = true, true }},
-			}
-			for _, mode := range modes {
-				rcfg, err := ReplayConfig(tr)
-				if err != nil {
-					t.Fatal(err)
-				}
-				mode.mutate(&rcfg)
-				var buf bytes.Buffer
-				rcfg.RecordTo = &buf
-				rep, err := Run(rcfg)
-				if err != nil {
-					t.Fatalf("%s replay: %v", mode.name, err)
-				}
-				if len(rep.Violations) != 0 {
-					t.Fatalf("%s replay hit violations: %v", mode.name, rep.Violations)
-				}
-				got, err := ReadTrace(bytes.NewReader(buf.Bytes()))
-				if err != nil {
-					t.Fatalf("%s replay re-recording: %v", mode.name, err)
-				}
-				if got.Footer == nil || got.Footer.Counters == nil {
-					t.Fatalf("%s replay recorded no counters", mode.name)
-				}
-				if *got.Footer.Counters != want {
-					t.Errorf("%s replay counters differ from the golden footer:\ngot  %+v\nwant %+v",
-						mode.name, *got.Footer.Counters, want)
-				}
-				if !reflect.DeepEqual(got.Events, tr.Events) {
-					t.Errorf("%s replay re-recorded a different event stream (%d events vs %d)",
-						mode.name, len(got.Events), len(tr.Events))
-				}
-			}
-		})
-	}
+		}
+		if cfg.SleepAfterIdle > 0 && kinds[scenario.KindSleep] == 0 {
+			t.Error("duty-cycling configured but no sleep transitions recorded")
+		}
+	})
 }
 
 // TestDisruptionGoldenTraceCorpusComplete pins the disruption corpus
@@ -192,11 +106,14 @@ func TestDisruptionGoldenTraceCorpusComplete(t *testing.T) {
 	}
 }
 
-// TestTraceCorpusByteStable pins backward compatibility of the v3
-// reader/writer over the whole committed corpus: every committed trace
-// — v1 single-channel, v2 network, v3 disruption — must survive a
-// ReadTrace → WriteTrace round trip byte-identically, so upgrading the
-// format never rewrites history.
+// TestTraceCorpusByteStable pins the writer over the committed corpus
+// and the older readers over the frozen legacy fixtures. Every corpus
+// trace survives a ReadTrace → WriteTrace round trip byte for byte.
+// Each fixture under testdata/traces/legacy (a version 1 single-channel
+// and a version 2 network recording, kept as their recorder wrote them)
+// must decode, replay to its footer counters on the checked and the
+// fast path, and re-encode at TraceVersion with identical events.
+// Together the two sets witness every version the reader accepts.
 func TestTraceCorpusByteStable(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join(traceDir, "*.trace.jsonl"))
 	if err != nil {
@@ -226,8 +143,41 @@ func TestTraceCorpusByteStable(t *testing.T) {
 				filepath.Base(path), tr.Header.Version)
 		}
 	}
-	// The corpus must keep witnessing every format version the reader
-	// accepts, or the compatibility claim goes untested.
+	legacy, err := filepath.Glob(filepath.Join(traceDir, "legacy", "*.trace.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range legacy {
+		t.Run(filepath.Base(path), func(t *testing.T) {
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr, err := ReadTrace(bytes.NewReader(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			versions[tr.Header.Version]++
+			checkReplays(t, tr)
+			var buf bytes.Buffer
+			if err := WriteTrace(&buf, tr); err != nil {
+				t.Fatal(err)
+			}
+			got, err := ReadTrace(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := *tr
+			want.Header.Version = TraceVersion
+			if !reflect.DeepEqual(got, &want) {
+				t.Errorf("re-encoding at version %d changed the trace beyond its version (%d events vs %d)",
+					TraceVersion, len(got.Events), len(tr.Events))
+			}
+		})
+	}
+	// The corpus and the fixtures must keep witnessing every format
+	// version the reader accepts, or the compatibility claim goes
+	// untested.
 	for v := scenario.TraceVersionLegacy; v <= scenario.TraceVersion; v++ {
 		if versions[v] == 0 {
 			t.Errorf("no committed trace exercises format version %d", v)

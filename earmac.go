@@ -43,8 +43,8 @@
 // set, a global (ρ, β) budget is split evenly across per-channel entry
 // buckets, and packets are relayed hop by hop through gateway stations
 // along shortest channel-graph paths; reports then carry end-to-end
-// figures plus a per-channel breakdown, and recordings use trace format
-// v2 (a channel id per event). See DESIGN.md for the algorithm →
+// figures plus a per-channel breakdown, and recordings carry a channel
+// id per event. See DESIGN.md for the algorithm →
 // paper-theorem mapping, the model invariants the simulator checks, the
 // scenario/trace determinism rules (§8), and the network model (§11).
 package earmac
@@ -64,7 +64,6 @@ import (
 	"earmac/internal/mac/duty"
 	"earmac/internal/metrics"
 	"earmac/internal/network"
-	"earmac/internal/ratio"
 	"earmac/internal/registry"
 	"earmac/internal/report"
 	"earmac/internal/scenario"
@@ -144,7 +143,7 @@ type Config struct {
 	// JamBeta to 1 when a jam rate is set. Only algorithms whose
 	// metadata declares Tolerant accept a jamming config (see
 	// AlgorithmMeta.Tolerant); recorded traces store the jam stream as
-	// v3 events, so replays reproduce it exactly.
+	// jam events, so replays reproduce it exactly.
 	JamRhoNum int64 `json:"jam_rho_num,omitempty"`
 	JamRhoDen int64 `json:"jam_rho_den,omitempty"`
 	JamBeta   int64 `json:"jam_beta,omitempty"`
@@ -265,12 +264,6 @@ func (c Config) dutyParams() duty.Params {
 	}
 }
 
-// disrupted reports whether the run can produce trace-v3 events
-// (jam/outage/sleep) — recordings then declare format version 3.
-func (c Config) disrupted() bool {
-	return c.jamming() || len(c.Outages) > 0 || c.dutyParams().Enabled()
-}
-
 // Report holds the measurements of one simulation. It is the shared
 // schema (internal/report) that Suite results and the -json CLI outputs
 // also serialize.
@@ -353,8 +346,7 @@ func prepare(cfg Config) (run, error) {
 		if cfg.StopInjectionsAfter > 0 {
 			pat = adversary.Stop(pat, cfg.StopInjectionsAfter)
 		}
-		typ := adversary.Type{Rho: ratio.New(cfg.RhoNum, cfg.RhoDen), Beta: ratio.FromInt(cfg.Beta)}
-		adv = adversary.New(typ, pat)
+		adv = adversary.New(adversary.T(cfg.RhoNum, cfg.RhoDen, cfg.Beta), pat)
 	}
 
 	tr := metrics.NewTracker()
@@ -366,18 +358,12 @@ func prepare(cfg Config) (run, error) {
 	if cfg.Trace != nil {
 		tracer = &trace.Logger{W: cfg.Trace, From: cfg.TraceFrom, To: cfg.TraceUpTo}
 	}
-	var enc *scenario.Encoder
+	enc, err := newRecorder(cfg)
+	if err != nil {
+		return run{}, err
+	}
 	var injObs func(round int64, injs []core.Injection)
-	if cfg.RecordTo != nil {
-		raw, err := json.Marshal(cfg)
-		if err != nil {
-			return run{}, fmt.Errorf("earmac: encoding config into trace header: %w", err)
-		}
-		hdr := scenario.Header{N: cfg.N, Rounds: cfg.Rounds, Config: raw}
-		if cfg.disrupted() {
-			hdr.Version = scenario.TraceVersion // kinded events need v3
-		}
-		enc = scenario.NewEncoder(cfg.RecordTo, hdr)
+	if enc != nil {
 		injObs = enc.Round
 	}
 	opts := core.Options{
@@ -393,15 +379,14 @@ func prepare(cfg Config) (run, error) {
 	// replay of one) and the outage schedule address channel 0. The
 	// closure runs once per round, serially, after the round's injection
 	// event was recorded — so jam/outage events land behind it in the
-	// trace, as the v3 per-round ordering requires.
+	// trace, as the trace's per-round ordering requires.
 	var disruptor network.Disruptor
 	if cfg.Replay != nil {
 		if jr := network.NewJamReplay(cfg.Replay); jr != nil {
 			disruptor = jr
 		}
 	} else if cfg.jamming() {
-		jt := adversary.Type{Rho: ratio.New(cfg.JamRhoNum, cfg.JamRhoDen), Beta: ratio.FromInt(cfg.JamBeta)}
-		disruptor = network.NewJammer(jt, 1, cfg.Seed)
+		disruptor = network.NewJammer(adversary.T(cfg.JamRhoNum, cfg.JamRhoDen, cfg.JamBeta), 1, cfg.Seed)
 	}
 	outs, err := network.NewOutageSchedule(cfg.Outages, 1)
 	if err != nil {
@@ -475,6 +460,20 @@ func prepare(cfg Config) (run, error) {
 	}, nil
 }
 
+// newRecorder returns the trace encoder of a run that records, its
+// header carrying the defaulted config, and nil otherwise. Channels is
+// 0 on a single channel (validate keeps it so without a topology).
+func newRecorder(cfg Config) (*scenario.Encoder, error) {
+	if cfg.RecordTo == nil {
+		return nil, nil
+	}
+	raw, err := json.Marshal(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("earmac: encoding config into trace header: %w", err)
+	}
+	return scenario.NewEncoder(cfg.RecordTo, scenario.Header{N: cfg.N, Rounds: cfg.Rounds, Channels: cfg.Channels, Config: raw}), nil
+}
+
 // conservationCheckEvery is the packet-conservation cadence Run uses
 // unless DisableChecks is set (a prime, so it never aligns with phase
 // or pattern periods).
@@ -487,7 +486,7 @@ func conservationCheckEvery(cfg Config) int64 {
 
 // prepareNetwork assembles a network-of-channels run: one core.Sim per
 // channel behind relay queues, an entry adversary splitting the global
-// (ρ, β) budget across channels (or a trace-v2 replay source), and the
+// (ρ, β) budget across channels (or a trace replay source), and the
 // aggregate/per-channel report assembly.
 func prepareNetwork(cfg Config) (run, error) {
 	topo, err := network.Compile(network.Spec{
@@ -512,6 +511,7 @@ func prepareNetwork(cfg Config) (run, error) {
 		}
 		return sys, nil
 	}
+	typ := adversary.T(cfg.RhoNum, cfg.RhoDen, cfg.Beta)
 	var entry []core.Adversary
 	if cfg.Replay != nil {
 		entry = network.NewReplaySource(cfg.Replay, cfg.Channels)
@@ -527,24 +527,17 @@ func prepareNetwork(cfg Config) (run, error) {
 			}
 			pats[c] = pat
 		}
-		typ := adversary.Type{Rho: ratio.New(cfg.RhoNum, cfg.RhoDen), Beta: ratio.FromInt(cfg.Beta)}
 		entry, err = network.NewAdversary(topo, typ, pats)
 		if err != nil {
 			return run{}, fmt.Errorf("earmac: %w", err)
 		}
 	}
-	var enc *scenario.Encoder
+	enc, err := newRecorder(cfg)
+	if err != nil {
+		return run{}, err
+	}
 	var rec func(round int64, ch int, injs []core.Injection)
-	if cfg.RecordTo != nil {
-		raw, err := json.Marshal(cfg)
-		if err != nil {
-			return run{}, fmt.Errorf("earmac: encoding config into trace header: %w", err)
-		}
-		hdr := scenario.Header{N: cfg.N, Rounds: cfg.Rounds, Channels: cfg.Channels, Config: raw}
-		if cfg.disrupted() {
-			hdr.Version = scenario.TraceVersion // kinded events need v3
-		}
-		enc = scenario.NewEncoder(cfg.RecordTo, hdr)
+	if enc != nil {
 		rec = enc.ChannelRound
 	}
 	var tracer func(ch int) core.Tracer
@@ -573,8 +566,7 @@ func prepareNetwork(cfg Config) (run, error) {
 			netOpts.Disruptor = jr
 		}
 	} else if cfg.jamming() {
-		jt := adversary.Type{Rho: ratio.New(cfg.JamRhoNum, cfg.JamRhoDen), Beta: ratio.FromInt(cfg.JamBeta)}
-		netOpts.Disruptor = network.NewJammer(jt, cfg.Channels, cfg.Seed)
+		netOpts.Disruptor = network.NewJammer(adversary.T(cfg.JamRhoNum, cfg.JamRhoDen, cfg.JamBeta), cfg.Channels, cfg.Seed)
 	}
 	if netOpts.Outages, err = network.NewOutageSchedule(cfg.Outages, cfg.Channels); err != nil {
 		return run{}, fmt.Errorf("earmac: %w", err)
@@ -582,19 +574,20 @@ func prepareNetwork(cfg Config) (run, error) {
 	if cfg.dutyParams().Enabled() {
 		netOpts.Sleepers = func(ch int) int { return groups[ch].Asleep() }
 	}
-	if enc != nil && cfg.disrupted() {
+	if enc != nil {
 		netOpts.Events = enc
+	}
+	// The effective per-channel entry budget (the burst floored at 1 —
+	// see network.SplitType) goes into the report so rows aren't
+	// mislabeled with the nominal (ρ, β) when β < Channels.
+	split, err := network.SplitType(typ, cfg.Channels)
+	if err != nil {
+		return run{}, fmt.Errorf("earmac: %w", err)
 	}
 	net, err := network.New(topo, build, entry, netOpts)
 	if err != nil {
 		return run{}, err
 	}
-	// The effective per-channel entry budget (the burst floored at 1 —
-	// see network.SplitType) goes into the report so rows aren't
-	// mislabeled with the nominal (ρ, β) when β < Channels.
-	split := network.SplitType(adversary.Type{
-		Rho: ratio.New(cfg.RhoNum, cfg.RhoDen), Beta: ratio.FromInt(cfg.Beta),
-	}, cfg.Channels)
 	snapshot := func() Report {
 		rep := report.FromTracker(info, topo.Stations(), net.Tracker())
 		rep.N = cfg.N

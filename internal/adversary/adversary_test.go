@@ -1,11 +1,14 @@
 package adversary
 
 import (
+	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 
 	"earmac/internal/core"
 	"earmac/internal/ratio"
+	"earmac/internal/registry"
 	"earmac/internal/sched"
 )
 
@@ -365,6 +368,40 @@ func TestLemma1PanicsOnTinySystem(t *testing.T) {
 		}
 	}()
 	NewLemma1(2, 1)
+}
+
+// TestCheckType: a type whose bucket does not fit int64 arithmetic is
+// a typed error — ErrBadRate for the rate's common denominator or gain,
+// ErrBadBurst for the cap and the cap + gain a Tick reaches — and
+// NewBucket panics on exactly those types.
+func TestCheckType(t *testing.T) {
+	cases := []struct {
+		name string
+		typ  Type
+		want error
+	}{
+		{"fits", T(1, 10, 100000000000000000), nil},
+		{"headroom at the limit", T(1, 1, math.MaxInt64-1), nil},
+		{"negative rate", Type{Rho: ratio.New(-1, 2), Beta: ratio.FromInt(1)}, registry.ErrBadRate},
+		{"negative burst", Type{Rho: ratio.New(1, 2), Beta: ratio.FromInt(-1)}, registry.ErrBadBurst},
+		{"coprime denominators", Type{Rho: ratio.New(1, 4000000007), Beta: ratio.New(1, 4000000009)}, registry.ErrBadRate},
+		{"cap", T(1, 10, 1000000000000000000), registry.ErrBadBurst},
+		{"cap plus gain", T(1, 1, math.MaxInt64), registry.ErrBadBurst},
+	}
+	for _, c := range cases {
+		err := CheckType(c.typ)
+		if (c.want == nil) != (err == nil) || (c.want != nil && !errors.Is(err, c.want)) {
+			t.Errorf("%s: CheckType(%v) = %v, want %v", c.name, c.typ, err, c.want)
+		}
+		panicked := func() (p bool) {
+			defer func() { p = recover() != nil }()
+			NewBucket(c.typ)
+			return false
+		}()
+		if panicked != (err != nil) {
+			t.Errorf("%s: NewBucket panicked = %v, CheckType error = %v", c.name, panicked, err)
+		}
+	}
 }
 
 func TestBucketOverflowPanics(t *testing.T) {

@@ -7,8 +7,10 @@ package adversary
 
 import (
 	"fmt"
+	"math"
 
 	"earmac/internal/ratio"
+	"earmac/internal/registry"
 )
 
 // Type is the adversary's (ρ, β) pair.
@@ -43,44 +45,53 @@ type Bucket struct {
 	cap    int64 // β numerator over den
 }
 
-// NewBucket returns a bucket with full initial credit β.
+// NewBucket returns a bucket with full initial credit β. It panics
+// with CheckType's error when typ does not fit the int64 arithmetic.
 func NewBucket(typ Type) *Bucket {
-	if typ.Rho.Sign() < 0 || typ.Beta.Sign() < 0 {
-		panic("adversary: negative rate or burstiness")
+	b, err := newBucket(typ)
+	if err != nil {
+		panic(err.Error())
 	}
-	den := lcm(typ.Rho.Den(), typ.Beta.Den())
-	b := &Bucket{
-		typ:  typ,
-		den:  den,
-		gain: mustMul(typ.Rho.Num(), den/typ.Rho.Den()),
-		cap:  mustMul(typ.Beta.Num(), den/typ.Beta.Den()),
-	}
-	b.credit = b.cap
-	return b
+	return &b
 }
 
-func lcm(a, b int64) int64 {
-	g := a
-	for r := b; r != 0; {
+// CheckType reports whether a bucket of type typ fits int64 arithmetic:
+// the common denominator of ρ and β, the gain ρ and the cap β over it,
+// and the cap + gain a Tick reaches before Spend re-caps the credit.
+// The error wraps registry.ErrBadRate for a negative or unrepresentable
+// rate and registry.ErrBadBurst for the burst; configuration validation
+// returns it before any bucket is built.
+func CheckType(typ Type) error {
+	_, err := newBucket(typ)
+	return err
+}
+
+// newBucket returns the bucket by value, so CheckType, which every
+// Config validation runs, does not allocate.
+func newBucket(typ Type) (Bucket, error) {
+	if typ.Rho.Sign() < 0 {
+		return Bucket{}, fmt.Errorf("adversary: %w: negative rate in %v", registry.ErrBadRate, typ)
+	}
+	if typ.Beta.Sign() < 0 {
+		return Bucket{}, fmt.Errorf("adversary: %w: negative burstiness in %v", registry.ErrBadBurst, typ)
+	}
+	rd, bd := typ.Rho.Den(), typ.Beta.Den()
+	g := bd
+	for r := rd; r != 0; {
 		g, r = r, g%r
 	}
-	return mustMul(a/g, b)
-}
-
-// mustMul multiplies with an overflow check, mirroring the protection
-// the general rational arithmetic in internal/ratio provides: adversary
-// types in this simulator stay far below the int64 range, so an
-// overflow indicates a misconfiguration and must fail loudly rather
-// than silently corrupt the injection budget.
-func mustMul(a, b int64) int64 {
-	if a == 0 || b == 0 {
-		return 0
+	den, ok := ratio.Mul64(rd/g, bd) // lcm(rd, bd)
+	gain, okGain := ratio.Mul64(typ.Rho.Num(), den/rd)
+	if !ok || !okGain {
+		return Bucket{}, fmt.Errorf("adversary: %w: %v: the rate over the common denominator overflows int64",
+			registry.ErrBadRate, typ)
 	}
-	p := a * b
-	if p/b != a {
-		panic(fmt.Sprintf("adversary: int64 overflow multiplying %d × %d in bucket setup", a, b))
+	burst, ok := ratio.Mul64(typ.Beta.Num(), den/bd)
+	if !ok || burst > math.MaxInt64-gain {
+		return Bucket{}, fmt.Errorf("adversary: %w: %v: the burst cap plus one round's rate overflows int64",
+			registry.ErrBadBurst, typ)
 	}
-	return p
+	return Bucket{typ: typ, den: den, credit: burst, gain: gain, cap: burst}, nil
 }
 
 // Type returns the bucket's (ρ, β).

@@ -6,6 +6,7 @@ import (
 	"earmac/internal/adversary"
 	"earmac/internal/core"
 	"earmac/internal/ratio"
+	"earmac/internal/registry"
 )
 
 // SplitType divides a global (ρ, β) adversary type evenly across
@@ -26,20 +27,28 @@ import (
 // max(β/channels, 1)); the network-wide entry stream respects the
 // effective global type scenario.EffectiveGlobalType(split, channels) =
 // (ρ, max(β, channels)). CheckAdmissibleSplit audits recorded traces
-// against both.
-func SplitType(typ adversary.Type, channels int) adversary.Type {
+// against both. SplitType fails, wrapping registry.ErrBadRate or
+// registry.ErrBadBurst, when the split type or its entry bucket
+// (adversary.CheckType) does not fit int64 arithmetic.
+func SplitType(typ adversary.Type, channels int) (adversary.Type, error) {
 	if channels < 1 {
 		panic("network: SplitType with no channels")
 	}
-	c := int64(channels)
-	beta := ratio.New(typ.Beta.Num(), typ.Beta.Den()*c)
+	rho, ok := typ.Rho.DivInt(int64(channels))
+	if !ok {
+		return adversary.Type{}, fmt.Errorf("network: %w: ρ = %v split over %d channels overflows int64",
+			registry.ErrBadRate, typ.Rho, channels)
+	}
+	beta, ok := typ.Beta.DivInt(int64(channels))
+	if !ok {
+		return adversary.Type{}, fmt.Errorf("network: %w: β = %v split over %d channels overflows int64",
+			registry.ErrBadBurst, typ.Beta, channels)
+	}
 	if beta.Less(ratio.One()) {
 		beta = ratio.One()
 	}
-	return adversary.Type{
-		Rho:  ratio.New(typ.Rho.Num(), typ.Rho.Den()*c),
-		Beta: beta,
-	}
+	split := adversary.Type{Rho: rho, Beta: beta}
+	return split, adversary.CheckType(split)
 }
 
 // NewAdversary builds the network's budget-splitting entry: channel c's
@@ -56,7 +65,10 @@ func NewAdversary(topo *Topology, typ adversary.Type, pats []adversary.Pattern) 
 	if len(pats) != topo.Channels() {
 		return nil, fmt.Errorf("network: %d patterns for %d channels", len(pats), topo.Channels())
 	}
-	split := SplitType(typ, topo.Channels())
+	split, err := SplitType(typ, topo.Channels())
+	if err != nil {
+		return nil, err
+	}
 	entry := make([]core.Adversary, len(pats))
 	for c, p := range pats {
 		entry[c] = adversary.New(split, &foldPat{inner: p, topo: topo, ch: c})

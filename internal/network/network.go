@@ -41,7 +41,7 @@ type Options struct {
 	TrackStations bool
 	// Recorder, when non-nil, receives every channel's adversarial
 	// entry injections (global coordinates) each round, in increasing
-	// (round, channel) order — the trace-v2 recording hook. Entries are
+	// (round, channel) order — the trace recording hook. Entries are
 	// buffered per channel while the round executes and emitted after
 	// its sync point in ascending channel order, so the recorded stream
 	// is identical at any worker count. Relay arrivals are not

@@ -190,7 +190,11 @@ func TestBudgetSplitAdmissible(t *testing.T) {
 	if net.Tracker().Injected == 0 {
 		t.Fatal("no entry injections recorded")
 	}
-	if err := scenario.CheckAdmissibleSplit(&trace, SplitType(typ, 3), 3); err != nil {
+	split, err := SplitType(typ, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := scenario.CheckAdmissibleSplit(&trace, split, 3); err != nil {
 		t.Errorf("entry stream violates the split contract: %v", err)
 	}
 	// The global stream (all channels pooled) respects the global type:

@@ -6,7 +6,7 @@ import (
 )
 
 // NewReplaySource returns the entry adversaries that re-execute a
-// recorded trace-v2 network run: one scenario.Replayer per channel, over
+// recorded network run: one scenario.Replayer per channel, over
 // that channel's entry events, which carry global [src, dest] pairs.
 // Routing and relaying are recomputed deterministically, so the replay
 // reproduces the recorded run bit-for-bit without the trace having to

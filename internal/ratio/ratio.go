@@ -88,6 +88,19 @@ func (r Rat) Mul(o Rat) Rat {
 // MulInt returns r × x.
 func (r Rat) MulInt(x int64) Rat { return r.Mul(FromInt(x)) }
 
+// DivInt returns r ÷ x for an integer x >= 1, reduced like Div, and
+// false when the quotient's denominator overflows int64 (where Div
+// panics).
+func (r Rat) DivInt(x int64) (Rat, bool) {
+	if x < 1 {
+		panic("ratio: DivInt by a non-positive integer")
+	}
+	r = r.norm()
+	g := gcd(abs(r.n), x)
+	d, ok := Mul64(r.d, x/g)
+	return Rat{r.n / g, d}, ok
+}
+
 // Div returns r ÷ o. It panics if o is zero.
 func (r Rat) Div(o Rat) Rat {
 	o = o.norm()
@@ -218,14 +231,20 @@ func gcd(a, b int64) int64 {
 	return a
 }
 
+// Mul64 returns a·b and whether the product fits int64.
+func Mul64(a, b int64) (int64, bool) {
+	if a == 0 || b == 0 {
+		return 0, true
+	}
+	p := a * b
+	return p, p/b == a && !(a == math.MinInt64 && b == -1)
+}
+
 // mustMul multiplies with an overflow check; rationals in this simulator
 // stay far below the int64 range, so overflow indicates a bug.
 func mustMul(a, b int64) int64 {
-	if a == 0 || b == 0 {
-		return 0
-	}
-	p := a * b
-	if p/b != a || (a == math.MinInt64 && b == -1) {
+	p, ok := Mul64(a, b)
+	if !ok {
 		panic(fmt.Sprintf("ratio: int64 overflow multiplying %d × %d", a, b))
 	}
 	return p

@@ -105,6 +105,38 @@ func TestMinDivMulInt(t *testing.T) {
 	}
 }
 
+// TestDivIntAndMul64: DivInt reduces like Div and reports, instead of
+// panicking, a quotient whose denominator overflows int64; Mul64 is
+// the checked product under both.
+func TestDivIntAndMul64(t *testing.T) {
+	for _, c := range []struct {
+		r    Rat
+		x    int64
+		want Rat
+	}{
+		{New(1, 2), 3, New(1, 6)},
+		{New(4, 9), 4, New(1, 9)},
+		{New(-6, 5), 4, New(-3, 10)},
+		{New(4, 3000000000000000000), 4, New(1, 3000000000000000000)}, // reduced before multiplying
+	} {
+		got, ok := c.r.DivInt(c.x)
+		if !ok || got != c.want || got.Cmp(c.r.Div(FromInt(c.x))) != 0 {
+			t.Errorf("(%v).DivInt(%d) = %v, %v; want %v", c.r, c.x, got, ok, c.want)
+		}
+	}
+	if _, ok := New(1, 1000000000000000000).DivInt(16); ok {
+		t.Error("DivInt reported 1/1.6e19 as representable")
+	}
+	if p, ok := Mul64(-3037000499, 3037000499); !ok || p != -9223372030926249001 {
+		t.Errorf("Mul64 near the limit = %d, %v", p, ok)
+	}
+	for _, c := range [][2]int64{{1 << 32, 1 << 31}, {-1 << 63, -1}, {3037000500, 3037000500}} {
+		if _, ok := Mul64(c[0], c[1]); ok {
+			t.Errorf("Mul64(%d, %d) reported no overflow", c[0], c[1])
+		}
+	}
+}
+
 func TestDivByZeroPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -7,50 +7,47 @@ package scenario
 //
 // Layout, one JSON object per line:
 //
-//	{"earmac_trace":1,"n":6,"rounds":2000,"config":{...}}   header
+//	{"earmac_trace":3,"n":6,"rounds":2000,"config":{...}}   header
 //	{"r":17,"i":[[0,3],[2,5]]}                              one event per
 //	{"r":19,"i":[[4,1]]}                                    injecting round
 //	{"final":{"injected":123,"counters":{...}}}             footer
 //
-// Version 2 extends the format to networks of channels
-// (internal/network): the header carries the channel count, station
-// coordinates are global, and each event names the entry channel it
-// belongs to (omitted when 0), so one round may carry one event per
-// injecting channel:
+// A network of channels (internal/network) adds the channel count to
+// the header; station coordinates are global, and each event names the
+// entry channel it belongs to (omitted when 0), so one round may carry
+// one event per injecting channel:
 //
-//	{"earmac_trace":2,"n":5,"rounds":3000,"channels":3,"config":{...}}
+//	{"earmac_trace":3,"n":5,"rounds":3000,"channels":3,"config":{...}}
 //	{"r":17,"i":[[0,11]]}                                   channel 0
 //	{"r":17,"c":2,"i":[[12,3],[14,1]]}                      channel 2
 //	{"final":{"injected":123,"counters":{...}}}
 //
-// Version 3 extends the format to disrupted and duty-cycled runs: an
-// event line may carry a kind ("k") instead of injections — "jam" (the
-// jamming adversary spent a unit on this round and channel), "out" (an
-// outage window opens here; "d" is its length in rounds), or "sleep"
-// (the channel's count of duty-suppressed stations changed to "z").
-// Within one (round, channel) the injection event precedes any kinded
-// events, and kinds order jam < out < sleep:
+// A disrupted or duty-cycled run adds kinded event lines ("k") that
+// carry no injections — "jam" (the jamming adversary spent a unit on
+// this round and channel), "out" (an outage window opens here; "d" is
+// its length in rounds), or "sleep" (the channel's count of
+// duty-suppressed stations changed to "z"). Within one (round,
+// channel) the injection event precedes any kinded events, and kinds
+// order jam < out < sleep:
 //
-//	{"earmac_trace":3,"n":6,"rounds":4000,"config":{...}}
 //	{"r":17,"i":[[0,3]]}
 //	{"r":17,"k":"jam"}
 //	{"r":40,"k":"out","d":100}
 //	{"r":52,"k":"sleep","z":2}
-//	{"final":{"injected":123,"counters":{...}}}
 //
 // Versioning rules: the "earmac_trace" field doubles as the format
-// version; decoders reject any version they do not know, and reject
-// newer constructs inside an older version (a channel id in version 1,
-// an event kind in versions 1 and 2). Within a version, unknown fields
-// are ignored on read and never emitted on write, so fields may be
-// *added* by bumping the version while old decoders fail loudly instead
-// of misreading. Events are strictly increasing by (round, channel,
-// kind); the footer, when present, is the last line and pins the run's
-// final flat counters so replays can be checked bit-identical. Encoders
-// emit the lowest sufficient version — 1 for single-channel recordings,
-// 2 exactly when the header declares channels, 3 only when the caller
-// requests it for a disrupted or duty-cycled run — so every previously
-// committed trace stays byte-stable.
+// version. Every writer emits TraceVersion; readers also accept the two
+// older versions, which recorded single-channel runs (1) and networks
+// without disruption (2). Decoders reject any version they do not know,
+// and newer constructs inside an older version (a channel id in
+// version 1, an event kind in versions 1 and 2). Within a version,
+// unknown fields are ignored on read and never emitted on write, so
+// fields may be *added* by bumping the version while old decoders fail
+// loudly instead of misreading. Events are strictly increasing by
+// (round, channel, kind), and a non-zero channel needs a header that
+// declares channels; the footer, when present, is the last line and
+// pins the run's final flat counters so replays can be checked
+// bit-identical.
 
 import (
 	"bufio"
@@ -63,16 +60,13 @@ import (
 	"earmac/internal/adversary"
 	"earmac/internal/core"
 	"earmac/internal/metrics"
-	"earmac/internal/ratio"
 	"earmac/internal/registry"
 )
 
-// TraceVersion is the newest format version this package writes;
-// ReadTrace additionally accepts the older versions. Encoders pick the
-// lowest sufficient version: single-channel recordings (Channels == 0)
-// stay on version 1, network recordings use version 2, and version 3 is
-// used only when the recording run asked for it (jam/outage/sleep
-// events, Header.Version set to TraceVersion by the caller).
+// TraceVersion is the format version every writer emits. ReadTrace
+// also accepts TraceVersionMulti (channel ids, no event kinds) and
+// TraceVersionLegacy (single-channel only), the versions older
+// recordings declare.
 const (
 	TraceVersion       = 3
 	TraceVersionMulti  = 2
@@ -114,7 +108,7 @@ type Header struct {
 	// Rounds is the recorded horizon.
 	Rounds int64 `json:"rounds"`
 	// Channels is the channel count of a network recording; 0 marks a
-	// single-channel trace (and selects format version 1 on write).
+	// single-channel trace, whose events all belong to channel 0.
 	Channels int `json:"channels,omitempty"`
 	// Config is the recording façade Config, verbatim; its schema is
 	// owned by the caller (package earmac), so this package stays
@@ -124,7 +118,7 @@ type Header struct {
 
 // Event is one channel's injections for one round, as [station, dest]
 // pairs — global station ids in a network trace, plain ids otherwise.
-// Channel is always 0 in version-1 traces. A non-empty Kind (trace v3)
+// Channel is always 0 in a single-channel trace. A non-empty Kind
 // marks a jam/outage/sleep event instead: Injs is nil, Dur carries an
 // outage window's length, and Asleep a sleep transition's new count.
 type Event struct {
@@ -159,30 +153,20 @@ type footerLine struct {
 }
 
 // Encoder streams a trace to a writer: header at construction, one
-// event line per injecting round, footer at Close. Errors are sticky
-// and surfaced by Close.
+// event line per injecting round or disruption event, footer at Close.
+// Errors are sticky and surfaced by Close.
 type Encoder struct {
 	bw       *bufio.Writer
 	scratch  []byte
-	version  int
 	injected int64
 	err      error
 }
 
-// NewEncoder writes the header line and returns a streaming encoder.
-// The header's Version is forced to the lowest sufficient version: 1
-// for single-channel recordings, 2 for networks — unless the caller set
-// it to TraceVersion, which keeps version 3 and unlocks the
-// jam/outage/sleep event methods (a disrupted or duty-cycled run).
+// NewEncoder writes the header line, at TraceVersion whatever
+// h.Version says, and returns a streaming encoder.
 func NewEncoder(w io.Writer, h Header) *Encoder {
 	e := &Encoder{bw: bufio.NewWriter(w)}
-	if h.Version != TraceVersion {
-		h.Version = TraceVersionLegacy
-		if h.Channels > 0 {
-			h.Version = TraceVersionMulti
-		}
-	}
-	e.version = h.Version
+	h.Version = TraceVersion
 	line, err := json.Marshal(h)
 	if err != nil {
 		e.err = fmt.Errorf("scenario: encoding trace header: %w", err)
@@ -232,7 +216,7 @@ func appendEventLine(b []byte, round int64, ch, n int, pair func(int) (int, int)
 	return append(b, "]}"...)
 }
 
-// appendKindLine serializes one kinded event line (trace v3):
+// appendKindLine serializes one kinded event line:
 // {"r":..,"c":..,"k":"..."} plus "d" for outage windows and "z" for
 // sleep transitions ("z" is emitted even at 0 — everyone back awake is
 // a transition worth recording). Like appendEventLine it is the single
@@ -280,18 +264,8 @@ func (e *Encoder) ChannelRound(round int64, ch int, injs []core.Injection) {
 	e.injected += int64(len(injs))
 }
 
-// kindLine writes one kinded event line, guarding the version: only a
-// version-3 encoder (NewEncoder with Header.Version = TraceVersion) may
-// record disruption events.
+// kindLine writes one kinded event line.
 func (e *Encoder) kindLine(round int64, ch int, kind string, dur int64, asleep int) {
-	if e.err != nil {
-		return
-	}
-	if e.version != TraceVersion {
-		e.err = fmt.Errorf("scenario: %q event in a version-%d trace (kinded events need version %d)",
-			kind, e.version, TraceVersion)
-		return
-	}
 	e.scratch = appendKindLine(e.scratch[:0], round, ch, kind, dur, asleep)
 	e.writeLine(e.scratch)
 }
@@ -320,8 +294,13 @@ func (e *Encoder) Injected() int64 { return e.injected }
 // Close writes the footer (with the run's final counters, which may be
 // nil) and flushes. It returns the first error the encoder hit.
 func (e *Encoder) Close(c *metrics.Counters) error {
-	if e.err == nil {
-		line, err := json.Marshal(footerLine{Final: &Footer{Injected: e.injected, Counters: c}})
+	return e.finish(&Footer{Injected: e.injected, Counters: c})
+}
+
+// finish writes the footer line, unless f is nil, and flushes.
+func (e *Encoder) finish(f *Footer) error {
+	if f != nil && e.err == nil {
+		line, err := json.Marshal(footerLine{Final: f})
 		if err != nil {
 			e.err = fmt.Errorf("scenario: encoding trace footer: %w", err)
 		} else {
@@ -334,49 +313,16 @@ func (e *Encoder) Close(c *metrics.Counters) error {
 	return e.err
 }
 
-// writeVersion picks the version Write re-encodes a trace at: any
-// kinded event forces version 3, any channel dimension forces at least
-// version 2, a decoded version is otherwise preserved, and
-// hand-assembled traces (Version 0) default to legacy.
-func writeVersion(t *Trace) int {
-	for _, ev := range t.Events {
-		if ev.Kind != "" {
-			return TraceVersion
-		}
-	}
-	if t.Header.Version == TraceVersion {
-		return TraceVersion
-	}
-	if t.Header.Channels > 0 {
-		return TraceVersionMulti
-	}
-	for _, ev := range t.Events {
-		if ev.Channel != 0 {
-			return TraceVersionMulti
-		}
-	}
-	if t.Header.Version == TraceVersionMulti {
-		return TraceVersionMulti
-	}
-	return TraceVersionLegacy
-}
-
-// Write re-encodes a decoded trace verbatim (events and footer as they
-// are, header version preserved). Decode(Write(t)) == t for any t
-// returned by ReadTrace.
+// Write re-encodes a decoded trace through the recording encoder: the
+// header at TraceVersion, then the events and the footer as they are.
+// For any t ReadTrace returns, ReadTrace(Write(t)) is t with
+// Header.Version = TraceVersion, and Write(ReadTrace(Write(t))) repeats
+// Write(t) byte for byte.
 func Write(w io.Writer, t *Trace) error {
-	e := &Encoder{bw: bufio.NewWriter(w)}
-	h := t.Header
-	h.Version = writeVersion(t)
-	line, err := json.Marshal(h)
-	if err != nil {
-		return fmt.Errorf("scenario: encoding trace header: %w", err)
-	}
-	e.writeLine(line)
+	e := NewEncoder(w, t.Header)
 	for _, ev := range t.Events {
 		if ev.Kind != "" {
-			e.scratch = appendKindLine(e.scratch[:0], ev.Round, ev.Channel, ev.Kind, ev.Dur, ev.Asleep)
-			e.writeLine(e.scratch)
+			e.kindLine(ev.Round, ev.Channel, ev.Kind, ev.Dur, ev.Asleep)
 			continue
 		}
 		injs := ev.Injs
@@ -385,17 +331,7 @@ func Write(w io.Writer, t *Trace) error {
 		})
 		e.writeLine(e.scratch)
 	}
-	if t.Footer != nil {
-		line, err := json.Marshal(footerLine{Final: t.Footer})
-		if err != nil {
-			return fmt.Errorf("scenario: encoding trace footer: %w", err)
-		}
-		e.writeLine(line)
-	}
-	if ferr := e.bw.Flush(); e.err == nil && ferr != nil {
-		e.err = ferr
-	}
-	return e.err
+	return e.finish(t.Footer)
 }
 
 // probeLine distinguishes event and footer lines by field presence.
@@ -476,10 +412,13 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 							registry.ErrBadTrace, lineNo)
 					}
 					ch = *p.Channel
-					if ch < 0 {
+					switch {
+					case ch < 0:
 						return nil, fmt.Errorf("scenario: %w: line %d: negative channel %d", registry.ErrBadTrace, lineNo, ch)
-					}
-					if t.Header.Channels > 0 && ch >= t.Header.Channels {
+					case ch > 0 && t.Header.Channels == 0:
+						return nil, fmt.Errorf("scenario: %w: line %d: channel %d in a trace whose header declares no channels",
+							registry.ErrBadTrace, lineNo, ch)
+					case t.Header.Channels > 0 && ch >= t.Header.Channels:
 						return nil, fmt.Errorf("scenario: %w: line %d: channel %d outside [0, %d)",
 							registry.ErrBadTrace, lineNo, ch, t.Header.Channels)
 					}
@@ -643,10 +582,7 @@ func CheckAdmissibleSplit(t *Trace, perChannel adversary.Type, channels int) err
 // (ρ, max(β, C)).
 func EffectiveGlobalType(perChannel adversary.Type, channels int) adversary.Type {
 	c := int64(channels)
-	return adversary.Type{
-		Rho:  ratio.New(perChannel.Rho.Num()*c, perChannel.Rho.Den()),
-		Beta: ratio.New(perChannel.Beta.Num()*c, perChannel.Beta.Den()),
-	}
+	return adversary.Type{Rho: perChannel.Rho.MulInt(c), Beta: perChannel.Beta.MulInt(c)}
 }
 
 // checkGlobalAdmissible drives one bucket over the per-round injection
@@ -721,9 +657,13 @@ func checkAdmissible(t *Trace, typ adversary.Type, channels int) error {
 // that many Tick/Spend(0) pairs, so the cost is O(events × streams).
 // charge books one event of round r against its budget and returns the
 // audit's error. An event past last or out of round order ends the
-// walk, since ticking round by round never reached it.
+// walk, since ticking round by round never reached it. A type whose
+// bucket does not fit int64 arithmetic is adversary.CheckType's error.
 func walkBuckets(events []Event, last int64, typ adversary.Type, streams int,
 	charge func(r int64, ev *Event, spent, budgets []int) error) error {
+	if err := adversary.CheckType(typ); err != nil {
+		return err
+	}
 	buckets := make([]*adversary.Bucket, streams)
 	for c := range buckets {
 		buckets[c] = adversary.NewBucket(typ)

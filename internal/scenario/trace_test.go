@@ -60,7 +60,7 @@ func TestEncoderStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Header.N != 4 || tr.Header.Rounds != 50 || tr.Header.Version != TraceVersionLegacy {
+	if tr.Header.N != 4 || tr.Header.Rounds != 50 || tr.Header.Version != TraceVersion {
 		t.Errorf("bad header %+v", tr.Header)
 	}
 	wantEvents := []Event{
@@ -77,21 +77,23 @@ func TestEncoderStream(t *testing.T) {
 
 func TestReadTraceRejectsMalformed(t *testing.T) {
 	cases := map[string]string{
-		"empty":               "",
-		"garbage":             "not json at all\n",
-		"wrong version":       `{"earmac_trace":4,"n":4,"rounds":10}` + "\n",
-		"channel id in v1":    "{\"earmac_trace\":1,\"n\":4,\"rounds\":10}\n{\"r\":1,\"c\":1,\"i\":[[0,1]]}\n",
-		"negative channel":    "{\"earmac_trace\":2,\"n\":4,\"rounds\":10,\"channels\":2}\n{\"r\":1,\"c\":-1,\"i\":[[0,1]]}\n",
-		"channel overflow":    "{\"earmac_trace\":2,\"n\":4,\"rounds\":10,\"channels\":2}\n{\"r\":1,\"c\":2,\"i\":[[0,1]]}\n",
-		"channel regression":  "{\"earmac_trace\":2,\"n\":4,\"rounds\":10,\"channels\":3}\n{\"r\":1,\"c\":2,\"i\":[[0,1]]}\n{\"r\":1,\"c\":1,\"i\":[[0,1]]}\n",
-		"same round+channel":  "{\"earmac_trace\":2,\"n\":4,\"rounds\":10,\"channels\":3}\n{\"r\":1,\"c\":2,\"i\":[[0,1]]}\n{\"r\":1,\"c\":2,\"i\":[[0,1]]}\n",
-		"no version":          `{"n":4,"rounds":10}` + "\n",
-		"bad event":           "{\"earmac_trace\":1,\"n\":4,\"rounds\":10}\n{\"r\":\"zero\"}\n",
-		"unknown line":        "{\"earmac_trace\":1,\"n\":4,\"rounds\":10}\n{\"x\":1}\n",
-		"negative round":      "{\"earmac_trace\":1,\"n\":4,\"rounds\":10}\n{\"r\":-1,\"i\":[[0,1]]}\n",
-		"non-increasing":      "{\"earmac_trace\":1,\"n\":4,\"rounds\":10}\n{\"r\":5,\"i\":[[0,1]]}\n{\"r\":5,\"i\":[[0,1]]}\n",
-		"data after footer":   "{\"earmac_trace\":1,\"n\":4,\"rounds\":10}\n{\"final\":{\"injected\":0}}\n{\"r\":1,\"i\":[[0,1]]}\n",
-		"float counter field": "{\"earmac_trace\":1,\"n\":4,\"rounds\":10}\n{\"final\":{\"injected\":0,\"counters\":{\"Rounds\":1.5}}}\n",
+		"empty":                "",
+		"garbage":              "not json at all\n",
+		"wrong version":        `{"earmac_trace":4,"n":4,"rounds":10}` + "\n",
+		"channel id in v1":     "{\"earmac_trace\":1,\"n\":4,\"rounds\":10}\n{\"r\":1,\"c\":1,\"i\":[[0,1]]}\n",
+		"channel, no channels": "{\"earmac_trace\":3,\"n\":4,\"rounds\":10}\n{\"r\":1,\"c\":1,\"i\":[[0,1]]}\n",
+		"channel, v2 no count": "{\"earmac_trace\":2,\"n\":4,\"rounds\":10}\n{\"r\":1,\"c\":1,\"i\":[[0,1]]}\n",
+		"negative channel":     "{\"earmac_trace\":2,\"n\":4,\"rounds\":10,\"channels\":2}\n{\"r\":1,\"c\":-1,\"i\":[[0,1]]}\n",
+		"channel overflow":     "{\"earmac_trace\":2,\"n\":4,\"rounds\":10,\"channels\":2}\n{\"r\":1,\"c\":2,\"i\":[[0,1]]}\n",
+		"channel regression":   "{\"earmac_trace\":2,\"n\":4,\"rounds\":10,\"channels\":3}\n{\"r\":1,\"c\":2,\"i\":[[0,1]]}\n{\"r\":1,\"c\":1,\"i\":[[0,1]]}\n",
+		"same round+channel":   "{\"earmac_trace\":2,\"n\":4,\"rounds\":10,\"channels\":3}\n{\"r\":1,\"c\":2,\"i\":[[0,1]]}\n{\"r\":1,\"c\":2,\"i\":[[0,1]]}\n",
+		"no version":           `{"n":4,"rounds":10}` + "\n",
+		"bad event":            "{\"earmac_trace\":1,\"n\":4,\"rounds\":10}\n{\"r\":\"zero\"}\n",
+		"unknown line":         "{\"earmac_trace\":1,\"n\":4,\"rounds\":10}\n{\"x\":1}\n",
+		"negative round":       "{\"earmac_trace\":1,\"n\":4,\"rounds\":10}\n{\"r\":-1,\"i\":[[0,1]]}\n",
+		"non-increasing":       "{\"earmac_trace\":1,\"n\":4,\"rounds\":10}\n{\"r\":5,\"i\":[[0,1]]}\n{\"r\":5,\"i\":[[0,1]]}\n",
+		"data after footer":    "{\"earmac_trace\":1,\"n\":4,\"rounds\":10}\n{\"final\":{\"injected\":0}}\n{\"r\":1,\"i\":[[0,1]]}\n",
+		"float counter field":  "{\"earmac_trace\":1,\"n\":4,\"rounds\":10}\n{\"final\":{\"injected\":0,\"counters\":{\"Rounds\":1.5}}}\n",
 	}
 	for name, in := range cases {
 		if _, err := ReadTrace(strings.NewReader(in)); err == nil {
@@ -102,33 +104,50 @@ func TestReadTraceRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestReadTraceNormalizesConfig pins decode ∘ encode = id for headers
-// whose raw config is not in json.Marshal's form (hand-edited spacing,
-// HTML-escapable characters): ReadTrace normalizes, so Write emits the
-// same bytes the next decode sees.
+// TestReadTraceNormalizesConfig pins the round trip for headers whose
+// raw config is not in json.Marshal's form (hand-edited spacing,
+// HTML-escapable characters) and whose version is older than the
+// writer's: ReadTrace normalizes, so decode ∘ encode is the identity
+// but for the header's version, and Write is a byte fixpoint.
 func TestReadTraceNormalizesConfig(t *testing.T) {
 	in := "{\"earmac_trace\":1,\"n\":4,\"rounds\":10,\"config\":{ \"algorithm\" : \"a<b\" }}\n{\"r\":1,\"i\":[[0,1]]}\n"
 	tr, err := ReadTrace(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := Write(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	tr2, err := ReadTrace(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(tr, tr2) {
-		t.Fatalf("decode(encode(x)) != x for a non-canonical config:\nx:  %s\nx': %s",
-			tr.Header.Config, tr2.Header.Config)
-	}
+	checkRewrite(t, tr)
 	var cfg struct {
 		Algorithm string `json:"algorithm"`
 	}
 	if err := json.Unmarshal(tr.Header.Config, &cfg); err != nil || cfg.Algorithm != "a<b" {
 		t.Fatalf("normalization corrupted the config: %s (%v)", tr.Header.Config, err)
+	}
+}
+
+// checkRewrite asserts the writer's contract on a decoded trace x:
+// ReadTrace(Write(x)) is x with Header.Version = TraceVersion, and
+// Write(ReadTrace(Write(x))) repeats Write(x) byte for byte.
+func checkRewrite(t *testing.T, x *Trace) {
+	t.Helper()
+	var first bytes.Buffer
+	if err := Write(&first, x); err != nil {
+		t.Fatalf("re-encoding an accepted trace failed: %v", err)
+	}
+	y, err := ReadTrace(bytes.NewReader(first.Bytes()))
+	if err != nil {
+		t.Fatalf("re-decoding a written trace failed: %v\ntrace: %s", err, first.Bytes())
+	}
+	want := *x
+	want.Header.Version = TraceVersion
+	if !reflect.DeepEqual(y, &want) {
+		t.Fatalf("decode(encode(x)) != x at version %d:\nx:  %+v\nx': %+v", TraceVersion, &want, y)
+	}
+	var second bytes.Buffer
+	if err := Write(&second, y); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(second.Bytes(), first.Bytes()) {
+		t.Fatalf("Write is not a fixpoint:\nfirst:  %s\nsecond: %s", first.Bytes(), second.Bytes())
 	}
 }
 
@@ -222,9 +241,10 @@ func TestCheckJamAdmissible(t *testing.T) {
 	}
 }
 
-// FuzzTraceRoundTrip asserts the two decoder invariants the format
-// promises: malformed input never panics, and any trace the decoder
-// accepts re-encodes to an equivalent trace (decode ∘ encode = id).
+// FuzzTraceRoundTrip asserts the decoder and writer invariants the
+// format promises: malformed input never panics, and any trace the
+// decoder accepts re-encodes at TraceVersion to an equivalent trace,
+// byte-stable from then on (checkRewrite).
 func FuzzTraceRoundTrip(f *testing.F) {
 	var seed bytes.Buffer
 	if err := Write(&seed, sampleTrace()); err != nil {
@@ -237,28 +257,28 @@ func FuzzTraceRoundTrip(f *testing.F) {
 	f.Add([]byte("{\"earmac_trace\":2,\"n\":4,\"rounds\":9,\"channels\":3}\n{\"r\":1,\"i\":[[0,5]]}\n{\"r\":1,\"c\":2,\"i\":[[9,1]]}\n{\"final\":{\"injected\":2}}\n"))
 	f.Add([]byte("garbage\n{\"r\":1}\n"))
 	f.Add([]byte{0xff, 0xfe, 0x00})
+	// A single-channel recording with a channel id spliced in after its
+	// third line: ReadTrace must reject it, as a replay would otherwise
+	// drop the event silently.
+	dis, err := os.ReadFile("../../testdata/traces/dis-jam-aloha.trace.jsonl")
+	if err != nil {
+		f.Fatal(err)
+	}
+	lines := bytes.SplitAfterN(dis, []byte("\n"), 4)
+	f.Add(bytes.Join([][]byte{lines[0], lines[1], lines[2], []byte("{\"r\":1,\"c\":1,\"i\":[[4,2]]}\n"), lines[3]}, nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := ReadTrace(bytes.NewReader(data))
 		if err != nil {
 			return // rejected loudly: fine
 		}
-		var buf bytes.Buffer
-		if err := Write(&buf, tr); err != nil {
-			t.Fatalf("re-encoding an accepted trace failed: %v", err)
-		}
-		tr2, err := ReadTrace(&buf)
-		if err != nil {
-			t.Fatalf("re-decoding a written trace failed: %v\ntrace: %s", err, buf.Bytes())
-		}
-		if !reflect.DeepEqual(tr, tr2) {
-			t.Fatalf("decode(encode(x)) != x:\nx:  %+v\nx': %+v", tr, tr2)
-		}
+		checkRewrite(t, tr)
 	})
 }
 
-// TestTraceV2EncoderStream pins the network recording surface: a header
-// with a channel dimension selects version 2, ChannelRound emits "c"
-// for non-zero channels only, and decode reproduces the stream.
+// TestTraceV2EncoderStream pins the network recording surface that
+// version 2 introduced: a header with a channel dimension is written at
+// TraceVersion with its channel count, ChannelRound emits "c" for
+// non-zero channels only, and decode reproduces the stream.
 func TestTraceV2EncoderStream(t *testing.T) {
 	var buf bytes.Buffer
 	enc := NewEncoder(&buf, Header{N: 4, Rounds: 50, Channels: 3})
@@ -270,8 +290,8 @@ func TestTraceV2EncoderStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := buf.String()
-	if !strings.Contains(raw, `"earmac_trace":2`) || !strings.Contains(raw, `"channels":3`) {
-		t.Errorf("header not version 2 with channels:\n%s", raw)
+	if !strings.HasPrefix(raw, fmt.Sprintf(`{"earmac_trace":%d,`, TraceVersion)) || !strings.Contains(raw, `"channels":3`) {
+		t.Errorf("header not version %d with channels:\n%s", TraceVersion, raw)
 	}
 	if strings.Contains(raw, `{"r":0,"c":0`) {
 		t.Errorf("channel 0 should omit the c field:\n%s", raw)
@@ -291,7 +311,7 @@ func TestTraceV2EncoderStream(t *testing.T) {
 	if tr.Footer == nil || tr.Footer.Injected != 4 {
 		t.Errorf("footer %+v", tr.Footer)
 	}
-	// And Write preserves version 2 bit-for-bit.
+	// And Write re-encodes the recording bit-for-bit.
 	var buf2 bytes.Buffer
 	if err := Write(&buf2, tr); err != nil {
 		t.Fatal(err)
@@ -326,6 +346,13 @@ func TestCheckAdmissibleSplit(t *testing.T) {
 	oob := &Trace{Events: []Event{{Round: 0, Channel: 5, Injs: [][2]int{{0, 1}}}}}
 	if err := CheckAdmissibleSplit(oob, typ, 2); err == nil {
 		t.Error("out-of-range channel accepted")
+	}
+	// Each channel's (ρ=1/(2^62−1), β=1) bucket fits int64, but the
+	// effective global (2ρ, 2) bucket's cap plus gain is 2^63: an error
+	// wrapping ErrBadBurst, not a panic.
+	one := &Trace{Events: []Event{{Round: 0, Injs: [][2]int{{0, 1}}}}}
+	if err := CheckAdmissibleSplit(one, adversary.T(1, 1<<62-1, 1), 2); !errors.Is(err, registry.ErrBadBurst) {
+		t.Errorf("overflowing effective global type: got %v, want ErrBadBurst", err)
 	}
 	// Hostile round numbers cost one bucket skip per channel. Both
 	// channels bursting at round 9×10^18 is admissible per channel but

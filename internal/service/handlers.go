@@ -507,18 +507,21 @@ type capabilitiesResponse struct {
 	Patterns   []earmac.PatternEntry   `json:"patterns"`
 	// Topologies lists the network-of-channels kinds Config.Topology
 	// accepts; TraceVersions the trace format versions this build
-	// reads (it writes the highest, and version 1 for single-channel
-	// recordings). Clients probe these before submitting network
-	// configs or uploading traces.
+	// reads, 1 through the one it writes. Clients probe these before
+	// submitting network configs or uploading traces.
 	Topologies    []string `json:"topologies"`
 	TraceVersions []int    `json:"trace_versions"`
 }
 
 func (s *Server) handleCapabilities(w http.ResponseWriter, r *http.Request) {
+	versions := make([]int, earmac.TraceVersion)
+	for i := range versions {
+		versions[i] = i + 1
+	}
 	writeJSON(w, http.StatusOK, capabilitiesResponse{
 		Algorithms:    earmac.AllAlgorithms(),
 		Patterns:      earmac.AllPatterns(),
 		Topologies:    earmac.Topologies(),
-		TraceVersions: []int{1, earmac.TraceVersion},
+		TraceVersions: versions,
 	})
 }

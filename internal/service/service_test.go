@@ -232,6 +232,9 @@ func TestRecordedTraceDownloadAndReplay(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("trace download: %d %s", resp.StatusCode, traceRaw)
 	}
+	if want := fmt.Sprintf(`{"earmac_trace":%d,`, earmac.TraceVersion); !bytes.HasPrefix(traceRaw, []byte(want)) {
+		t.Errorf("served trace does not start with %s: %.80s", want, traceRaw)
+	}
 	tr, err := earmac.ReadTrace(bytes.NewReader(traceRaw))
 	if err != nil {
 		t.Fatalf("downloaded trace does not decode: %v", err)
@@ -290,6 +293,10 @@ func TestSubmitValidationErrors(t *testing.T) {
 	}{
 		{"unknown-algorithm", `{"algorithm":"nope"}`, http.StatusBadRequest, "unknown algorithm"},
 		{"bad-rate", `{"rho_num":3,"rho_den":2}`, http.StatusBadRequest, "bad injection rate"},
+		// A bucket that overflows int64 is rejected up front; it used to
+		// panic in the job goroutine and take the process down.
+		{"overflowing-bucket", `{"algorithm":"orchestra","n":8,"rho_num":1,"rho_den":10,"beta":1000000000000000000,"rounds":10}`,
+			http.StatusBadRequest, "bad burstiness"},
 		{"unknown-field", `{"algorithm":"orchestra","typo_field":1}`, http.StatusBadRequest, "unknown field"},
 		{"malformed", `{`, http.StatusBadRequest, "decoding config"},
 		{"body-too-large", `{"algorithm":"` + strings.Repeat("a", maxBodyBytes) + `"}`,
@@ -955,7 +962,7 @@ func TestHealthzAndCapabilities(t *testing.T) {
 	if len(caps.Topologies) == 0 || caps.Topologies[len(caps.Topologies)-1] != "star" {
 		t.Errorf("capabilities topologies = %v, want the sorted topology kinds", caps.Topologies)
 	}
-	if len(caps.TraceVersions) != 2 || caps.TraceVersions[0] != 1 || caps.TraceVersions[1] != earmac.TraceVersion {
+	if got := fmt.Sprint(caps.TraceVersions); got != "[1 2 3]" {
 		t.Errorf("capabilities trace versions = %v", caps.TraceVersions)
 	}
 }

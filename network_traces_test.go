@@ -1,21 +1,20 @@
 package earmac
 
-// The multi-channel golden-trace conformance corpus: line and star
-// topologies × two algorithms, each pinned by a committed trace-v2
-// recording whose footer carries the network's aggregate counters. The
-// conformance test asserts the same three-way equivalence the
-// single-channel corpus does — the recorded run, a checked-path replay,
-// and a fast-path replay must agree bit-for-bit on counters and on the
-// re-recorded entry stream — plus the per-channel budget-split audit.
-// Regenerate with
+// The multi-channel golden-trace conformance corpus: line, star, grid
+// and random topologies × two algorithms, each pinned by a committed
+// recording whose header declares the channel count and whose footer
+// carries the network's aggregate counters. The shared conformance loop
+// (checkCorpus in traces_test.go) asserts the same equivalences the
+// single-channel corpus does — a live recording reproduces the file,
+// and the checked-path and fast-path replays agree bit-for-bit on
+// counters and on the re-recorded entry stream — and this corpus adds
+// the per-channel budget-split audit. Regenerate with
 //
 //	go test -run TestNetworkGoldenTraceCorpus -update .
 
 import (
 	"bytes"
-	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -56,105 +55,17 @@ func networkCorpusCases() []corpusCase {
 }
 
 func TestNetworkGoldenTraceCorpus(t *testing.T) {
-	cases := networkCorpusCases()
-	if *update {
-		if err := os.MkdirAll(traceDir, 0o755); err != nil {
+	checkCorpus(t, networkCorpusCases(), func(t *testing.T, cfg Config, tr *Trace) {
+		// Budget-split invariant: every channel's recorded entry stream
+		// independently respects the split (ρ/C, β/C) type.
+		split, err := network.SplitType(adversary.T(cfg.RhoNum, cfg.RhoDen, cfg.Beta), cfg.Channels)
+		if err != nil {
 			t.Fatal(err)
 		}
-		for _, c := range cases {
-			f, err := os.Create(tracePath(c.name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg := c.cfg
-			cfg.RecordTo = f
-			if _, err := Run(cfg); err != nil {
-				t.Fatalf("%s: recording: %v", c.name, err)
-			}
-			if err := f.Close(); err != nil {
-				t.Fatal(err)
-			}
+		if err := scenario.CheckAdmissibleSplit(tr, split, cfg.Channels); err != nil {
+			t.Errorf("golden trace violates the split contract: %v", err)
 		}
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			f, err := os.Open(tracePath(c.name))
-			if err != nil {
-				t.Fatalf("missing golden trace (regenerate with -update): %v", err)
-			}
-			tr, err := ReadTrace(f)
-			f.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Undisrupted network recordings stay at version 2 — the
-			// lowest sufficient version — even though this build writes
-			// v3 for disrupted runs, so the committed corpus is
-			// byte-stable across the v3 reader/writer.
-			if tr.Header.Version != scenario.TraceVersionMulti || tr.Header.Channels != c.cfg.Channels {
-				t.Fatalf("header %+v: want version %d with %d channels", tr.Header, scenario.TraceVersionMulti, c.cfg.Channels)
-			}
-			if tr.Footer == nil || tr.Footer.Counters == nil {
-				t.Fatal("golden trace has no pinned counters")
-			}
-			want := *tr.Footer.Counters
-
-			// Budget-split invariant: every channel's recorded entry
-			// stream independently respects the split (ρ/C, β/C) type.
-			cfg, err := TraceConfig(tr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			typ := adversary.T(cfg.RhoNum, cfg.RhoDen, cfg.Beta)
-			split := network.SplitType(typ, cfg.Channels)
-			if err := scenario.CheckAdmissibleSplit(tr, split, cfg.Channels); err != nil {
-				t.Errorf("golden trace violates the split contract: %v", err)
-			}
-
-			modes := []struct {
-				name   string
-				mutate func(*Config)
-			}{
-				{"checked", func(c *Config) { c.ForceChecked = true }},
-				{"fast", func(c *Config) { c.Lenient, c.DisableChecks = true, true }},
-			}
-			for _, mode := range modes {
-				rcfg, err := ReplayConfig(tr)
-				if err != nil {
-					t.Fatal(err)
-				}
-				mode.mutate(&rcfg)
-				var buf bytes.Buffer
-				rcfg.RecordTo = &buf
-				rep, err := Run(rcfg)
-				if err != nil {
-					t.Fatalf("%s replay: %v", mode.name, err)
-				}
-				if len(rep.Violations) != 0 {
-					t.Fatalf("%s replay hit violations: %v", mode.name, rep.Violations)
-				}
-				if rep.Topology != c.cfg.Topology || rep.Channels != c.cfg.Channels ||
-					len(rep.PerChannel) != c.cfg.Channels {
-					t.Fatalf("%s replay report lost the network dimension: %+v", mode.name, rep)
-				}
-				got, err := ReadTrace(bytes.NewReader(buf.Bytes()))
-				if err != nil {
-					t.Fatalf("%s replay re-recording: %v", mode.name, err)
-				}
-				if got.Footer == nil || got.Footer.Counters == nil {
-					t.Fatalf("%s replay recorded no counters", mode.name)
-				}
-				if *got.Footer.Counters != want {
-					t.Errorf("%s replay counters differ from the golden footer:\ngot  %+v\nwant %+v",
-						mode.name, *got.Footer.Counters, want)
-				}
-				if !reflect.DeepEqual(got.Events, tr.Events) {
-					t.Errorf("%s replay re-recorded a different entry stream (%d events vs %d)",
-						mode.name, len(got.Events), len(tr.Events))
-				}
-			}
-		})
-	}
+	})
 }
 
 // TestNetworkGoldenTraceCorpusComplete pins the multi-channel corpus

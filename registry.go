@@ -187,9 +187,19 @@ func (c Config) validate() error {
 	if c.Beta < 1 {
 		return fmt.Errorf("earmac: %w: β = %d, need β >= 1", ErrBadBurst, c.Beta)
 	}
+	// The entry buckets must fit int64 arithmetic: one of the whole type
+	// on a single channel, one of the split type per channel otherwise.
 	channels := 1
-	if c.Topology != "" {
+	typ := adversary.T(c.RhoNum, c.RhoDen, c.Beta)
+	var err error
+	if c.Topology == "" {
+		err = adversary.CheckType(typ)
+	} else {
 		channels = c.Channels
+		_, err = network.SplitType(typ, channels)
+	}
+	if err != nil {
+		return fmt.Errorf("earmac: %w", err)
 	}
 	if c.JamRhoNum == 0 {
 		if c.JamRhoDen != 0 || c.JamBeta != 0 {
@@ -206,6 +216,9 @@ func (c Config) validate() error {
 		if c.JamBeta < 1 {
 			return fmt.Errorf("earmac: %w: jam β = %d, need β >= 1", ErrBadBurst, c.JamBeta)
 		}
+		if err := adversary.CheckType(adversary.T(c.JamRhoNum, c.JamRhoDen, c.JamBeta)); err != nil {
+			return fmt.Errorf("earmac: jamming budget: %w", err)
+		}
 	}
 	if _, err := network.NewOutageSchedule(c.Outages, channels); err != nil {
 		return fmt.Errorf("earmac: %w: %v", ErrBadTopology, err)
@@ -221,7 +234,7 @@ func (c Config) validate() error {
 		return fmt.Errorf("earmac: %w: wake_every = %d without sleep_after_idle (nothing ever sleeps on schedule)",
 			ErrConflict, c.WakeEvery)
 	}
-	if c.disrupted() && !alg.Tolerant {
+	if (c.jamming() || len(c.Outages) > 0 || c.dutyParams().Enabled()) && !alg.Tolerant {
 		return fmt.Errorf("earmac: %w: algorithm %q is not tolerant of disrupted feedback — jamming, outages and "+
 			"duty-cycling need a Tolerant algorithm (e.g. \"aloha\")", ErrConflict, c.Algorithm)
 	}

@@ -31,13 +31,10 @@ type Phase struct {
 // ReplayConfig.
 type Trace = scenario.Trace
 
-// TraceVersion is the newest trace format version this build writes:
-// version 2 adds a channel id per event for networks of channels,
-// version 3 adds jam/outage/sleep event kinds for disrupted and
-// duty-cycled runs. Recordings declare the lowest sufficient version —
-// an undisrupted single-channel run still emits version 1, a network
-// run version 2, both byte-compatible with every previously recorded
-// trace — and ReadTrace accepts all three.
+// TraceVersion is the trace format version every recording and
+// WriteTrace emits. ReadTrace also accepts the two older versions:
+// version 1 (single-channel runs) and version 2 (a channel id per event
+// for networks of channels, no jam/outage/sleep events).
 const TraceVersion = scenario.TraceVersion
 
 // ReadTrace decodes a recorded trace. Malformed input — unknown
@@ -45,8 +42,9 @@ const TraceVersion = scenario.TraceVersion
 // with an error wrapping ErrBadTrace; ReadTrace never panics.
 func ReadTrace(r io.Reader) (*Trace, error) { return scenario.ReadTrace(r) }
 
-// WriteTrace re-encodes a decoded trace. WriteTrace followed by
-// ReadTrace reproduces the trace exactly.
+// WriteTrace re-encodes a decoded trace at TraceVersion. WriteTrace
+// followed by ReadTrace reproduces the trace exactly, but for its
+// header's version.
 func WriteTrace(w io.Writer, t *Trace) error { return scenario.Write(w, t) }
 
 // TraceConfig returns the Config recorded in the trace's header.

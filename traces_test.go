@@ -3,12 +3,17 @@ package earmac
 // The golden-trace conformance corpus: every registered algorithm is
 // pinned by two committed traces — a stochastic (bernoulli) scenario
 // and a phased (quiet → burst → sustained poisson) one. Each trace's
-// footer records the run's final flat counters; the conformance test
-// replays the trace on BOTH the fast and the checked simulator paths
-// and requires bit-identical counters and a bit-identical re-recorded
-// injection stream. Regenerate the corpus with
+// footer records the run's final flat counters. The conformance loop
+// (checkCorpus, shared with the network and disruption corpora)
+// requires a live recording of each case's Config to reproduce its
+// committed file byte for byte, and replays the trace on BOTH the fast
+// and the checked simulator paths, requiring bit-identical counters and
+// a bit-identical re-recorded injection stream. Every committed corpus
+// trace is at TraceVersion; the frozen fixtures under
+// testdata/traces/legacy keep the version 1 and 2 readers tested.
+// Regenerate the corpus with
 //
-//	go test -run TestGoldenTraceCorpus -update .
+//	go test -run 'GoldenTraceCorpus$' -update .
 //
 // after any deliberate change to an algorithm's behaviour, the RNG
 // plumbing, or the trace format (bump TraceVersion for the latter).
@@ -68,94 +73,125 @@ func corpusCases() []corpusCase {
 func tracePath(name string) string { return filepath.Join(traceDir, name+".trace.jsonl") }
 
 func TestGoldenTraceCorpus(t *testing.T) {
-	cases := corpusCases()
-	if *update {
-		if err := os.MkdirAll(traceDir, 0o755); err != nil {
-			t.Fatal(err)
+	checkCorpus(t, corpusCases(), func(t *testing.T, cfg Config, tr *Trace) {
+		// The recorded stream must respect the (ρ, β) contract it was
+		// sampled under.
+		typ := adversary.T(cfg.RhoNum, cfg.RhoDen, cfg.Beta)
+		if err := scenario.CheckAdmissible(tr, typ); err != nil {
+			t.Errorf("golden trace violates its contract: %v", err)
 		}
-		for _, c := range cases {
-			f, err := os.Create(tracePath(c.name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg := c.cfg
-			cfg.RecordTo = f
-			if _, err := Run(cfg); err != nil {
-				t.Fatalf("%s: recording: %v", c.name, err)
-			}
-			if err := f.Close(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+	})
+}
+
+// checkCorpus is the conformance loop the golden corpora share. For
+// each case it records the case's Config live, and with -update writes
+// that recording over the committed file first. The live recording
+// must reproduce the committed file byte for byte, so a drift in
+// pattern generation or in the header's Config JSON fails here rather
+// than at the next -update. The file must decode at TraceVersion with
+// the Config's channel count, re-encode to the same bytes, replay
+// bit-identically on both simulator paths (checkReplays, which also
+// requires the footer's counters) and pass the corpus's own audit,
+// given the header's Config.
+func checkCorpus(t *testing.T, cases []corpusCase, audit func(t *testing.T, cfg Config, tr *Trace)) {
+	t.Helper()
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			f, err := os.Open(tracePath(c.name))
+			var live bytes.Buffer
+			cfg := c.cfg
+			cfg.RecordTo = &live
+			if _, err := Run(cfg); err != nil {
+				t.Fatalf("recording: %v", err)
+			}
+			path := tracePath(c.name)
+			if *update {
+				if err := os.WriteFile(path, live.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			raw, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatalf("missing golden trace (regenerate with -update): %v", err)
 			}
-			tr, err := ReadTrace(f)
-			f.Close()
+			if !bytes.Equal(live.Bytes(), raw) {
+				t.Errorf("a live recording of the case's Config differs from the committed trace (%d bytes vs %d)",
+					live.Len(), len(raw))
+			}
+			tr, err := ReadTrace(bytes.NewReader(raw))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tr.Footer == nil || tr.Footer.Counters == nil {
-				t.Fatal("golden trace has no pinned counters")
+			if tr.Header.Version != TraceVersion || tr.Header.Channels != c.cfg.Channels {
+				t.Fatalf("header declares version %d with %d channels, want version %d with %d",
+					tr.Header.Version, tr.Header.Channels, TraceVersion, c.cfg.Channels)
 			}
-			want := *tr.Footer.Counters
-
-			// The recorded stream must respect the (ρ, β) contract it
-			// was sampled under.
-			cfg, err := TraceConfig(tr)
+			var reenc bytes.Buffer
+			if err := WriteTrace(&reenc, tr); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(reenc.Bytes(), raw) {
+				t.Error("re-encoding the golden trace changed its bytes")
+			}
+			hcfg, err := TraceConfig(tr)
 			if err != nil {
 				t.Fatal(err)
 			}
-			typ := adversary.T(cfg.RhoNum, cfg.RhoDen, cfg.Beta)
-			if err := scenario.CheckAdmissible(tr, typ); err != nil {
-				t.Errorf("golden trace violates its contract: %v", err)
-			}
-
-			// Replay on both paths: counters and the re-recorded stream
-			// must be bit-identical to the recording.
-			modes := []struct {
-				name   string
-				mutate func(*Config)
-			}{
-				{"checked", func(c *Config) { c.ForceChecked = true }},
-				{"fast", func(c *Config) { c.Lenient, c.DisableChecks = true, true }},
-			}
-			for _, mode := range modes {
-				rcfg, err := ReplayConfig(tr)
-				if err != nil {
-					t.Fatal(err)
-				}
-				mode.mutate(&rcfg)
-				var buf bytes.Buffer
-				rcfg.RecordTo = &buf
-				rep, err := Run(rcfg)
-				if err != nil {
-					t.Fatalf("%s replay: %v", mode.name, err)
-				}
-				if len(rep.Violations) != 0 {
-					t.Fatalf("%s replay hit violations: %v", mode.name, rep.Violations)
-				}
-				got, err := ReadTrace(bytes.NewReader(buf.Bytes()))
-				if err != nil {
-					t.Fatalf("%s replay re-recording: %v", mode.name, err)
-				}
-				if got.Footer == nil || got.Footer.Counters == nil {
-					t.Fatalf("%s replay recorded no counters", mode.name)
-				}
-				if *got.Footer.Counters != want {
-					t.Errorf("%s replay counters differ from the golden footer:\ngot  %+v\nwant %+v",
-						mode.name, *got.Footer.Counters, want)
-				}
-				if !reflect.DeepEqual(got.Events, tr.Events) {
-					t.Errorf("%s replay re-recorded a different injection stream (%d events vs %d)",
-						mode.name, len(got.Events), len(tr.Events))
-				}
-			}
+			checkReplays(t, tr)
+			audit(t, hcfg, tr)
 		})
+	}
+}
+
+// checkReplays replays tr on the checked and the fast simulator path.
+// Each replay must run without violations, keep the recording's network
+// dimension, and re-record the footer's counters and the same event
+// stream, kinded jam/outage/sleep events included.
+func checkReplays(t *testing.T, tr *Trace) {
+	t.Helper()
+	if tr.Footer == nil || tr.Footer.Counters == nil {
+		t.Fatal("trace has no pinned counters")
+	}
+	want := *tr.Footer.Counters
+	modes := []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"checked", func(c *Config) { c.ForceChecked = true }},
+		{"fast", func(c *Config) { c.Lenient, c.DisableChecks = true, true }},
+	}
+	for _, mode := range modes {
+		rcfg, err := ReplayConfig(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mode.mutate(&rcfg)
+		var buf bytes.Buffer
+		rcfg.RecordTo = &buf
+		rep, err := Run(rcfg)
+		if err != nil {
+			t.Fatalf("%s replay: %v", mode.name, err)
+		}
+		if len(rep.Violations) != 0 {
+			t.Fatalf("%s replay hit violations: %v", mode.name, rep.Violations)
+		}
+		if rep.Topology != rcfg.Topology || rep.Channels != rcfg.Channels || len(rep.PerChannel) != rcfg.Channels {
+			t.Fatalf("%s replay report lost the network dimension: %+v", mode.name, rep)
+		}
+		got, err := ReadTrace(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("%s replay re-recording: %v", mode.name, err)
+		}
+		if got.Footer == nil || got.Footer.Counters == nil {
+			t.Fatalf("%s replay recorded no counters", mode.name)
+		}
+		if *got.Footer.Counters != want {
+			t.Errorf("%s replay counters differ from the golden footer:\ngot  %+v\nwant %+v",
+				mode.name, *got.Footer.Counters, want)
+		}
+		if !reflect.DeepEqual(got.Events, tr.Events) {
+			t.Errorf("%s replay re-recorded a different event stream (%d events vs %d)",
+				mode.name, len(got.Events), len(tr.Events))
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package earmac
 
 import (
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -44,6 +45,13 @@ func TestValidateTypedErrors(t *testing.T) {
 		{"custom link out of range", Config{Topology: "custom", Channels: 2, Links: [][2]int{{0, 2}}}, ErrBadTopology},
 		{"custom self-loop", Config{Topology: "custom", Channels: 2, Links: [][2]int{{1, 1}}}, ErrBadTopology},
 		{"network src out of range", Config{Topology: "line", Channels: 2, N: 4, Pattern: "single-target", Src: 8}, ErrBadStation},
+		// Buckets that do not fit int64 arithmetic: β over ρ's
+		// denominator, the cap plus one round's gain, ρ split over the
+		// channels, and the jamming budget.
+		{"bucket cap overflows", Config{RhoNum: 1, RhoDen: 10, Beta: 1e18}, ErrBadBurst},
+		{"bucket headroom overflows", Config{RhoNum: 1, RhoDen: 1, Beta: math.MaxInt64}, ErrBadBurst},
+		{"split rate overflows", Config{Topology: "line", Channels: 16, RhoNum: 1, RhoDen: 1e18}, ErrBadRate},
+		{"jam bucket overflows", Config{Algorithm: "aloha", JamRhoNum: 1, JamRhoDen: 10, JamBeta: 1e18}, ErrBadBurst},
 	}
 	for _, c := range cases {
 		err := c.cfg.Validate()
