@@ -17,6 +17,11 @@
 // in expectation), and contention loses a further 1/e-style factor to
 // collisions — which the paper's deterministic token schedules avoid
 // entirely.
+//
+// A system's stations and schedule share one Layout, which caches the
+// round's on-set. The cache needs no lock: every system has its own
+// Layout (a network builds one system per channel), and core.Sim steps
+// a system's stations and schedule on one goroutine.
 package randmac
 
 import (
@@ -43,10 +48,19 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Layout is the shared pseudorandom schedule.
+// Layout is the shared pseudorandom schedule. It caches the on-set of
+// the round last asked for, so a system derives each round's set once
+// however many of its stations and schedule queries read it. The cache
+// is mutable: a Layout serves one system and is used only on the
+// goroutine stepping it. N, K and Seed are fixed by NewLayout.
 type Layout struct {
 	N, K int
 	Seed uint64
+
+	stamp int64 // the round whose on-set on holds
+	on    []int // the cached on-set, K entries
+	perm  []int // the identity permutation of [0, N) between recomputations
+	swaps []int // the partner of each of the K Fisher-Yates swaps, to undo them
 }
 
 // NewLayout validates the configuration.
@@ -57,44 +71,61 @@ func NewLayout(n, k int, seed uint64) (*Layout, error) {
 	if k < 2 || k > n {
 		return nil, fmt.Errorf("randmac: need 2 <= k <= n, got k=%d", k)
 	}
-	return &Layout{N: n, K: k, Seed: seed}, nil
-}
-
-// OnSet returns the k stations switched on in the given round, identical
-// across all replicas: the first k entries of a seeded Fisher-Yates
-// shuffle of [0, n).
-func (l *Layout) OnSet(round int64) []int {
-	return l.OnSetInto(round, make([]int, l.N))
-}
-
-// OnSetInto computes OnSet into the caller's scratch slice (which must
-// have length N) and returns its first K entries — the allocation-free
-// variant used by the station hot path. The result aliases perm and is
-// only valid until the next call with the same scratch.
-func (l *Layout) OnSetInto(round int64, perm []int) []int {
-	state := l.Seed ^ splitmix64(uint64(round%period)+1)
-	for i := range perm {
-		perm[i] = i
+	l := &Layout{
+		N: n, K: k, Seed: seed,
+		on: make([]int, k), perm: make([]int, n), swaps: make([]int, k),
 	}
-	for i := 0; i < l.K; i++ {
+	for i := range l.perm {
+		l.perm[i] = i
+	}
+	l.fill(0)
+	return l, nil
+}
+
+// OnSet returns a copy of the k stations switched on in the given
+// round, identical across all replicas: the first k entries of a seeded
+// Fisher-Yates shuffle of [0, n).
+func (l *Layout) OnSet(round int64) []int {
+	return append([]int(nil), l.onSet(round)...)
+}
+
+// onSet returns the given round's on-set from the cache, recomputing it
+// only when the round differs from the cached one. The result aliases
+// the cache and is valid until the next call for another round.
+func (l *Layout) onSet(round int64) []int {
+	if round != l.stamp {
+		l.fill(round)
+	}
+	return l.on
+}
+
+// fill shuffles the first K positions of the identity permutation for
+// the round, copies them out and undoes the swaps in reverse, so the
+// round costs O(K) and perm is the identity again for the next one.
+func (l *Layout) fill(round int64) {
+	state := l.Seed ^ splitmix64(uint64(round%period)+1)
+	for i := range l.swaps {
 		state = splitmix64(state)
 		j := i + int(state%uint64(l.N-i))
-		perm[i], perm[j] = perm[j], perm[i]
+		l.swaps[i] = j
+		l.perm[i], l.perm[j] = l.perm[j], l.perm[i]
 	}
-	return perm[:l.K]
+	copy(l.on, l.perm[:l.K])
+	for i := l.K - 1; i >= 0; i-- {
+		j := l.swaps[i]
+		l.perm[i], l.perm[j] = l.perm[j], l.perm[i]
+	}
+	l.stamp = round
 }
 
-// Schedule returns the oblivious on/off schedule. The returned schedule
-// reuses one internal scratch buffer and must not be queried from
-// multiple goroutines concurrently (each simulation builds its own
-// system, so this never happens in practice).
+// Schedule returns the oblivious on/off schedule. It reads the Layout's
+// cache, so it is queried on the goroutine that steps the system.
 func (l *Layout) Schedule() sched.Schedule {
-	scratch := make([]int, l.N)
 	return sched.Func{
 		N: l.N,
 		P: period,
 		F: func(st int, round int64) bool {
-			for _, s := range l.OnSetInto(round, scratch) {
+			for _, s := range l.onSet(round) {
 				if s == st {
 					return true
 				}
@@ -110,7 +141,6 @@ type station struct {
 	q    *pktq.Queue
 	seed int64
 	rng  *rand.Rand // seeded from seed at the first gamble; most stations of a sparse run never gamble
-	perm []int      // OnSetInto scratch, reused every round
 
 	pendingTx int64
 }
@@ -119,7 +149,7 @@ func (s *station) Inject(p mac.Packet) { s.q.Push(p) }
 
 func (s *station) Act(round int64) core.Action {
 	s.pendingTx = -1
-	onSet := s.lay.OnSetInto(round, s.perm)
+	onSet := s.lay.onSet(round)
 	myTurn := false
 	for _, st := range onSet {
 		if st == s.id {
@@ -200,7 +230,6 @@ func NewSeeded(n, k int, seed uint64) (*core.System, error) {
 			lay:       lay,
 			q:         pktq.New(n),
 			seed:      int64(seed) + int64(i)*7919,
-			perm:      make([]int, n),
 			pendingTx: -1,
 		}
 	}

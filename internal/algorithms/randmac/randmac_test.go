@@ -1,6 +1,8 @@
 package randmac
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"earmac/internal/adversary"
@@ -73,6 +75,84 @@ func TestOnSetDeterministicAndPeriodic(t *testing.T) {
 	}
 	if !diff {
 		t.Error("different seeds produced identical schedules")
+	}
+}
+
+// referenceOnSet is the on-set without a cache: a fresh identity
+// permutation of [0, n) per call, its first k positions shuffled by the
+// seeded Fisher-Yates walk.
+func referenceOnSet(n, k int, seed uint64, round int64) []int {
+	perm := make([]int, n)
+	for i := range perm {
+		perm[i] = i
+	}
+	state := seed ^ splitmix64(uint64(round%period)+1)
+	for i := 0; i < k; i++ {
+		state = splitmix64(state)
+		j := i + int(state%uint64(n-i))
+		perm[i], perm[j] = perm[j], perm[i]
+	}
+	return perm[:k]
+}
+
+// cacheCases covers the smallest cap (k=2), a full on-set (k=n) and the
+// default seed at the frontier's size.
+var cacheCases = []struct {
+	n, k int
+	seed uint64
+}{{2, 2, 1}, {5, 2, 9}, {8, 3, 7}, {9, 9, 42}, {24, 3, 0x6ea7_c0de}, {33, 17, 5}}
+
+// cacheRounds draws rounds in shuffled order, each followed by a repeat,
+// its period-wrapped twin and a neighbour, so the cache is hit, missed
+// and re-filled in every order. It opens by leaving round 0, the round
+// NewLayout caches, and coming back to it.
+func cacheRounds(seed int64) []int64 {
+	rng := rand.New(rand.NewSource(seed))
+	rounds := []int64{1, 0, period, 0}
+	for i := 0; i < 400; i++ {
+		r := rng.Int63n(3 * period)
+		rounds = append(rounds, r, r, r+period, r+1, r)
+	}
+	return rounds
+}
+
+func TestOnSetMatchesReference(t *testing.T) {
+	for _, c := range cacheCases {
+		lay, err := NewLayout(c.n, c.k, c.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range cacheRounds(int64(c.n*64 + c.k)) {
+			want := referenceOnSet(c.n, c.k, c.seed, r)
+			if got := lay.OnSet(r); !slices.Equal(got, want) {
+				t.Fatalf("n=%d k=%d round %d: on-set %v, want %v", c.n, c.k, r, got, want)
+			}
+		}
+	}
+}
+
+func TestScheduleMatchesReference(t *testing.T) {
+	for _, c := range cacheCases {
+		lay, err := NewLayout(c.n, c.k, c.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := lay.Schedule()
+		rounds := cacheRounds(int64(c.n*64 + c.k + 1))
+		for i := 1; i < len(rounds); i++ {
+			// Alternate two rounds station by station: a cache that kept
+			// either round's set answers the other one wrongly.
+			a, b := rounds[i-1], rounds[i]
+			onA, onB := referenceOnSet(c.n, c.k, c.seed, a), referenceOnSet(c.n, c.k, c.seed, b)
+			for st := 0; st < c.n; st++ {
+				if got, want := s.On(st, a), slices.Contains(onA, st); got != want {
+					t.Fatalf("n=%d k=%d: On(%d, %d) = %v, want %v", c.n, c.k, st, a, got, want)
+				}
+				if got, want := s.On(st, b), slices.Contains(onB, st); got != want {
+					t.Fatalf("n=%d k=%d: On(%d, %d) = %v, want %v", c.n, c.k, st, b, got, want)
+				}
+			}
+		}
 	}
 }
 

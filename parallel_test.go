@@ -2,8 +2,8 @@ package earmac
 
 // Facade-level worker-count-independence suite: a network run with any
 // NetWorkers value must be indistinguishable from the serial run — the
-// marshalled Report and the recorded trace-v2 stream are compared byte
-// for byte, across every topology kind and two algorithms. This is the
+// marshalled Report and the recorded trace stream are compared byte
+// for byte, across every topology kind and three algorithms. This is the
 // contract that lets NetWorkers stay out of the Config fingerprint (a
 // parallel run may serve a cached serial result, and vice versa).
 
@@ -30,7 +30,7 @@ func TestNetworkWorkerCountInvariance(t *testing.T) {
 		return js, buf.Bytes()
 	}
 	for _, topo := range []string{"line", "star", "clique", "grid", "random"} {
-		for _, alg := range []string{"orchestra", "count-hop"} {
+		for _, alg := range []string{"orchestra", "count-hop", "aloha"} {
 			t.Run(topo+"-"+alg, func(t *testing.T) {
 				cfg := Config{
 					Algorithm: alg, N: 5,
@@ -39,7 +39,20 @@ func TestNetworkWorkerCountInvariance(t *testing.T) {
 					Pattern: "bernoulli", Seed: 13, Rounds: 1500,
 					NetWorkers: 1,
 				}
+				if alg == "aloha" {
+					// Jammed and duty-cycled. Each channel's stations
+					// share a Layout whose on-set cache they write, so
+					// under -race this checks no worker reaches
+					// another channel's.
+					cfg.K = 3
+					cfg.JamRhoNum, cfg.JamRhoDen = 1, 8
+					cfg.SleepAfterIdle, cfg.WakeEvery = 16, 8
+				}
 				wantRep, wantTrace := record(t, cfg)
+				if alg == "aloha" && !(bytes.Contains(wantRep, []byte(`"jammed_rounds"`)) &&
+					bytes.Contains(wantRep, []byte(`"sleep_rounds"`))) {
+					t.Fatalf("aloha run lacks jammed or sleep rounds: %s", wantRep)
+				}
 				for _, workers := range []int{2, channels, 2 * channels} {
 					cfg.NetWorkers = workers
 					gotRep, gotTrace := record(t, cfg)

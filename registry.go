@@ -209,7 +209,7 @@ func (c Config) validate() error {
 		if c.JamRhoNum < 0 || c.JamRhoDen <= 0 {
 			return fmt.Errorf("earmac: %w: jam ρ = %d/%d is not a positive fraction", ErrBadRate, c.JamRhoNum, c.JamRhoDen)
 		}
-		if c.JamRhoNum > c.JamRhoDen*int64(channels) {
+		if (c.JamRhoNum-1)/int64(channels) >= c.JamRhoDen { // num > den·channels, with no product to overflow
 			return fmt.Errorf("earmac: %w: jam ρ = %d/%d exceeds the %d jammable channel(s) per round",
 				ErrBadRate, c.JamRhoNum, c.JamRhoDen, channels)
 		}

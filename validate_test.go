@@ -52,9 +52,22 @@ func TestValidateTypedErrors(t *testing.T) {
 		{"bucket headroom overflows", Config{RhoNum: 1, RhoDen: 1, Beta: math.MaxInt64}, ErrBadBurst},
 		{"split rate overflows", Config{Topology: "line", Channels: 16, RhoNum: 1, RhoDen: 1e18}, ErrBadRate},
 		{"jam bucket overflows", Config{Algorithm: "aloha", JamRhoNum: 1, JamRhoDen: 10, JamBeta: 1e18}, ErrBadBurst},
+		// The jam rate is checked against the jammable channels without
+		// multiplying its denominator by them: a tiny rate whose product
+		// would wrap is accepted, and the boundary is exact (want nil
+		// means the config must pass).
+		{"jam rate with a huge denominator", Config{Algorithm: "aloha", N: 4, Topology: "line", Channels: 4, JamRhoNum: 1, JamRhoDen: 1 << 62}, nil},
+		{"jam rate above the channels", Config{Algorithm: "aloha", N: 4, Topology: "line", Channels: 4, JamRhoNum: 5, JamRhoDen: 1}, ErrBadRate},
+		{"jam rate at the channels", Config{Algorithm: "aloha", N: 4, Topology: "line", Channels: 4, JamRhoNum: 4, JamRhoDen: 1}, nil},
 	}
 	for _, c := range cases {
 		err := c.cfg.Validate()
+		if c.want == nil {
+			if err != nil {
+				t.Errorf("%s: rejected: %v", c.name, err)
+			}
+			continue
+		}
 		if err == nil {
 			t.Errorf("%s: accepted", c.name)
 			continue
