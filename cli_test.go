@@ -303,9 +303,14 @@ func TestCLITraceDiffGolden(t *testing.T) {
 // TestCLIRejectsBadRates: a rate flag that does not parse, or has a
 // zero denominator, is a usage error (exit 2) on both CLIs instead of a
 // run at some other rate, and so is a (ρ, β) whose bucket does not fit
-// int64 arithmetic, which used to panic. The binaries are built rather
-// than run via `go run`, which reports every failure as exit 1 (and a
-// Go panic exits 2 too, hence the typed error text and no "panic:").
+// int64 arithmetic, which used to panic, a β above MaxBeta, whose
+// round-0 burst used to exhaust memory, and a malformed or negative
+// earmac-sweep list entry, which used to run as zero. The binaries are
+// built rather than run via `go run`, which reports every failure as
+// exit 1 (and a Go panic exits 2 too, hence the typed error text and no
+// "panic:"). Each runs under a 2 GB address-space limit, so a
+// regression in the β bound fails the test instead of exhausting the
+// host's memory.
 func TestCLIRejectsBadRates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the CLI binaries")
@@ -327,9 +332,13 @@ func TestCLIRejectsBadRates(t *testing.T) {
 			"bad injection rate"},
 		{"earmac-sim", []string{"-alg", "aloha", "-jam-rho", "1/10", "-jam-beta", "1000000000000000000", "-rounds", "10"},
 			"bad burstiness"},
+		{"earmac-sim", []string{"-rho", "1/3", "-beta", "3000000000000000000"}, "bad burstiness"},
+		{"earmac-sweep", []string{"-mode", "frontier", "-jam-rhos", "0,-1/4"}, `bad -jam-rhos: negative rate "-1/4"`},
+		{"earmac-sweep", []string{"-mode", "frontier", "-sleep-idles", "0,-5"}, "bad -sleep-idles: negative threshold -5"},
+		{"earmac-sweep", []string{"-mode", "seed", "-seeds", "1,x"}, `bad seed list "1,x"`},
 	}
 	for _, c := range cases {
-		cmd := exec.Command(filepath.Join(bin, c.cmd), c.args...)
+		cmd := exec.Command("sh", append([]string{"-c", `ulimit -v 2000000 && exec "$0" "$@"`, filepath.Join(bin, c.cmd)}, c.args...)...)
 		var stdout, stderr bytes.Buffer
 		cmd.Stdout, cmd.Stderr = &stdout, &stderr
 		err := cmd.Run()

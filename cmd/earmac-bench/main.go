@@ -247,16 +247,9 @@ func measureOpt(id, label string, build func() (*core.System, core.Adversary), r
 // same system, adversary, and seed the experiment harness uses.
 func benchSpec(s expt.Spec, reps int) benchcmp.Row {
 	return measure(s.ID, s.Label, func() (*core.System, core.Adversary) {
-		sys, err := s.Build()
+		sys, adv, err := s.Instantiate()
 		if err != nil {
-			fail(fmt.Errorf("%s: %w", s.ID, err))
-		}
-		var adv core.Adversary
-		if s.Adv != nil {
-			adv = s.Adv(sys)
-		} else {
-			adv = adversary.New(adversary.Type{Rho: s.Rho, Beta: ratio.FromInt(s.Beta)},
-				adversary.Uniform(sys.N(), s.Seed+1))
+			fail(err)
 		}
 		return sys, adv
 	}, s.Rounds, reps)
@@ -347,49 +340,61 @@ func substrateRows(scale expt.Scale, reps int) []benchcmp.Row {
 // Rounds are network rounds (each advances all C channel sims), so the
 // per-channel step rate is MroundsPerS × C.
 //
-// Topology shapes scale C from 4 to 1024; each parallel row (workers =
-// GOMAXPROCS) is paired with a .ser twin (workers = 1) of the same
-// configuration, and the pair's deterministic outputs are asserted
-// identical — the worker-count-independence contract, gated on every
-// bench run. Rows warm up before the measured window so steady-state
-// allocs/round is 0 (buffer growth and ring sizing settle during
-// warmup).
+// Topology shapes scale C from 4 to 1024; each parallel row (n=6 rows
+// force GOMAXPROCS workers; NET.grid16n256, above the size rule's
+// crossover, leaves them to it) is paired with a .ser twin (workers =
+// 1), and the pair's deterministic outputs are asserted identical — the
+// worker-count-independence contract, gated on every bench run. Rows
+// warm up before the measured window so steady-state allocs/round is 0
+// (buffer growth and ring sizing settle during warmup); NET.grid16n256
+// is the exception, see its comment.
 func networkRows(scale expt.Scale, reps int) []benchcmp.Row {
 	mult := int64(1)
 	if scale == expt.Full {
 		mult = 4
 	}
+	procs := runtime.GOMAXPROCS(0)
 	cases := []struct {
 		id, label string
 		spec      network.Spec
 		beta      int64
 		rounds    int64
-		workers   int
+		workers   int    // 0: the network's size rule
 		mode      string // "" plain orchestra, "jam" ISSUE 8 loop, "frontier" sparse jam+duty
 		noskip    bool
 	}{
-		{"NET.line4", "orchestra line ×4 @ ρ=1/2 β=4, n=6, net-workers=auto",
-			network.Spec{Kind: network.Line, Channels: 4, N: 6}, 4, 100000, 0, "", false},
+		{"NET.line4", "orchestra line ×4 @ ρ=1/2 β=4, n=6, workers=GOMAXPROCS",
+			network.Spec{Kind: network.Line, Channels: 4, N: 6}, 4, 100000, procs, "", false},
 		{"NET.line4.ser", "orchestra line ×4 @ ρ=1/2 β=4, n=6, serial",
 			network.Spec{Kind: network.Line, Channels: 4, N: 6}, 4, 100000, 1, "", false},
-		{"NET.star64", "orchestra star ×64 @ ρ=1/2 β=64, n=6, net-workers=auto",
-			network.Spec{Kind: network.Star, Channels: 64, N: 6}, 64, 20000, 0, "", false},
+		{"NET.star64", "orchestra star ×64 @ ρ=1/2 β=64, n=6, workers=GOMAXPROCS",
+			network.Spec{Kind: network.Star, Channels: 64, N: 6}, 64, 20000, procs, "", false},
 		{"NET.star64.ser", "orchestra star ×64 @ ρ=1/2 β=64, n=6, serial",
 			network.Spec{Kind: network.Star, Channels: 64, N: 6}, 64, 20000, 1, "", false},
-		{"NET.grid64", "orchestra grid 8×8 @ ρ=1/2 β=64, n=6, net-workers=auto",
-			network.Spec{Kind: network.Grid, Channels: 64, N: 6}, 64, 20000, 0, "", false},
-		{"NET.rand64", "orchestra random ×64 seed 9 @ ρ=1/2 β=64, n=6, net-workers=auto",
-			network.Spec{Kind: network.Random, Channels: 64, N: 6, Seed: 9}, 64, 20000, 0, "", false},
-		{"NET.clique1024", "orchestra clique ×1024 @ ρ=1/2 β=1024, n=6, net-workers=auto",
-			network.Spec{Kind: network.Clique, Channels: 1024, N: 6}, 1024, 1500, 0, "", false},
+		{"NET.grid64", "orchestra grid 8×8 @ ρ=1/2 β=64, n=6, workers=GOMAXPROCS",
+			network.Spec{Kind: network.Grid, Channels: 64, N: 6}, 64, 20000, procs, "", false},
+		{"NET.rand64", "orchestra random ×64 seed 9 @ ρ=1/2 β=64, n=6, workers=GOMAXPROCS",
+			network.Spec{Kind: network.Random, Channels: 64, N: 6, Seed: 9}, 64, 20000, procs, "", false},
+		{"NET.clique1024", "orchestra clique ×1024 @ ρ=1/2 β=1024, n=6, workers=GOMAXPROCS",
+			network.Spec{Kind: network.Clique, Channels: 1024, N: 6}, 1024, 1500, procs, "", false},
 		{"NET.clique1024.ser", "orchestra clique ×1024 @ ρ=1/2 β=1024, n=6, serial",
 			network.Spec{Kind: network.Clique, Channels: 1024, N: 6}, 1024, 1500, 1, "", false},
+		// Above the size rule's crossover, so the team steps it. It times
+		// orchestra's learning phase, not a steady state: at n=256 each
+		// station allocates the 2·n mask buffers its conductors teach
+		// lazily, one season at a time, for about 10^5 rounds, so the
+		// row reads ~18 allocs/round and its queue still grows. Warming
+		// up past that would cost minutes a run.
+		{"NET.grid16n256", "orchestra grid 4×4 @ ρ=1/2 β=16, n=256, workers by size",
+			network.Spec{Kind: network.Grid, Channels: 16, N: 256}, 16, 2000, 0, "", false},
+		{"NET.grid16n256.ser", "orchestra grid 4×4 @ ρ=1/2 β=16, n=256, serial",
+			network.Spec{Kind: network.Grid, Channels: 16, N: 256}, 16, 2000, 1, "", false},
 		// The ISSUE 8 disruption loop: duty-cycled aloha (the Tolerant
 		// algorithm) under the budgeted jammer — jam flag selection,
 		// disrupt plumbing, drop reclamation, and the duty wrapper all on
 		// the measured path.
-		{"NET.jam16", "aloha line ×16 jammed @ ρ=1/4 β=16 ρ_j=1/4 duty 32/16, n=6, net-workers=auto",
-			network.Spec{Kind: network.Line, Channels: 16, N: 6}, 16, 50000, 0, "jam", false},
+		{"NET.jam16", "aloha line ×16 jammed @ ρ=1/4 β=16 ρ_j=1/4 duty 32/16, n=6, workers=GOMAXPROCS",
+			network.Spec{Kind: network.Line, Channels: 16, N: 6}, 16, 50000, procs, "jam", false},
 		{"NET.jam16.ser", "aloha line ×16 jammed @ ρ=1/4 β=16 ρ_j=1/4 duty 32/16, n=6, serial",
 			network.Spec{Kind: network.Line, Channels: 16, N: 6}, 16, 50000, 1, "jam", false},
 		// The energy frontier under the quiescence engine: the ISSUE 8

@@ -48,7 +48,6 @@ func main() {
 		queue    = flag.Int("queue", 64, "maximum queued jobs before submissions get 503 + Retry-After")
 		cacheN   = flag.Int("cache", 1024, "maximum in-memory cached results (content-addressed, LRU eviction)")
 		cacheDir = flag.String("cache-dir", "", "directory for the disk cache tier (results survive restarts; empty = memory only)")
-		netWork  = flag.Int("net-workers", 1, "channel-stepping workers per network job (0 = GOMAXPROCS, 1 = serial; results are identical at any value). The default stays serial because -parallel already runs jobs concurrently")
 		timeout  = flag.Duration("drain-timeout", time.Minute, "how long a drain waits for in-flight jobs before cancelling them")
 
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this separate address (e.g. localhost:6060; empty = off)")
@@ -72,7 +71,6 @@ func main() {
 		QueueDepth:   *queue,
 		CacheEntries: *cacheN,
 		CacheDir:     *cacheDir,
-		NetWorkers:   *netWork,
 	})
 	svc.Start()
 	httpSrv := &http.Server{Addr: *addr, Handler: svc}

@@ -53,7 +53,6 @@ func main() {
 		topology = flag.String("topology", "", "network of channels: "+strings.Join(earmac.Topologies(), ", ")+" (empty = single channel)")
 		channels = flag.Int("channels", 0, "channel count for -topology (default 2)")
 		links    = flag.String("links", "", "explicit channel links for -topology custom, e.g. 0-1,1-2,1-3")
-		netWork  = flag.Int("net-workers", 0, "worker goroutines stepping a network's channels (0 = GOMAXPROCS, 1 = serial; output is identical at any value)")
 		k        = flag.Int("k", 3, "energy cap parameter for the k-parameterized algorithms")
 		rho      = flag.String("rho", "1/2", "injection rate as a fraction p/q (or an integer)")
 		beta     = flag.Int64("beta", 1, "burstiness coefficient β")
@@ -169,7 +168,6 @@ func main() {
 	if *checked {
 		cfg.ForceChecked = true
 	}
-	cfg.NetWorkers = *netWork // runtime-only: composes with -replay too
 	var recordFile *os.File
 	if *record != "" {
 		f, err := os.Create(*record)

@@ -52,7 +52,6 @@ import (
 	"strings"
 
 	"earmac"
-	"earmac/internal/pool"
 	"earmac/internal/ratio"
 )
 
@@ -72,7 +71,6 @@ func main() {
 		seed      = flag.Int64("seed", 1, "base pattern seed (each point derives its own)")
 		seeds     = flag.String("seeds", "", "comma-separated seed list crossed into the sweep (default 1..8 for -mode seed)")
 		parallel  = flag.Int("parallel", 0, "worker pool size (0 = GOMAXPROCS, 1 = serial)")
-		netWork   = flag.Int("net-workers", 1, "channel-stepping workers inside each network cell (0 = GOMAXPROCS, 1 = serial; results are identical at any value). The default stays serial because -parallel already runs cells concurrently")
 		jsonOut   = flag.Bool("json", false, "emit the full SuiteReport as JSON instead of CSV")
 		recordDir = flag.String("record-dir", "", "record every cell as a replayable trace cell-NNN.trace.jsonl under this directory")
 		jamRhos   = flag.String("jam-rhos", "0,1/8,1/4", "-mode frontier: comma-separated jamming rates ρ_j (0 = no jamming)")
@@ -97,10 +95,7 @@ func main() {
 
 	num, den, err := ratio.ParseFraction(*rho)
 	if err != nil {
-		// A malformed flag value is a usage error, exit 2 like the flag
-		// package's own.
-		fmt.Fprintf(os.Stderr, "earmac-sweep: bad -rho %q: %v\n", *rho, err)
-		os.Exit(2)
+		usage(fmt.Errorf("bad -rho %q: %v", *rho, err))
 	}
 
 	grid := earmac.Grid{
@@ -111,13 +106,12 @@ func main() {
 			Pattern: *pattern,
 			Rounds:  *rounds, Seed: *seed,
 			Lenient: true, DisableChecks: true,
-			NetWorkers: *netWork,
 		},
 	}
 	if *seeds != "" {
 		list, err := parseSeeds(*seeds)
 		if err != nil {
-			fail(err)
+			usage(err)
 		}
 		grid.Seeds = list
 	}
@@ -163,7 +157,7 @@ func main() {
 	if *mode == "frontier" {
 		cells, ferr := frontierCells(grid.Base, *jamRhos, *sleepIdls, *jamBeta, *wakeEvery)
 		if ferr != nil {
-			fail(ferr)
+			usage(ferr)
 		}
 		suite = earmac.Suite{Configs: cells}
 	}
@@ -181,8 +175,7 @@ func main() {
 			suite.Configs[i].RecordTo = f
 		}
 	}
-	workers := pool.Workers(*parallel)
-	rep, err := suite.Run(ctx, earmac.SuiteOptions{Workers: workers})
+	rep, err := suite.Run(ctx, earmac.SuiteOptions{Workers: *parallel})
 	for _, f := range traceFiles {
 		if cerr := f.Close(); cerr != nil && err == nil {
 			err = cerr
@@ -284,6 +277,9 @@ func frontierCells(base earmac.Config, jamRhos, sleepIdles string, jamBeta, wake
 		if err != nil {
 			return nil, fmt.Errorf("bad -jam-rhos: bad fraction %q: %v", part, err)
 		}
+		if num < 0 || den < 0 {
+			return nil, fmt.Errorf("bad -jam-rhos: negative rate %q", part)
+		}
 		jams = append(jams, [2]int64{num, den})
 	}
 	var idles []int64
@@ -291,6 +287,9 @@ func frontierCells(base earmac.Config, jamRhos, sleepIdles string, jamBeta, wake
 		v, err := strconv.ParseInt(strings.TrimSpace(part), 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("bad -sleep-idles: %v", err)
+		}
+		if v < 0 {
+			return nil, fmt.Errorf("bad -sleep-idles: negative threshold %d", v)
 		}
 		idles = append(idles, v)
 	}
@@ -338,4 +337,11 @@ func parseSeeds(s string) ([]int64, error) {
 func fail(err error) {
 	fmt.Fprintln(os.Stderr, "earmac-sweep:", err)
 	os.Exit(1)
+}
+
+// usage reports a malformed flag value and exits 2, like the flag
+// package's own errors.
+func usage(err error) {
+	fmt.Fprintln(os.Stderr, "earmac-sweep:", err)
+	os.Exit(2)
 }

@@ -21,7 +21,6 @@ import (
 	"os/signal"
 
 	"earmac/internal/expt"
-	"earmac/internal/pool"
 )
 
 func main() {
@@ -39,7 +38,7 @@ func main() {
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer cancel()
 
-	outs, err := expt.RunConcurrent(ctx, expt.Table1(scale), pool.Workers(*parallel))
+	outs, err := expt.RunConcurrent(ctx, expt.Table1(scale), *parallel)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "earmac-table:", err)
 		os.Exit(1)

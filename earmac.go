@@ -84,7 +84,7 @@ type Config struct {
 	// Default 1/2.
 	RhoNum int64 `json:"rho_num,omitempty"`
 	RhoDen int64 `json:"rho_den,omitempty"`
-	// Beta is the burstiness coefficient β ≥ 1. Default 1.
+	// Beta is the burstiness coefficient, 1 ≤ β ≤ MaxBeta. Default 1.
 	Beta int64 `json:"beta,omitempty"`
 	// Topology, when non-empty, runs a *network* of shared channels
 	// instead of the classic single channel: one of Topologies() —
@@ -188,13 +188,13 @@ type Config struct {
 	// setting — so this is a pure throughput knob: runtime-only,
 	// excluded from the JSON schema and from Fingerprint.
 	NoSkip bool `json:"-"`
-	// NetWorkers sets how many worker goroutines step a network's
-	// channels each round: 0 means GOMAXPROCS, 1 forces the serial
-	// loop, k > 1 uses min(k, Channels) persistent workers. Ignored
-	// without a Topology. Reports, traces, and progress snapshots are
-	// bit-identical at any value (see DESIGN.md §13), so this is a pure
-	// throughput knob — runtime-only, excluded from the JSON schema and
-	// from Fingerprint.
+	// NetWorkers overrides how many workers step a network's channels:
+	// 0 chooses from its size (DESIGN.md §13) and means serial in a
+	// Suite running several cells at once, 1 forces the serial loop,
+	// k > 1 uses min(k, Channels) persistent workers. Ignored without a
+	// Topology. Reports, traces, and progress snapshots are
+	// bit-identical at any value, so this is a pure throughput knob —
+	// runtime-only, excluded from the JSON schema and from Fingerprint.
 	NetWorkers int `json:"-"`
 	// OnProgress, when non-nil, receives an interim snapshot every
 	// ProgressEvery rounds during RunContext, at the final round, and —

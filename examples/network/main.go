@@ -5,10 +5,11 @@
 // channels, and packets cross channel boundaries over deterministic
 // gateway stations, one relay hop per round.
 //
-// The run is stepped twice — serial, then on a parallel worker team —
-// to demonstrate the worker-count-independence contract: the two
-// reports are identical to the last bit (DESIGN.md §13), which is why
-// NetWorkers is not part of the config fingerprint.
+// The run is stepped twice — serial, then on four workers (at 0 the
+// size rule would step 5-station channels serially) — to demonstrate
+// the worker-count-independence contract: the two reports are identical
+// to the last bit (DESIGN.md §13), which is why NetWorkers is not part
+// of the config fingerprint.
 package main
 
 import (
@@ -38,7 +39,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg.NetWorkers = 0 // one worker per core
+	cfg.NetWorkers = 4 // four workers, overriding the size rule
 	parallel, err := earmac.Run(cfg)
 	if err != nil {
 		log.Fatal(err)

@@ -70,7 +70,7 @@ type Spec struct {
 
 	Build func() (*core.System, error)
 	// Adv builds the adversary; nil means a full-rate Uniform pattern of
-	// type (Rho, Beta).
+	// type (Rho, Beta) (see Instantiate).
 	Adv  func(sys *core.System) core.Adversary
 	Seed int64
 }
@@ -105,21 +105,30 @@ type Outcome struct {
 	OK bool
 }
 
-// Run executes the spec strictly with conservation checking.
-func Run(s Spec) (Outcome, error) {
+// Instantiate builds the spec's system and its adversary: Adv's, or by
+// default a full-rate Uniform pattern of type (Rho, Beta) seeded with
+// Seed+1. Run and earmac-bench build rows here, so a row's seed mapping
+// lives in one place.
+func (s Spec) Instantiate() (*core.System, core.Adversary, error) {
 	sys, err := s.Build()
 	if err != nil {
-		return Outcome{}, fmt.Errorf("%s: %w", s.ID, err)
+		return nil, nil, fmt.Errorf("%s: %w", s.ID, err)
 	}
-	var adv core.Adversary
 	if s.Adv != nil {
-		adv = s.Adv(sys)
-	} else {
-		adv = adversary.New(adversary.Type{Rho: s.Rho, Beta: ratio.FromInt(s.Beta)},
-			adversary.Uniform(sys.N(), s.Seed+1))
+		return sys, s.Adv(sys), nil
+	}
+	return sys, adversary.New(adversary.Type{Rho: s.Rho, Beta: ratio.FromInt(s.Beta)},
+		adversary.Uniform(sys.N(), s.Seed+1)), nil
+}
+
+// Run executes the spec strictly with conservation checking.
+func Run(s Spec) (Outcome, error) {
+	sys, adv, err := s.Instantiate()
+	if err != nil {
+		return Outcome{}, err
 	}
 	tr := metrics.NewTracker()
-	tr.SampleEvery = maxI64(s.Rounds/512, 1)
+	tr.SampleEvery = max(s.Rounds/512, 1)
 	sim := core.NewSim(sys, adv, core.Options{Strict: true, CheckEvery: 10007, Tracker: tr})
 	if err := sim.Run(s.Rounds); err != nil {
 		return Outcome{}, fmt.Errorf("%s: %w", s.ID, err)
@@ -161,13 +170,6 @@ func Run(s Spec) (Outcome, error) {
 		o.OK = !o.Stable && o.Slope > 0 && o.Violations == 0
 	}
 	return o, nil
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // lgCeil is ⌈log₂(x+1)⌉ as used in the paper's bounds.

@@ -171,38 +171,6 @@ func TestRunAndRenderTable(t *testing.T) {
 	}
 }
 
-func TestReplicate(t *testing.T) {
-	var spec Spec
-	for _, s := range Table1(Quick) {
-		if s.ID == "T1.7" {
-			spec = s
-		}
-	}
-	agg, err := Replicate(spec, []int64{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(agg.Outcomes) != 3 {
-		t.Fatalf("got %d outcomes", len(agg.Outcomes))
-	}
-	if !agg.AllOK {
-		t.Error("T1.7 failed to reproduce under some seed")
-	}
-	if agg.MinMeasured > agg.MeanMeasured || agg.MeanMeasured > agg.MaxMeasured {
-		t.Errorf("aggregate ordering wrong: min=%v mean=%v max=%v",
-			agg.MinMeasured, agg.MeanMeasured, agg.MaxMeasured)
-	}
-	if agg.MaxMeasured > spec.Bound {
-		t.Errorf("worst seed %v exceeds bound %v", agg.MaxMeasured, spec.Bound)
-	}
-}
-
-func TestReplicateNeedsSeeds(t *testing.T) {
-	if _, err := Replicate(Spec{}, nil); err == nil {
-		t.Error("empty seed list accepted")
-	}
-}
-
 func TestRenderRowMismatch(t *testing.T) {
 	o := Outcome{
 		Spec: Spec{ID: "X", Label: "fake", N: 4, Kind: KindLatency,

@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"runtime"
 
 	"earmac/internal/core"
 	"earmac/internal/idring"
@@ -26,15 +27,15 @@ type Options struct {
 	// the aggregate time series entirely (the benchmark setting — curve
 	// appends are the one steady-state allocation).
 	SampleEvery int64
-	// Workers sets the channel-stepping parallelism: 0 means GOMAXPROCS
-	// (the pool.Workers convention), 1 forces the serial loop, and any
-	// k > 1 steps channels on min(k, C) persistent worker goroutines.
-	// Every observable output — counters, per-channel trackers, traces,
+	// Workers overrides the parallelism New chooses from the network's
+	// size (stepWorkers): 1 forces the serial loop, and any k > 1 steps
+	// channels on min(k, C) persistent worker goroutines. Every
+	// observable output — counters, per-channel trackers, traces,
 	// violations — is bit-identical at any worker count (see Step), so
 	// Workers is a pure throughput knob. A non-nil Tracer forces 1: the
 	// per-round event log interleaves channel sections through a shared
 	// writer and is only deterministic when channels step in index
-	// order. Networks with Workers != 1 own goroutines; call Close.
+	// order. A parallel network owns goroutines; call Close.
 	Workers int
 	// TrackStations enables per-station queue peaks on every channel
 	// tracker (the network-wide QueueImbalance diagnostic).
@@ -170,9 +171,9 @@ type chanState struct {
 // channel's own counters, where Injected includes relay arrivals and
 // latency is per-hop.
 //
-// All outputs are bit-identical at any Options.Workers value; DESIGN.md
-// §13 states the argument. Networks built with Workers != 1 own worker
-// goroutines — call Close when done.
+// All outputs are bit-identical at any worker count; DESIGN.md §13
+// states the argument. Networks stepped by more than one worker
+// (Workers) own worker goroutines — call Close when done.
 type Network struct {
 	topo         *Topology
 	chans        []*chanState
@@ -191,7 +192,7 @@ type Network struct {
 // channel runs its own replica set of topo.StationsPerChannel()
 // stations); entry must hold one adversary per channel, entry[c]
 // injecting in global coordinates from channel c's stations. Each is
-// called only from its own channel's step, so with Options.Workers != 1
+// called only from its own channel's step, so on a parallel network
 // distinct channels' adversaries run concurrently and must share no
 // mutable state — NewAdversary's and NewReplaySource's do not.
 func New(topo *Topology, build func(ch int) (*core.System, error), entry []core.Adversary, opt Options) (*Network, error) {
@@ -262,21 +263,41 @@ func New(topo *Topology, build func(ch int) (*core.System, error), entry []core.
 		}
 		cs.sim = core.NewSim(sys, &cs.feed, copts)
 	}
-	workers := opt.Workers
-	if opt.Tracer != nil {
-		workers = 1 // shared-writer tracers need index-order stepping
-	}
+	workers := stepWorkers(opt.Workers, topo.StationsPerChannel(), C, runtime.GOMAXPROCS(0), opt.Tracer != nil)
 	n.team = pool.NewTeam(C, workers, n.stepChannel)
 	return n, nil
+}
+
+// teamCrossover is the stations-per-channel count from which the worker
+// team steps a network faster than the serial loop (README "Network
+// performance" has the measurements). It was measured at GOMAXPROCS 2
+// only; a wider team may pay from fewer stations, which is unmeasured.
+const teamCrossover = 128
+
+// stepWorkers resolves the worker count of a network of channels
+// channels with stationsPerChannel stations each on procs cores: a
+// request (> 0) up to one worker per channel, else serial below
+// teamCrossover and min(procs, channels) from it; 1 whenever traced.
+func stepWorkers(requested, stationsPerChannel, channels, procs int, traced bool) int {
+	switch {
+	case traced:
+		return 1
+	case requested > 0:
+		return min(requested, channels)
+	case stationsPerChannel < teamCrossover:
+		return 1
+	default:
+		return min(procs, channels)
+	}
 }
 
 // Workers returns the resolved channel-stepping worker count.
 func (n *Network) Workers() int { return n.team.Workers() }
 
 // Close releases the worker goroutines behind parallel stepping. It is
-// idempotent and cheap; a serial network (resolved Workers == 1) owns
-// no goroutines, but calling Close is always correct. The Network must
-// not be stepped after Close.
+// idempotent and cheap; a serial network (Workers() == 1) owns no
+// goroutines, but calling Close is always correct. The Network must not
+// be stepped after Close.
 func (n *Network) Close() {
 	if n != nil {
 		n.team.Close()
@@ -417,7 +438,7 @@ func (n *Network) stepChannel(c int) {
 // in ascending source-channel order — exactly the order the serial loop
 // produced them in — so arrival order never depends on scheduling.
 // (2) Channel stepping: every channel's sim advances one round on the
-// worker team (Options.Workers); the only cross-channel data are the
+// worker team (Workers); the only cross-channel data are the
 // immutable topology and the per-channel buffers merged in phase 1, so
 // workers never contend. (3) Deterministic fold: after the barrier,
 // per-channel accumulators (entry admissions, end-to-end completions,

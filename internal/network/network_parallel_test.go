@@ -5,6 +5,7 @@ package network
 // round loop. The packet-id ring has its own tests in internal/idring.
 
 import (
+	"runtime"
 	"testing"
 
 	"earmac/internal/adversary"
@@ -55,6 +56,66 @@ func TestStepWorkerCountInvariance(t *testing.T) {
 		if len(got.Violations()) != len(want.Violations()) {
 			t.Errorf("workers=%d: violations %v, want %v", workers, got.Violations(), want.Violations())
 		}
+	}
+}
+
+// TestStepWorkers pins the worker count New chooses: the size rule when
+// Options.Workers is 0, an honoured explicit count, and serial stepping
+// whenever a tracer is attached.
+func TestStepWorkers(t *testing.T) {
+	const x = teamCrossover
+	cases := []struct {
+		name                                 string
+		requested, stations, channels, procs int
+		traced                               bool
+		want                                 int
+	}{
+		{"below crossover", 0, x - 1, 16, 2, false, 1},
+		{"small channels, many cores", 0, 6, 16, 8, false, 1},
+		{"at crossover", 0, x, 16, 2, false, 2},
+		{"above crossover", 0, 2 * x, 16, 2, false, 2},
+		{"above crossover, one core", 0, 2 * x, 16, 1, false, 1},
+		{"fewer channels than cores", 0, 2 * x, 4, 8, false, 4},
+		{"explicit below crossover", 3, 6, 16, 2, false, 3},
+		{"explicit serial above crossover", 1, 2 * x, 16, 8, false, 1},
+		{"explicit capped at channels", 32, 6, 16, 2, false, 16},
+		{"traced above crossover", 0, 2 * x, 16, 8, true, 1},
+		{"traced explicit", 4, 6, 16, 8, true, 1},
+	}
+	for _, c := range cases {
+		if got := stepWorkers(c.requested, c.stations, c.channels, c.procs, c.traced); got != c.want {
+			t.Errorf("%s: stepWorkers(%d, %d, %d, %d, %v) = %d, want %d",
+				c.name, c.requested, c.stations, c.channels, c.procs, c.traced, got, c.want)
+		}
+	}
+}
+
+// TestTracerForcesSerialStepping: New resolves the worker count it
+// reports through Workers from the options and the network's size, and
+// a tracer overrides both an explicit count and the size rule.
+func TestTracerForcesSerialStepping(t *testing.T) {
+	const channels = 4
+	topo := mustCompile(t, Spec{Kind: Line, Channels: channels, N: teamCrossover})
+	tracer := func(int) core.Tracer { return nil }
+	cases := []struct {
+		name string
+		opt  Options
+		want int
+	}{
+		{"explicit", Options{Workers: channels}, channels},
+		{"explicit, traced", Options{Workers: channels, Tracer: tracer}, 1},
+		{"size rule", Options{}, min(runtime.GOMAXPROCS(0), channels)},
+		{"size rule, traced", Options{Tracer: tracer}, 1},
+	}
+	for _, c := range cases {
+		net, err := New(topo, rrBuild(teamCrossover), mkUniformAdversary(t, topo, adversary.T(1, 2, channels), 5), c.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := net.Workers(); got != c.want {
+			t.Errorf("%s: Workers() = %d, want %d", c.name, got, c.want)
+		}
+		net.Close()
 	}
 }
 

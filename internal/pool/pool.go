@@ -20,6 +20,14 @@ func Workers(requested int) int {
 	return requested
 }
 
+// Concurrent reports whether a pool of workers workers (resolved per
+// Workers) runs more than one of n jobs at a time. The Suite runner and
+// the service then step network jobs serially: a worker team per job
+// would only compete for the cores the pool already keeps busy.
+func Concurrent(workers, n int) bool {
+	return min(Workers(workers), n) > 1
+}
+
 // startPool starts n goroutines draining jobs and returns a WaitGroup
 // that completes when jobs closes and every dispatched call has
 // returned. It is the single worker loop behind RunIndexed and Run, so
@@ -54,10 +62,7 @@ func startPool[T any](jobs <-chan T, n int, run func(T)) *sync.WaitGroup {
 // unbuffered handoff — so a caller observing cancellation from inside
 // run can see at most one extra call, never an unbounded stream.
 func RunIndexed(ctx context.Context, n, workers int, run func(i int)) error {
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
+	workers = min(Workers(workers), n)
 	jobs := make(chan int)
 	wg := startPool(jobs, workers, run)
 feed:

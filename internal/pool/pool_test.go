@@ -22,6 +22,30 @@ func TestWorkersDefaults(t *testing.T) {
 	}
 }
 
+// TestConcurrent pins when a pool runs more than one job at a time, the
+// condition under which the Suite runner and the service step network
+// jobs serially.
+func TestConcurrent(t *testing.T) {
+	gmp := runtime.GOMAXPROCS(0)
+	cases := []struct {
+		workers, n int
+		want       bool
+	}{
+		{2, 4, true},  // two jobs at a time
+		{8, 2, true},  // two jobs on a wider pool
+		{1, 4, false}, // one job at a time
+		{4, 1, false}, // one job
+		{4, 0, false},
+		{0, 4, gmp > 1}, // GOMAXPROCS workers
+		{0, 1 << 62, gmp > 1},
+	}
+	for _, c := range cases {
+		if got := Concurrent(c.workers, c.n); got != c.want {
+			t.Errorf("Concurrent(%d, %d) = %v, want %v", c.workers, c.n, got, c.want)
+		}
+	}
+}
+
 func TestRunIndexedRunsAll(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 100} {
 		seen := make([]bool, 37)

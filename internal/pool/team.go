@@ -51,18 +51,11 @@ type Team struct {
 // single-core machine.
 const teamSpin = 512
 
-// NewTeam builds a team of run-callers over the index space [0, n).
-// workers follows the Workers convention (<= 0 means GOMAXPROCS) and is
-// capped at n; a resolved count of 1 means Dispatch runs inline with no
-// goroutines.
+// NewTeam builds a team of workers run-callers over the index space
+// [0, n), capped at n; a count of 1 or less means Dispatch runs inline
+// with no goroutines.
 func NewTeam(n, workers int, run func(i int)) *Team {
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = max(min(workers, n), 1)
 	t := &Team{n: n, workers: workers, run: run}
 	t.workCond = sync.NewCond(&t.mu)
 	t.doneCond = sync.NewCond(&t.mu)

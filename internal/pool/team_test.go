@@ -59,8 +59,8 @@ func TestTeamWorkersResolution(t *testing.T) {
 	if got := NewTeam(4, 1, func(int) {}).Workers(); got != 1 {
 		t.Errorf("explicit serial: got %d, want 1", got)
 	}
-	if got := NewTeam(16, 0, func(int) {}).Workers(); got < 1 || got > 16 {
-		t.Errorf("workers=0 resolved to %d, want within [1, 16]", got)
+	if got := NewTeam(16, 0, func(int) {}).Workers(); got != 1 {
+		t.Errorf("workers=0: got %d, want 1 (inline)", got)
 	}
 }
 

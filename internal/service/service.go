@@ -18,6 +18,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"sync"
 
@@ -43,11 +44,6 @@ type Options struct {
 	// fall through to disk, and POST /v1/cache/preload warms the LRU
 	// from the directory. Results survive restarts.
 	CacheDir string
-	// NetWorkers sets Config.NetWorkers on every executed job: the
-	// channel-stepping parallelism of network runs (0 = GOMAXPROCS,
-	// 1 = serial). Runtime-only — results and fingerprints are
-	// identical at any value, so it never affects cache keys.
-	NetWorkers int
 }
 
 func (o Options) withDefaults() Options {
@@ -285,7 +281,9 @@ func (s *Server) runJob(j *job) {
 	record := j.recording() // fixed now that the job has started
 	cfg := j.cfg
 	cfg.OnProgress = j.publish
-	cfg.NetWorkers = s.opts.NetWorkers
+	if cfg.NetWorkers == 0 && pool.Concurrent(s.opts.Workers, math.MaxInt) {
+		cfg.NetWorkers = 1 // jobs arrive without bound (pool.Concurrent)
+	}
 	var traceBuf bytes.Buffer
 	if record {
 		cfg.RecordTo = &traceBuf

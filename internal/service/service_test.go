@@ -297,6 +297,12 @@ func TestSubmitValidationErrors(t *testing.T) {
 		// panic in the job goroutine and take the process down.
 		{"overflowing-bucket", `{"algorithm":"orchestra","n":8,"rho_num":1,"rho_den":10,"beta":1000000000000000000,"rounds":10}`,
 			http.StatusBadRequest, "bad burstiness"},
+		// A β above earmac.MaxBeta is rejected before round 0 injects
+		// the burst. One past the bound keeps a regression cheap: it
+		// would run a 2^20-packet burst and answer 200, not exhaust
+		// the test's memory.
+		{"burst-above-bound", fmt.Sprintf(`{"algorithm":"orchestra","n":8,"rho_num":1,"rho_den":3,"beta":%d,"rounds":10}`, earmac.MaxBeta+1),
+			http.StatusBadRequest, "bad burstiness"},
 		{"unknown-field", `{"algorithm":"orchestra","typo_field":1}`, http.StatusBadRequest, "unknown field"},
 		{"malformed", `{`, http.StatusBadRequest, "decoding config"},
 		{"body-too-large", `{"algorithm":"` + strings.Repeat("a", maxBodyBytes) + `"}`,

@@ -115,6 +115,11 @@ func (c Config) Validate() error {
 	return c.withDefaults().validate()
 }
 
+// MaxBeta bounds β on one channel or a network: a full bucket (round 0
+// starts full) injects ⌊β+ρ⌋ packets at once. It is 1024× the largest
+// committed β; a run at the bound peaks at about 250–310 MiB.
+const MaxBeta = 1 << 20
+
 // validate checks an already-defaulted config.
 func (c Config) validate() error {
 	alg, ok := registry.Lookup(c.Algorithm)
@@ -200,6 +205,9 @@ func (c Config) validate() error {
 	}
 	if err != nil {
 		return fmt.Errorf("earmac: %w", err)
+	}
+	if c.Beta > MaxBeta {
+		return fmt.Errorf("earmac: %w: β = %d exceeds MaxBeta = %d", ErrBadBurst, c.Beta, MaxBeta)
 	}
 	if c.JamRhoNum == 0 {
 		if c.JamRhoDen != 0 || c.JamBeta != 0 {

@@ -2,8 +2,9 @@
 # Smoke test for earmac-serve: start the daemon over a disk cache,
 # submit one Table 1 config twice, and assert the second response is
 # served from the content-addressed cache byte-identical to the first;
-# post a hostile config whose leaky bucket overflows int64 and assert a
-# 400 from a server that keeps serving; check that SIGTERM drains
+# post hostile configs (a leaky bucket that overflows int64, a burst
+# above earmac.MaxBeta) and assert a 400 for each from a server that
+# keeps serving; check that SIGTERM drains
 # gracefully; then restart on the same
 # -cache-dir and assert the preloaded disk tier serves the config again,
 # byte-identical, without simulating it. The CI serve-smoke job runs
@@ -93,25 +94,30 @@ grep -q '"algorithm":"orchestra"' "$WORK/r1.json" || {
     exit 1
 }
 
-# (ρ, β) = (1/10, 10^18): β over ρ's denominator overflows int64. It
-# used to pass validation and panic in the job goroutine, killing the
-# process; now it is a 400 and the server keeps serving.
-echo "serve-smoke: hostile config (expect 400, server still serving)"
-HOSTILE='{"algorithm":"orchestra","n":8,"rho_num":1,"rho_den":10,"beta":1000000000000000000,"rounds":10}'
-code=$(curl -s -o "$WORK/hostile.json" -w '%{http_code}' -X POST "http://$ADDR/v1/run" -d "$HOSTILE" || true)
-[ "$code" = 400 ] || {
-    echo "serve-smoke: hostile config answered $code, want 400:" >&2
-    cat "$WORK/hostile.json" >&2
-    exit 1
-}
+# Two hostile configs, each of which used to kill the process and is
+# now a 400 with the server still serving: (ρ, β) = (1/10, 10^18), whose
+# bucket overflows int64 (it panicked in the job goroutine), and
+# (1/3, 3·10^18), which fits int64 but exceeds earmac.MaxBeta (round 0
+# injected the whole burst and exhausted memory).
+echo "serve-smoke: hostile configs (expect 400, server still serving)"
+for HOSTILE in \
+    '{"algorithm":"orchestra","n":8,"rho_num":1,"rho_den":10,"beta":1000000000000000000,"rounds":10}' \
+    '{"algorithm":"orchestra","n":8,"rho_num":1,"rho_den":3,"beta":3000000000000000000,"rounds":10}'; do
+    code=$(curl -s -o "$WORK/hostile.json" -w '%{http_code}' -X POST "http://$ADDR/v1/run" -d "$HOSTILE" || true)
+    [ "$code" = 400 ] || {
+        echo "serve-smoke: hostile config $HOSTILE answered $code, want 400:" >&2
+        cat "$WORK/hostile.json" >&2
+        exit 1
+    }
+done
 code=$(curl -s -o /dev/null -w '%{http_code}' "http://$ADDR/v1/healthz" || true)
 [ "$code" = 200 ] || {
-    echo "serve-smoke: /v1/healthz answered $code after the hostile config, want 200" >&2
+    echo "serve-smoke: /v1/healthz answered $code after the hostile configs, want 200" >&2
     exit 1
 }
 curl -sf -D "$WORK/h4" -o "$WORK/r4.json" -X POST "http://$ADDR/v1/run" -d "$CONFIG"
 grep -qi '^x-earmac-cache: *hit' "$WORK/h4" && cmp -s "$WORK/r1.json" "$WORK/r4.json" || {
-    echo "serve-smoke: the smoke config after the hostile one is not a byte-identical cache hit" >&2
+    echo "serve-smoke: the smoke config after the hostile ones is not a byte-identical cache hit" >&2
     cat "$WORK/h4" >&2
     exit 1
 }
@@ -147,4 +153,4 @@ grep -q '"misses":0[,}]' "$WORK/health.json" && grep -Eq '"jobs":\{[^}]*"done":0
 }
 drain_server serve2.log
 
-echo "serve-smoke: OK (cache hit byte-identical, hostile config rejected, graceful drain, disk tier across a restart)"
+echo "serve-smoke: OK (cache hit byte-identical, hostile configs rejected, graceful drain, disk tier across a restart)"

@@ -197,13 +197,16 @@ type SuiteReport struct {
 // with VerdictError; the suite keeps going. On context cancellation Run
 // returns the partial report alongside ctx.Err(), with unreached and
 // interrupted cells marked VerdictSkipped.
+// Network cells that leave NetWorkers at 0 step serially when more than
+// one cell runs at a time (pool.Concurrent).
 func (s Suite) Run(ctx context.Context, opts SuiteOptions) (SuiteReport, error) {
 	results := make([]SuiteResult, len(s.Configs))
 	for i := range results {
 		results[i] = SuiteResult{Index: i, Config: s.Configs[i], Verdict: VerdictSkipped}
 	}
+	serialNets := pool.Concurrent(opts.Workers, len(s.Configs))
 	err := pool.RunIndexed(ctx, len(s.Configs), opts.Workers, func(i int) {
-		res := runCell(ctx, i, s.Configs[i])
+		res := runCell(ctx, i, s.Configs[i], serialNets)
 		results[i] = res
 		if opts.OnResult != nil {
 			opts.OnResult(res)
@@ -212,8 +215,11 @@ func (s Suite) Run(ctx context.Context, opts SuiteOptions) (SuiteReport, error) 
 	return aggregate(results), err
 }
 
-func runCell(ctx context.Context, i int, cfg Config) SuiteResult {
+func runCell(ctx context.Context, i int, cfg Config, serialNets bool) SuiteResult {
 	res := SuiteResult{Index: i, Config: cfg}
+	if serialNets && cfg.NetWorkers == 0 {
+		cfg.NetWorkers = 1
+	}
 	rep, err := RunContext(ctx, cfg)
 	res.Report = rep
 	switch {

@@ -59,6 +59,12 @@ func TestValidateTypedErrors(t *testing.T) {
 		{"jam rate with a huge denominator", Config{Algorithm: "aloha", N: 4, Topology: "line", Channels: 4, JamRhoNum: 1, JamRhoDen: 1 << 62}, nil},
 		{"jam rate above the channels", Config{Algorithm: "aloha", N: 4, Topology: "line", Channels: 4, JamRhoNum: 5, JamRhoDen: 1}, ErrBadRate},
 		{"jam rate at the channels", Config{Algorithm: "aloha", N: 4, Topology: "line", Channels: 4, JamRhoNum: 4, JamRhoDen: 1}, nil},
+		// β is bounded even where its bucket fits int64: round 0 would
+		// inject the whole burst at once.
+		{"beta at the bound", Config{RhoNum: 1, RhoDen: 3, Beta: MaxBeta}, nil},
+		{"beta above the bound", Config{RhoNum: 1, RhoDen: 3, Beta: MaxBeta + 1}, ErrBadBurst},
+		{"network beta above the bound", Config{Topology: "grid", Channels: 16, RhoNum: 1, RhoDen: 3, Beta: MaxBeta + 1}, ErrBadBurst},
+		{"burst that fits int64", Config{RhoNum: 1, RhoDen: 3, Beta: 3e18}, ErrBadBurst},
 	}
 	for _, c := range cases {
 		err := c.cfg.Validate()
