@@ -43,7 +43,7 @@ bench:
 
 # Full (4x) horizons, no gate.
 bench-full:
-	go run ./cmd/earmac-bench -full -out BENCH_$(GITREV).json
+	go run ./cmd/earmac-bench -out BENCH_$(GITREV).json
 
 # Refresh the committed baseline (run on the reference machine, then
 # commit BENCH_baseline.json).

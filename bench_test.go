@@ -30,6 +30,7 @@ import (
 	"earmac/internal/expt"
 	"earmac/internal/metrics"
 	"earmac/internal/ratio"
+	"earmac/internal/registry"
 )
 
 func specByID(b *testing.B, id string) expt.Spec {
@@ -59,14 +60,14 @@ func benchSpec(b *testing.B, id string) {
 		last = o
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(last.Rounds), "rounds")
+	b.ReportMetric(float64(last.Spec.Rounds), "rounds")
 	b.ReportMetric(last.MeanEnergy, "energy")
 	if last.Bound > 0 {
 		b.ReportMetric(last.Bound, "bound")
 	}
 	switch last.Kind {
 	case expt.KindUnstable:
-		b.ReportMetric(last.Slope, "slope")
+		b.ReportMetric(last.QueueSlope, "slope")
 	case expt.KindLatency:
 		b.ReportMetric(float64(last.MaxLatency), "latency_max")
 	default:
@@ -246,7 +247,7 @@ func BenchmarkSubstrate(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			var lastQ int64
 			for i := 0; i < b.N; i++ {
-				sys, err := expt.Build(c.alg, n, 0)
+				sys, err := registry.Build(c.alg, n, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -275,7 +276,7 @@ func BenchmarkAblation_DeterminismVsALOHA(b *testing.B) {
 		b.Run(alg, func(b *testing.B) {
 			var last *metrics.Tracker
 			for i := 0; i < b.N; i++ {
-				sys, err := expt.Build(alg, n, k)
+				sys, err := registry.Build(alg, n, k)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -334,7 +335,7 @@ func BenchmarkCrossover(b *testing.B) {
 	b.Run("cap2-vs-rate", func(b *testing.B) {
 		sweep(b, []point{
 			{"rho=3/4", 3, 4}, {"rho=9/10", 9, 10}, {"rho=1", 1, 1},
-		}, func() (*core.System, error) { return expt.Build("count-hop", 5, 0) },
+		}, func() (*core.System, error) { return registry.Build("count-hop", 5, 0) },
 			func(sys *core.System, num, den int64) core.Adversary {
 				return adversary.New(adversary.T(num, den, 1), adversary.Uniform(5, 3))
 			}, 120000)
@@ -345,7 +346,7 @@ func BenchmarkCrossover(b *testing.B) {
 	b.Run("ksubsets-pair-flood", func(b *testing.B) {
 		sweep(b, []point{
 			{"rho=1/6", 1, 6}, {"rho=1/5", 1, 5}, {"rho=9/40", 9, 40}, {"rho=1/4", 1, 4},
-		}, func() (*core.System, error) { return expt.Build("k-subsets", 6, 3) },
+		}, func() (*core.System, error) { return registry.Build("k-subsets", 6, 3) },
 			func(sys *core.System, num, den int64) core.Adversary {
 				return adversary.LeastPair(sys.Schedule, adversary.T(num, den, 1))
 			}, 150000)
@@ -356,7 +357,7 @@ func BenchmarkCrossover(b *testing.B) {
 	b.Run("kcycle-concentration", func(b *testing.B) {
 		sweep(b, []point{
 			{"rho=1/5", 1, 5}, {"rho=23/100", 23, 100}, {"rho=1/4", 1, 4}, {"rho=3/10", 3, 10},
-		}, func() (*core.System, error) { return expt.Build("k-cycle", 7, 3) },
+		}, func() (*core.System, error) { return registry.Build("k-cycle", 7, 3) },
 			func(sys *core.System, num, den int64) core.Adversary {
 				return adversary.New(adversary.T(num, den, 2), adversary.SingleTarget(3, 6))
 			}, 300000)
@@ -368,7 +369,7 @@ func BenchmarkCrossover(b *testing.B) {
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	const n, rounds = 16, 50000
 	for i := 0; i < b.N; i++ {
-		sys, err := expt.Build("orchestra", n, 0)
+		sys, err := registry.Build("orchestra", n, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -336,6 +336,8 @@ func TestCLIRejectsBadRates(t *testing.T) {
 		{"earmac-sweep", []string{"-mode", "frontier", "-jam-rhos", "0,-1/4"}, `bad -jam-rhos: negative rate "-1/4"`},
 		{"earmac-sweep", []string{"-mode", "frontier", "-sleep-idles", "0,-5"}, "bad -sleep-idles: negative threshold -5"},
 		{"earmac-sweep", []string{"-mode", "seed", "-seeds", "1,x"}, `bad seed list "1,x"`},
+		{"earmac-sweep", []string{"-mode", "cap", "-alg", "orchestra", "-n", "2"}, "empty at -n 2"},
+		{"earmac-sweep", []string{"-mode", "channels", "-topology", "line", "-max-channels", "0"}, "empty at -max-channels 0"},
 	}
 	for _, c := range cases {
 		cmd := exec.Command("sh", append([]string{"-c", `ulimit -v 2000000 && exec "$0" "$@"`, filepath.Join(bin, c.cmd)}, c.args...)...)

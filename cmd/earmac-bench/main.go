@@ -21,7 +21,7 @@
 //
 //	earmac-bench -quick -out BENCH_abc123.json
 //	earmac-bench -quick -baseline BENCH_baseline.json   # CI gate: exit 1 on regression
-//	earmac-bench -full                                  # 4× horizons
+//	earmac-bench                                        # full (4×) horizons
 package main
 
 import (
@@ -39,6 +39,7 @@ import (
 	"earmac/internal/algorithms/orchestra"
 	"earmac/internal/algorithms/randmac"
 	"earmac/internal/benchcmp"
+	"earmac/internal/broadcast"
 	"earmac/internal/core"
 	"earmac/internal/expt"
 	"earmac/internal/mac"
@@ -52,8 +53,7 @@ import (
 
 func main() {
 	var (
-		quick    = flag.Bool("quick", false, "quick horizons (the CI setting)")
-		full     = flag.Bool("full", false, "4x horizons")
+		quick    = flag.Bool("quick", false, "quick horizons, the CI setting (default: full horizons, 4x longer)")
 		out      = flag.String("out", "", "output path (default BENCH_<rev>.json)")
 		rev      = flag.String("rev", "", "revision stamp (default: git rev-parse --short HEAD)")
 		baseline = flag.String("baseline", "", "compare against this bench file and exit 1 on regression")
@@ -64,9 +64,6 @@ func main() {
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
-	if *quick && *full {
-		fail(fmt.Errorf("-quick and -full are mutually exclusive"))
-	}
 	ps, err := prof.Start(*cpuProf, *memProf)
 	if err != nil {
 		fail(err)
@@ -294,21 +291,18 @@ func substrateRows(scale expt.Scale, reps int) []benchcmp.Row {
 
 	for _, c := range []struct {
 		id, alg    string
+		build      func(n int) *core.System
 		rhoN, rhoD int64
 	}{
-		{"SUB.mbtf", "mbtf", 1, 1},
-		{"SUB.rrw", "rrw", 3, 4},
-		{"SUB.ofrrw", "ofrrw", 3, 4},
+		{"SUB.mbtf", "mbtf", broadcast.NewMBTFSystem, 1, 1},
+		{"SUB.rrw", "rrw", broadcast.NewRRWSystem, 3, 4},
+		{"SUB.ofrrw", "ofrrw", broadcast.NewOFRRWSystem, 3, 4},
 	} {
 		c := c
 		rows = append(rows, measure(c.id, fmt.Sprintf("%s @ ρ=%d/%d, n=8", c.alg, c.rhoN, c.rhoD),
 			func() (*core.System, core.Adversary) {
-				sys, err := expt.Build(c.alg, 8, 0)
-				if err != nil {
-					fail(err)
-				}
 				typ := adversary.Type{Rho: ratio.New(c.rhoN, c.rhoD), Beta: ratio.FromInt(2)}
-				return sys, adversary.New(typ, adversary.Uniform(8, 11))
+				return c.build(8), adversary.New(typ, adversary.Uniform(8, 11))
 			}, rounds, reps))
 	}
 

@@ -133,6 +133,9 @@ func main() {
 		for kk := 2; kk <= *n-1; kk++ {
 			grid.Ks = append(grid.Ks, kk)
 		}
+		if len(grid.Ks) == 0 {
+			usage(fmt.Errorf("-mode cap sweeps k over 2..n-1, which is empty at -n %d", *n))
+		}
 	case "size":
 		grid.Ns = []int{4, 6, 8, 10, 12, 14, 16}
 	case "channels":
@@ -142,6 +145,9 @@ func main() {
 		}
 		for c := 2; c <= *maxChan; c++ {
 			grid.Channels = append(grid.Channels, c)
+		}
+		if len(grid.Channels) == 0 {
+			usage(fmt.Errorf("-mode channels sweeps 2..-max-channels, which is empty at -max-channels %d", *maxChan))
 		}
 	case "frontier":
 		// Energy–latency frontier: duty-cycle tightness × jamming

@@ -45,13 +45,9 @@ func main() {
 	}
 
 	if *jsonOut {
-		rows := make([]expt.OutcomeJSON, len(outs))
-		for i, o := range outs {
-			rows[i] = o.JSON()
-		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(rows); err != nil {
+		if err := enc.Encode(outs); err != nil {
 			fmt.Fprintln(os.Stderr, "earmac-table:", err)
 			os.Exit(1)
 		}

@@ -474,14 +474,13 @@ func newRecorder(cfg Config) (*scenario.Encoder, error) {
 	return scenario.NewEncoder(cfg.RecordTo, scenario.Header{N: cfg.N, Rounds: cfg.Rounds, Channels: cfg.Channels, Config: raw}), nil
 }
 
-// conservationCheckEvery is the packet-conservation cadence Run uses
-// unless DisableChecks is set (a prime, so it never aligns with phase
-// or pattern periods).
+// conservationCheckEvery is the packet-conservation cadence Run uses:
+// core.ConservationCheckEvery unless DisableChecks is set.
 func conservationCheckEvery(cfg Config) int64 {
 	if cfg.DisableChecks {
 		return 0
 	}
-	return 10007
+	return core.ConservationCheckEvery
 }
 
 // prepareNetwork assembles a network-of-channels run: one core.Sim per
@@ -536,10 +535,6 @@ func prepareNetwork(cfg Config) (run, error) {
 	if err != nil {
 		return run{}, err
 	}
-	var rec func(round int64, ch int, injs []core.Injection)
-	if enc != nil {
-		rec = enc.ChannelRound
-	}
 	var tracer func(ch int) core.Tracer
 	if cfg.Trace != nil {
 		tracer = func(ch int) core.Tracer {
@@ -558,7 +553,6 @@ func prepareNetwork(cfg Config) (run, error) {
 		Workers:       cfg.NetWorkers,
 		NoSkip:        cfg.NoSkip,
 		TrackStations: true,
-		Recorder:      rec,
 		Tracer:        tracer,
 	}
 	if cfg.Replay != nil {

@@ -12,9 +12,9 @@ import (
 
 	"earmac/internal/adversary"
 	"earmac/internal/core"
-	"earmac/internal/expt"
 	"earmac/internal/metrics"
 	"earmac/internal/ratio"
+	"earmac/internal/registry"
 	"earmac/internal/sched"
 )
 
@@ -76,7 +76,7 @@ func TestEveryAlgorithmEveryPatternStrict(t *testing.T) {
 		cfg := configFor(alg)
 		for patName, pat := range patternsFor(cfg, 17) {
 			t.Run(fmt.Sprintf("%s/%s", alg, patName), func(t *testing.T) {
-				sys, err := expt.Build(alg, cfg.n, cfg.k)
+				sys, err := registry.Build(alg, cfg.n, cfg.k)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -118,7 +118,7 @@ func TestEveryAlgorithmEveryPatternStrict(t *testing.T) {
 func TestObliviousSchedulesAreValid(t *testing.T) {
 	for _, alg := range Algorithms() {
 		cfg := configFor(alg)
-		sys, err := expt.Build(alg, cfg.n, cfg.k)
+		sys, err := registry.Build(alg, cfg.n, cfg.k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +137,7 @@ func TestObliviousSchedulesAreValid(t *testing.T) {
 // TestEnergyAccountingMatchesSchedule cross-checks the mean energy of an
 // oblivious run against the schedule's own station-round count.
 func TestEnergyAccountingMatchesSchedule(t *testing.T) {
-	sys, err := expt.Build("k-clique", 8, 4)
+	sys, err := registry.Build("k-clique", 8, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestEnergyAccountingMatchesSchedule(t *testing.T) {
 // ρ = 1 only Orchestra holds.
 func TestThroughputOrderingMatchesTable(t *testing.T) {
 	runAt := func(alg string, n, k int, rho ratio.Rat, pattern adversary.Pattern) bool {
-		sys, err := expt.Build(alg, n, k)
+		sys, err := registry.Build(alg, n, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +207,7 @@ func TestLatencyHierarchy(t *testing.T) {
 	// always-on RRW (cap n) beats every capped algorithm on mean latency.
 	n := 8
 	meanLat := func(alg string, k int) float64 {
-		sys, err := expt.Build(alg, n, k)
+		sys, err := registry.Build(alg, n, k)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -224,15 +224,7 @@ func TestDiurnalDutyCycle(t *testing.T) {
 	}
 }
 
-func TestPacedAndStop(t *testing.T) {
-	p := Paced(SingleTarget(0, 1), 3)
-	var total int
-	for r := int64(0); r < 9; r++ {
-		total += len(p.DrawAppend(r, 1, nil))
-	}
-	if total != 3 {
-		t.Errorf("paced injected %d, want 3", total)
-	}
+func TestStop(t *testing.T) {
 	st := Stop(SingleTarget(0, 1), 5)
 	for r := int64(0); r < 10; r++ {
 		injs := st.DrawAppend(r, 1, nil)

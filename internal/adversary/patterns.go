@@ -144,38 +144,6 @@ func (b *burstyPat) NextDrawRound(from int64) int64 {
 	return nextCongruent(nr, b.period, b.period-1)
 }
 
-// Paced scales the effective rate: it draws from the inner pattern only
-// every stride rounds, letting the bucket otherwise sit at cap. Useful to
-// drive a (ρ, β) adversary below its permitted rate.
-func Paced(inner Pattern, stride int64) Pattern { return &pacedPat{inner, stride} }
-
-type pacedPat struct {
-	inner  Pattern
-	stride int64
-}
-
-// DrawAppend implements Pattern.
-//
-//earmac:hotpath
-func (p *pacedPat) DrawAppend(round int64, budget int, buf []core.Injection) []core.Injection {
-	if p.stride > 1 && round%p.stride != 0 {
-		return buf
-	}
-	return p.inner.DrawAppend(round, budget, buf)
-}
-
-// NextDrawRound implements PatternSkipper.
-func (p *pacedPat) NextDrawRound(from int64) int64 {
-	if p.stride <= 1 {
-		return NextDraw(p.inner, from)
-	}
-	nr := NextDraw(p.inner, nextCongruent(from, p.stride, 0))
-	if nr < 0 {
-		return -1
-	}
-	return nextCongruent(nr, p.stride, 0)
-}
-
 // Diurnal gates an inner pattern with a duty cycle: injections flow only
 // during the first dutyNum/dutyDen fraction of each period — the
 // under-utilized-LAN traffic shape of the paper's Ethernet motivation.

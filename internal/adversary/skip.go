@@ -13,7 +13,7 @@ package adversary
 // pattern may return a nonempty draw (-1: never again). Early answers
 // are safe — the simulator wakes, draws nothing, and re-enters
 // quiescence — late answers are not. Deterministic gating combinators
-// (Bursty, Paced, Diurnal, Stop) implement it; stochastic leaf
+// (Bursty, Diurnal, Stop) implement it; stochastic leaf
 // patterns deliberately do not.
 type PatternSkipper interface {
 	NextDrawRound(from int64) int64

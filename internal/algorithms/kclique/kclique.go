@@ -131,12 +131,6 @@ func (l *Layout) Schedule() sched.Schedule {
 	}
 }
 
-// CriticalRate returns k²/(2n(2n−k)), the rate up to which the paper
-// bounds the latency (half the pair-activation frequency 1/m).
-func (l *Layout) CriticalRate() (num, den int64) {
-	return int64(l.K) * int64(l.K), 2 * int64(l.N) * (2*int64(l.N) - int64(l.K))
-}
-
 // pairQueue is one station's packet queue for one of its pairs, with
 // the pair ring's phase tail implementing OF-RRW's old/new distinction.
 type pairQueue struct {

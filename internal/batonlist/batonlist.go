@@ -79,11 +79,6 @@ func (l *List) Members() []int {
 	return out
 }
 
-// Clone returns an independent copy.
-func (l *List) Clone() *List {
-	return &List{order: l.Members(), pos: l.pos}
-}
-
 // Equal reports whether two lists have identical order and position.
 // Replica consistency checks use it.
 func (l *List) Equal(o *List) bool {

@@ -84,21 +84,6 @@ func TestMoveFrontHolderIsNoop(t *testing.T) {
 	}
 }
 
-func TestCloneIndependent(t *testing.T) {
-	l := New([]int{0, 1, 2})
-	c := l.Clone()
-	if !l.Equal(c) {
-		t.Fatal("clone not equal")
-	}
-	c.Advance()
-	if l.Equal(c) {
-		t.Error("clone shares state")
-	}
-	if l.Pos() != 0 {
-		t.Error("advancing clone moved original")
-	}
-}
-
 func TestEqual(t *testing.T) {
 	a := New([]int{0, 1})
 	b := New([]int{0, 1})

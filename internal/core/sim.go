@@ -8,6 +8,12 @@ import (
 	"earmac/internal/sched"
 )
 
+// ConservationCheckEvery is the packet-conservation cadence
+// (Options.CheckEvery) of the Table 1 rows (internal/expt) and of the
+// façade unless its checks are disabled: a prime, so it never aligns
+// with phase or pattern periods.
+const ConservationCheckEvery = 10007
+
 // Options configures a simulation run.
 type Options struct {
 	// Strict makes model violations return errors instead of only being
@@ -311,8 +317,10 @@ func (s *Sim) gather(t int64) []Injection {
 
 // NextPacketID returns the ID the next accepted injection will be
 // assigned. IDs are handed out sequentially, in injection order, to
-// every in-range injection; topology layers use this to mirror the
-// simulator's ID assignment without a per-packet callback.
+// every in-range injection, ExtraInjections included. That is the
+// contract a topology layer relies on to mirror IDs by emission order
+// (internal/network counts its own pushes and never calls this); the
+// accessor lets tests pin it.
 func (s *Sim) NextPacketID() int64 { return s.nextID }
 
 // step executes one round: it obtains the injections and the round's

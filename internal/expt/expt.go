@@ -1,13 +1,10 @@
 // Package expt defines the reproduction experiments: one runnable
-// specification per row of the paper's Table 1 (its entire evaluation),
-// plus the algorithm/pattern registries shared by the command-line tools,
-// the public façade, and the benchmark suite.
+// specification per row of the paper's Table 1 (its entire evaluation).
 //
 // A Spec pins a system, an adversary, and a horizon; Run executes it
-// strictly (with conservation checking) and produces an Outcome holding
-// the measured stability, queue, latency, and energy figures next to the
-// paper's claimed bound, plus a verdict of whether the measurement
-// reproduces the claim.
+// strictly (with conservation checking) and produces an Outcome: the
+// Spec, the measurement Report in the shared schema, and a verdict of
+// whether the measurement reproduces the paper's claimed bound.
 package expt
 
 import (
@@ -50,59 +47,50 @@ func (k Kind) String() string {
 	}
 }
 
-// Spec is one experiment.
+// MarshalText encodes the kind as its String form.
+func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// Spec is one experiment. Its JSON form is the identity and claim half
+// of an earmac-table -json row.
 type Spec struct {
-	ID    string // Table 1 row, e.g. "T1.5"
-	Label string // algorithm and setting
-	N     int
-	K     int // energy cap parameter (0 when fixed by the algorithm)
+	ID    string `json:"id"`    // Table 1 row, e.g. "T1.5"
+	Label string `json:"label"` // algorithm and setting
+	N     int    `json:"n"`
+	K     int    `json:"k,omitempty"` // energy cap parameter (0 when fixed by the algorithm)
 
-	Rho  ratio.Rat
-	Beta int64
+	Rho  ratio.Rat `json:"rho"`
+	Beta int64     `json:"beta"`
 
-	Rounds int64
+	Rounds int64 `json:"rounds"`
+	Seed   int64 `json:"seed"`
 
-	Kind  Kind
-	Bound float64 // the paper's bound for this configuration (0 if n/a)
-	Slack float64 // multiplicative tolerance on Bound (1 = exact)
+	Kind       Kind    `json:"kind"`
+	PaperClaim string  `json:"paper_claim"`     // the formula as stated in Table 1
+	Bound      float64 `json:"bound,omitempty"` // the paper's bound for this configuration (0 if n/a)
+	Slack      float64 `json:"slack,omitempty"` // multiplicative tolerance on Bound (1 = exact)
 
-	PaperClaim string // the formula as stated in Table 1
-
-	Build func() (*core.System, error)
+	Build func() (*core.System, error) `json:"-"`
 	// Adv builds the adversary; nil means a full-rate Uniform pattern of
 	// type (Rho, Beta) (see Instantiate).
-	Adv  func(sys *core.System) core.Adversary
-	Seed int64
+	Adv func(sys *core.System) core.Adversary `json:"-"`
 }
 
-// Outcome is the measured result of a Spec.
+// Outcome is one reproduced Table 1 row: the Spec, the verdict, and the
+// full measurement record in the shared Report schema (internal/report)
+// that the façade and the Suite runner also emit. Its JSON form is an
+// earmac-table -json row. Spec and Report both declare N and Rounds, so
+// those two are reached as o.Spec.N or o.Report.Rounds.
 type Outcome struct {
 	Spec
-
-	Stable      bool
-	MaxQueue    int64
-	FinalQueue  int64
-	Slope       float64
-	Growth      float64
-	MaxLatency  int64
-	MeanLatency float64
-	P99Latency  int64
-	MeanEnergy  float64
-	MaxEnergy   int64
-	Injected    int64
-	Delivered   int64
-	Violations  int
-
-	// Report is the full measurement record in the shared schema
-	// (internal/report) that the façade and the Suite runner also emit.
-	Report report.Report
 
 	// Measured is the headline number compared against Bound (max queue
 	// for queue bounds, max latency for latency bounds, the queue growth
 	// slope for instability rows).
-	Measured float64
+	Measured float64 `json:"measured"`
 	// OK reports whether the measurement reproduces the paper's claim.
-	OK bool
+	OK bool `json:"ok"`
+
+	report.Report `json:"report"`
 }
 
 // Instantiate builds the spec's system and its adversary: Adv's, or by
@@ -129,45 +117,30 @@ func Run(s Spec) (Outcome, error) {
 	}
 	tr := metrics.NewTracker()
 	tr.SampleEvery = max(s.Rounds/512, 1)
-	sim := core.NewSim(sys, adv, core.Options{Strict: true, CheckEvery: 10007, Tracker: tr})
+	sim := core.NewSim(sys, adv, core.Options{Strict: true, CheckEvery: core.ConservationCheckEvery, Tracker: tr})
 	if err := sim.Run(s.Rounds); err != nil {
 		return Outcome{}, fmt.Errorf("%s: %w", s.ID, err)
 	}
 
-	o := Outcome{
-		Spec:        s,
-		Report:      report.FromTracker(sys.Info, sys.N(), tr),
-		Stable:      tr.LooksStable(),
-		MaxQueue:    tr.MaxQueue,
-		FinalQueue:  tr.FinalQueue,
-		Slope:       tr.QueueSlope(),
-		Growth:      tr.GrowthRatio(),
-		MaxLatency:  tr.MaxLatency,
-		MeanLatency: tr.MeanLatency(),
-		P99Latency:  tr.LatencyPercentile(0.99),
-		MeanEnergy:  tr.MeanEnergy(),
-		MaxEnergy:   tr.MaxEnergy,
-		Injected:    tr.Injected,
-		Delivered:   tr.Delivered,
-		Violations:  len(tr.Violations),
-	}
+	o := Outcome{Spec: s, Report: report.FromTracker(sys.Info, sys.N(), tr)}
 	slack := s.Slack
 	if slack == 0 {
 		slack = 1
 	}
+	clean := o.Stable && len(o.Violations) == 0
 	switch s.Kind {
 	case KindStable:
 		o.Measured = float64(o.MaxQueue)
-		o.OK = o.Stable && o.Violations == 0
+		o.OK = clean
 	case KindQueueBound:
 		o.Measured = float64(o.MaxQueue)
-		o.OK = o.Stable && o.Violations == 0 && o.Measured <= s.Bound*slack
+		o.OK = clean && o.Measured <= s.Bound*slack
 	case KindLatency:
 		o.Measured = float64(o.MaxLatency)
-		o.OK = o.Stable && o.Violations == 0 && o.Measured <= s.Bound*slack
+		o.OK = clean && o.Measured <= s.Bound*slack
 	case KindUnstable:
-		o.Measured = o.Slope
-		o.OK = !o.Stable && o.Slope > 0 && o.Violations == 0
+		o.Measured = o.QueueSlope
+		o.OK = !o.Stable && o.QueueSlope > 0 && len(o.Violations) == 0
 	}
 	return o, nil
 }

@@ -8,8 +8,10 @@ import (
 	"strings"
 	"testing"
 
+	"earmac/internal/broadcast"
 	"earmac/internal/core"
 	"earmac/internal/ratio"
+	"earmac/internal/report"
 )
 
 func TestPaperBoundFormulas(t *testing.T) {
@@ -32,44 +34,6 @@ func TestPaperBoundFormulas(t *testing.T) {
 	want := (18*64*9 + 4.0) * 2
 	if got := AdjustWindowLatencyBound(4, 2, ratio.New(1, 2)); math.Abs(got-want) > 1e-9 {
 		t.Errorf("AdjustWindowLatencyBound = %v, want %v", got, want)
-	}
-}
-
-func TestRegistryBuildsEverything(t *testing.T) {
-	for _, name := range Algorithms() {
-		sys, err := Build(name, 6, 3)
-		if err != nil {
-			t.Errorf("Build(%q): %v", name, err)
-			continue
-		}
-		if sys.N() != 6 {
-			t.Errorf("Build(%q): n = %d", name, sys.N())
-		}
-		if sys.Info.Oblivious && sys.Schedule == nil {
-			t.Errorf("Build(%q): oblivious without schedule", name)
-		}
-	}
-	if _, err := Build("nonsense", 4, 2); err == nil {
-		t.Error("unknown algorithm accepted")
-	}
-}
-
-func TestPatternRegistry(t *testing.T) {
-	for _, name := range Patterns() {
-		p, err := BuildPattern(name, 5, 1, 0, 1)
-		if err != nil {
-			t.Errorf("BuildPattern(%q): %v", name, err)
-			continue
-		}
-		injs := p.DrawAppend(255, 2, nil) // round 255 hits the bursty period too
-		for _, in := range injs {
-			if in.Station < 0 || in.Station >= 5 || in.Dest < 0 || in.Dest >= 5 {
-				t.Errorf("pattern %q out of range: %+v", name, in)
-			}
-		}
-	}
-	if _, err := BuildPattern("nope", 5, 1, 0, 1); err == nil {
-		t.Error("unknown pattern accepted")
 	}
 }
 
@@ -138,7 +102,7 @@ func TestRunUnstableRow(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !o.OK {
-			t.Errorf("T1.6 did not reproduce: stable=%v slope=%v", o.Stable, o.Slope)
+			t.Errorf("T1.6 did not reproduce: stable=%v slope=%v", o.Stable, o.QueueSlope)
 		}
 	}
 }
@@ -175,8 +139,8 @@ func TestRenderRowMismatch(t *testing.T) {
 	o := Outcome{
 		Spec: Spec{ID: "X", Label: "fake", N: 4, Kind: KindLatency,
 			Bound: 10, PaperClaim: "c", Rho: ratio.New(1, 2)},
-		MaxLatency: 99,
-		OK:         false,
+		Report: report.Report{MaxLatency: 99},
+		OK:     false,
 	}
 	row := renderRow(o)
 	if !strings.Contains(row, "MISMATCH") || !strings.Contains(row, "max lat 99") {
@@ -198,7 +162,7 @@ func TestRunKindStable(t *testing.T) {
 		ID: "S", Label: "rrw stability smoke",
 		N: 4, Rho: ratio.New(1, 2), Beta: 1,
 		Rounds: 20000, Kind: KindStable,
-		Build: func() (*core.System, error) { return Build("rrw", 4, 0) },
+		Build: func() (*core.System, error) { return broadcast.NewRRWSystem(4), nil },
 		Seed:  5,
 	})
 	if err != nil {

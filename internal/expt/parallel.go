@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"earmac/internal/pool"
-	"earmac/internal/report"
 )
 
 // RunConcurrent executes the specs across a bounded worker pool
@@ -28,46 +27,4 @@ func RunConcurrent(ctx context.Context, specs []Spec, workers int) ([]Outcome, e
 		}
 	}
 	return outs, nil
-}
-
-// OutcomeJSON is the serialization of an Outcome: the spec's identity and
-// claim next to the measured verdict, with the full measurement record in
-// the shared Report schema.
-type OutcomeJSON struct {
-	ID         string        `json:"id"`
-	Label      string        `json:"label"`
-	N          int           `json:"n"`
-	K          int           `json:"k,omitempty"`
-	Rho        string        `json:"rho"`
-	Beta       int64         `json:"beta"`
-	Rounds     int64         `json:"rounds"`
-	Seed       int64         `json:"seed"`
-	Kind       string        `json:"kind"`
-	PaperClaim string        `json:"paper_claim"`
-	Bound      float64       `json:"bound,omitempty"`
-	Slack      float64       `json:"slack,omitempty"`
-	Measured   float64       `json:"measured"`
-	OK         bool          `json:"ok"`
-	Report     report.Report `json:"report"`
-}
-
-// JSON converts the outcome to its serializable form.
-func (o Outcome) JSON() OutcomeJSON {
-	return OutcomeJSON{
-		ID:         o.ID,
-		Label:      o.Label,
-		N:          o.N,
-		K:          o.K,
-		Rho:        o.Rho.String(),
-		Beta:       o.Beta,
-		Rounds:     o.Rounds,
-		Seed:       o.Seed,
-		Kind:       o.Kind.String(),
-		PaperClaim: o.PaperClaim,
-		Bound:      o.Bound,
-		Slack:      o.Slack,
-		Measured:   o.Measured,
-		OK:         o.OK,
-		Report:     o.Report,
-	}
 }

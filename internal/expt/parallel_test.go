@@ -67,7 +67,7 @@ func TestOutcomeJSONCarriesSharedReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := json.Marshal(o.JSON())
+	blob, err := json.Marshal(o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -190,5 +190,5 @@ func renderRow(o Outcome) string {
 		verdict = "MISMATCH"
 	}
 	return fmt.Sprintf("%s\t%s\t%d\t%s\t%v\t%d\t%s\t%s\t%s\t%v\t%s",
-		o.ID, o.Label, o.N, k, o.Rho, o.Beta, o.PaperClaim, bound, measured, o.Stable, verdict)
+		o.ID, o.Label, o.Spec.N, k, o.Rho, o.Beta, o.PaperClaim, bound, measured, o.Stable, verdict)
 }

@@ -58,13 +58,3 @@ func (c Control) Uint(off, width int) uint64 {
 	}
 	return v
 }
-
-// Clone returns an independent copy of the control string.
-func (c Control) Clone() Control {
-	if c == nil {
-		return nil
-	}
-	out := make(Control, len(c))
-	copy(out, c)
-	return out
-}

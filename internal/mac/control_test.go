@@ -103,20 +103,6 @@ func TestUintAdjacentFieldsDoNotOverlap(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	c := MakeControl(16)
-	c.SetBit(3, true)
-	d := c.Clone()
-	d.SetBit(3, false)
-	if !c.Bit(3) {
-		t.Error("mutating clone changed original")
-	}
-	var nilCtrl Control
-	if nilCtrl.Clone() != nil {
-		t.Error("clone of nil should be nil")
-	}
-}
-
 func TestMessageKinds(t *testing.T) {
 	p := Packet{ID: 1, Src: 0, Dest: 2, Injected: 5}
 	pm := PacketMsg(p)

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 	"strings"
 )
 
@@ -335,31 +334,4 @@ func (t *Tracker) Summary() string {
 		}
 	}
 	return b.String()
-}
-
-// LatencyBuckets returns the non-empty latency histogram as (upperBound,
-// count) pairs in increasing order.
-func (t *Tracker) LatencyBuckets() []struct {
-	UpTo  int64
-	Count int64
-} {
-	var out []struct {
-		UpTo  int64
-		Count int64
-	}
-	for b, c := range t.LatHist {
-		if c == 0 {
-			continue
-		}
-		up := int64(math.MaxInt64)
-		if b < 63 {
-			up = (int64(1) << uint(b+1)) - 1
-		}
-		out = append(out, struct {
-			UpTo  int64
-			Count int64
-		}{up, c})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].UpTo < out[j].UpTo })
-	return out
 }

@@ -288,20 +288,3 @@ func TestPendingAndInjections(t *testing.T) {
 		t.Errorf("Pending = %d, want 5", tr.Pending())
 	}
 }
-
-func TestLatencyBuckets(t *testing.T) {
-	tr := NewTracker()
-	for _, lat := range []int64{1, 1, 5, 6, 7} {
-		tr.ObserveDelivery(lat)
-	}
-	b := tr.LatencyBuckets()
-	if len(b) != 2 {
-		t.Fatalf("buckets = %v", b)
-	}
-	if b[0].UpTo != 1 || b[0].Count != 2 {
-		t.Errorf("bucket 0 = %+v", b[0])
-	}
-	if b[1].UpTo != 7 || b[1].Count != 3 {
-		t.Errorf("bucket 1 = %+v", b[1])
-	}
-}

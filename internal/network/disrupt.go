@@ -13,6 +13,7 @@ import (
 	"sort"
 
 	"earmac/internal/adversary"
+	"earmac/internal/core"
 	"earmac/internal/scenario"
 )
 
@@ -234,10 +235,17 @@ func (s *OutageSchedule) NextDisrupted(ch int, from int64) int64 {
 	return -1
 }
 
-// EventSink receives the disruption and sleep events Step emits after
-// its barrier, in ascending channel order within each round — the
-// trace-v3 recording hook (scenario.Encoder implements it).
+// EventSink receives what Step emits after its barrier, in ascending
+// channel order within each round and, within one channel, in the order
+// entry injections < jam < outage < sleep — the trace recording hook
+// (scenario.Encoder implements it). ChannelRound gets the channel's
+// adversarial entry injections in global coordinates, only on rounds
+// that have some; the slice is reused and must not be retained. An
+// outage event fires once per window, on its first round, carrying the
+// window length; a sleep event fires on each transition of the
+// channel's asleep-station count.
 type EventSink interface {
+	ChannelRound(round int64, ch int, injs []core.Injection)
 	Jam(round int64, ch int)
 	Outage(round int64, ch int, rounds int64)
 	Sleep(round int64, ch int, asleep int)

@@ -40,15 +40,6 @@ type Options struct {
 	// TrackStations enables per-station queue peaks on every channel
 	// tracker (the network-wide QueueImbalance diagnostic).
 	TrackStations bool
-	// Recorder, when non-nil, receives every channel's adversarial
-	// entry injections (global coordinates) each round, in increasing
-	// (round, channel) order — the trace recording hook. Entries are
-	// buffered per channel while the round executes and emitted after
-	// its sync point in ascending channel order, so the recorded stream
-	// is identical at any worker count. Relay arrivals are not
-	// reported: they are derived state, reproduced by routing during
-	// replay. The slice is reused and must not be retained.
-	Recorder func(round int64, ch int, injs []core.Injection)
 	// Tracer, when non-nil, supplies each channel's event tracer (nil
 	// returns are fine). Like core.Options.Tracer, a non-nil tracer
 	// attaches that channel's validators — and forces Workers to 1, so
@@ -65,11 +56,13 @@ type Options struct {
 	// delivered) and relay hand-offs destined for it park in a held
 	// queue at the network layer until the window ends.
 	Outages *OutageSchedule
-	// Events, when non-nil, receives jam/outage/sleep events after each
-	// round's barrier, in ascending channel order — the trace-v3
-	// counterpart of Recorder. Outage events fire once per window, on
-	// its first round, carrying the window length; sleep events fire on
-	// transitions of a channel's asleep-station count.
+	// Events, when non-nil, is the trace recording hook: after each
+	// round's barrier it receives, channel by channel in ascending
+	// order, the channel's adversarial entry injections and its
+	// jam/outage/sleep events (see EventSink). Entries are buffered per
+	// channel while the round executes, so the recorded stream is
+	// identical at any worker count. Relay arrivals are not reported:
+	// they are derived state, reproduced by routing during replay.
 	Events EventSink
 	// Sleepers, when non-nil, reports channel ch's current count of
 	// duty-cycled stations that suppressed their action this round
@@ -122,7 +115,7 @@ type chanState struct {
 	relay relayFeed // the sim's ExtraInjections: relay arrivals
 
 	// entries is this round's raw entry stream (global coordinates),
-	// buffered for the post-barrier Recorder flush. Reused every round.
+	// buffered for the post-barrier Events flush. Reused every round.
 	entries []core.Injection
 	// arriving holds the relay arrivals injected this round (filled by
 	// the hand-off merge, drained by relayFeed). outbox collects this
@@ -306,7 +299,7 @@ func (n *Network) Close() {
 
 // feed is channel ch's core.Adversary: it pulls the channel's entry
 // injections from the channel's entry adversary, buffers them for the
-// post-barrier Recorder flush, and routes them into local coordinates.
+// post-barrier Events flush, and routes them into local coordinates.
 type feed struct {
 	net  *Network
 	cs   *chanState
@@ -442,7 +435,7 @@ func (n *Network) stepChannel(c int) {
 // immutable topology and the per-channel buffers merged in phase 1, so
 // workers never contend. (3) Deterministic fold: after the barrier,
 // per-channel accumulators (entry admissions, end-to-end completions,
-// violations, recorder buffers, queue/energy totals) are folded into
+// violations, entry buffers, queue/energy totals) are folded into
 // the aggregate tracker in ascending channel order. Phases 1 and 3
 // iterate channels identically at any worker count, which is why every
 // output is bit-identical to the serial loop's.
@@ -501,26 +494,23 @@ func (n *Network) Step() error {
 	// (2) One lockstep round across the worker team.
 	n.team.Dispatch()
 
-	// (3) Fold, ascending channel order throughout. Recorder entries
-	// and disruption/sleep events interleave per channel so a shared
-	// trace encoder sees strictly increasing (round, channel, kind).
-	if n.opt.Recorder != nil || n.opt.Events != nil {
+	// (3) Fold, ascending channel order throughout. Entries and
+	// disruption/sleep events interleave per channel so a trace encoder
+	// sees strictly increasing (round, channel, kind).
+	if ev := n.opt.Events; ev != nil {
 		for c, cs := range chans {
-			if n.opt.Recorder != nil && len(cs.entries) > 0 {
-				n.opt.Recorder(n.round, c, cs.entries)
-			}
-			if n.opt.Events == nil {
-				continue
+			if len(cs.entries) > 0 {
+				ev.ChannelRound(n.round, c, cs.entries)
 			}
 			if cs.disrupt&core.DisruptJam != 0 {
-				n.opt.Events.Jam(n.round, c)
+				ev.Jam(n.round, c)
 			}
 			if cs.outStart {
-				n.opt.Events.Outage(n.round, c, cs.outDur)
+				ev.Outage(n.round, c, cs.outDur)
 			}
 			if n.opt.Sleepers != nil {
 				if v := n.opt.Sleepers(c); v != cs.lastAsleep {
-					n.opt.Events.Sleep(n.round, c, v)
+					ev.Sleep(n.round, c, v)
 					cs.lastAsleep = v
 				}
 			}

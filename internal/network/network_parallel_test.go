@@ -131,10 +131,10 @@ func TestNetworkZeroAllocs(t *testing.T) {
 	}
 	const warmup, window = 20000, 2000
 	topo := mustCompile(t, Spec{Kind: Line, Channels: 4, N: 6})
-	build := func(entry []core.Adversary, workers int, rec func(int64, int, []core.Injection)) *Network {
+	build := func(entry []core.Adversary, workers int, rec EventSink) *Network {
 		net, err := New(topo, func(ch int) (*core.System, error) {
 			return orchestra.New(6)
-		}, entry, Options{SampleEvery: -1, Workers: workers, Recorder: rec})
+		}, entry, Options{SampleEvery: -1, Workers: workers, Events: rec})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +142,7 @@ func TestNetworkZeroAllocs(t *testing.T) {
 	}
 	live := func() []core.Adversary { return mkUniformAdversary(t, topo, adversary.T(1, 2, 4), 31) }
 	var trace scenario.Trace
-	recorded := build(live(), 1, recordEntries(&trace))
+	recorded := build(live(), 1, entrySink{&trace})
 	// Up to five windows, each run twice by AllocsPerRun: a replay past
 	// the recording would measure idle rounds.
 	if err := recorded.Run(warmup + 10*window); err != nil {

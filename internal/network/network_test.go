@@ -146,17 +146,21 @@ func mkUniformAdversary(t *testing.T, topo *Topology, typ adversary.Type, seed i
 	return adv
 }
 
-// recordEntries returns a Recorder that appends every channel's entry
-// injections to tr as trace-v2 events.
-func recordEntries(tr *scenario.Trace) func(round int64, ch int, injs []core.Injection) {
-	return func(round int64, ch int, injs []core.Injection) {
-		ev := scenario.Event{Round: round, Channel: ch}
-		for _, in := range injs {
-			ev.Injs = append(ev.Injs, [2]int{in.Station, in.Dest})
-		}
-		tr.Events = append(tr.Events, ev)
+// entrySink is an EventSink that appends every channel's entry
+// injections to tr as injection events and ignores the kinded ones.
+type entrySink struct{ tr *scenario.Trace }
+
+func (e entrySink) ChannelRound(round int64, ch int, injs []core.Injection) {
+	ev := scenario.Event{Round: round, Channel: ch}
+	for _, in := range injs {
+		ev.Injs = append(ev.Injs, [2]int{in.Station, in.Dest})
 	}
+	e.tr.Events = append(e.tr.Events, ev)
 }
+
+func (entrySink) Jam(int64, int)           {}
+func (entrySink) Outage(int64, int, int64) {}
+func (entrySink) Sleep(int64, int, int)    {}
 
 // TestNewRejectsEntryCount: a network takes exactly one entry adversary
 // per channel.
@@ -177,9 +181,8 @@ func TestBudgetSplitAdmissible(t *testing.T) {
 	topo := mustCompile(t, Spec{Kind: Clique, Channels: 3, N: 3})
 	typ := adversary.T(2, 3, 3)
 	var trace scenario.Trace
-	rec := recordEntries(&trace)
 	net, err := New(topo, rrBuild(3), mkUniformAdversary(t, topo, typ, 17), Options{
-		Strict: true, CheckEvery: 997, Recorder: rec,
+		Strict: true, CheckEvery: 997, Events: entrySink{&trace},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -220,14 +223,14 @@ func TestBudgetSplitAdmissible(t *testing.T) {
 // reproduces them again.
 func TestFastCheckedNetworkEquivalence(t *testing.T) {
 	typ := adversary.T(1, 2, 2)
-	build := func(forceChecked bool, entry []core.Adversary, rec func(int64, int, []core.Injection)) *Network {
+	build := func(forceChecked bool, entry []core.Adversary, rec EventSink) *Network {
 		topo := mustCompile(t, Spec{Kind: Line, Channels: 3, N: 3})
 		if entry == nil {
 			entry = mkUniformAdversary(t, topo, typ, 23)
 		}
 		net, err := New(topo, rrBuild(3), entry, Options{
 			ForceChecked: forceChecked,
-			Recorder:     rec,
+			Events:       rec,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -235,8 +238,7 @@ func TestFastCheckedNetworkEquivalence(t *testing.T) {
 		return net
 	}
 	var trace scenario.Trace
-	rec := recordEntries(&trace)
-	fast := build(false, nil, rec)
+	fast := build(false, nil, entrySink{&trace})
 	if err := fast.Run(4000); err != nil {
 		t.Fatal(err)
 	}

@@ -34,14 +34,6 @@ import (
 	"earmac/internal/registry"
 )
 
-// SpecVersion is the topology-spec version this package compiles.
-// Traces recorded against a network embed the spec (via the façade
-// Config) and the trace format version (scenario.TraceVersion) gates
-// decoding; SpecVersion exists so a future incompatible change to
-// routing or gateway assignment can fail loudly instead of silently
-// re-routing a recorded run.
-const SpecVersion = 1
-
 // Topology kinds. A kind names a channel-graph generator; Custom takes
 // an explicit edge list instead.
 const (

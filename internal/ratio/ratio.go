@@ -193,6 +193,9 @@ func (r Rat) String() string {
 	return fmt.Sprintf("%d/%d", r.n, r.d)
 }
 
+// MarshalText encodes the rational as its String form ("1", "1/4").
+func (r Rat) MarshalText() ([]byte, error) { return []byte(r.String()), nil }
+
 // ParseFraction parses "p/q", or an integer p as p/1, and returns the
 // numerator and denominator as written, unreduced, so a rate reads back
 // the way it was given. A zero denominator is an error: "p/0" names no

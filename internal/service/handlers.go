@@ -372,8 +372,9 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	state, errMsg, _ := j.snapshot()
 	if j.terminal() {
 		// A job cancelled while queued is terminal right now: retire it
-		// immediately so a resubmission starts fresh instead of joining
-		// the corpse until a worker pops it.
+		// immediately, which releases its waiters, so a resubmission
+		// starts fresh instead of joining the corpse until a worker pops
+		// it.
 		s.retire(j)
 	}
 	writeJSON(w, http.StatusOK, statusResponse{ID: id, Status: state, Error: errMsg})

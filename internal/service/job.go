@@ -87,23 +87,19 @@ func (j *job) recording() bool {
 }
 
 // requestCancel cancels the job: a running job's RunContext is
-// interrupted, a queued job is marked so the dispatcher skips it (and
-// reaches its terminal state immediately, since no worker will).
+// interrupted, a queued job is marked so the dispatcher skips it and
+// reaches its terminal state immediately, since no worker will; the
+// caller then retires it, which releases its waiters.
 func (j *job) requestCancel() {
 	j.mu.Lock()
-	already := j.cancelled
 	j.cancelled = true
 	cancel := j.cancel
-	queued := j.state == StateQueued
-	if queued && !already {
+	if j.state == StateQueued {
 		j.state = StateCancelled
 	}
 	j.mu.Unlock()
 	if cancel != nil {
 		cancel()
-	}
-	if queued && !already {
-		j.finish()
 	}
 }
 
@@ -150,27 +146,28 @@ func (j *job) unsubscribe(ch chan earmac.Progress) {
 }
 
 // complete records a successful run: the canonical report bytes and the
-// recorded trace (nil unless recording was requested).
+// recorded trace (nil unless recording was requested). The caller then
+// retires the job, which releases its waiters.
 func (j *job) complete(report, trace []byte) {
 	j.mu.Lock()
 	j.state = StateDone
 	j.result = report
 	j.trace = trace
 	j.mu.Unlock()
-	j.finish()
 }
 
-// fail records a terminal failure (or cancellation, per state).
+// fail records a terminal failure (or cancellation, per state). The
+// caller then retires the job, which releases its waiters.
 func (j *job) fail(state, msg string) {
 	j.mu.Lock()
 	j.state = state
 	j.errMsg = msg
 	j.mu.Unlock()
-	j.finish()
 }
 
 // finish closes the done channel and every subscription exactly once.
-// The caller must already have published the terminal state.
+// The caller must already have published the terminal state; only
+// Server.retire calls it, after tallying the job.
 func (j *job) finish() {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -186,6 +186,9 @@ func (s *Server) cancelAll() {
 	s.mu.Unlock()
 	for _, j := range jobs {
 		j.requestCancel()
+		if j.terminal() {
+			s.retire(j) // cancelled while queued
+		}
 	}
 }
 
@@ -308,12 +311,16 @@ func (s *Server) runJob(j *job) {
 	s.retire(j)
 }
 
-// retire moves a terminal job out of the live map; failed and cancelled
-// jobs stay queryable in the bounded recent map (done jobs are served
-// from the cache).
+// retire tallies a terminal job, moves it out of the live map, and only
+// then releases its waiters, so a client that sees the job finish (a
+// synchronous /v1/run's response) finds it counted in healthz. Failed
+// and cancelled jobs stay queryable in the bounded recent map (done
+// jobs are served from the cache). Every path that makes a job terminal
+// retires it; retiring twice is harmless.
 func (s *Server) retire(j *job) {
 	state, _, _ := j.snapshot()
 	counted := j.markCounted()
+	defer j.finish() // runs after the unlock below
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if counted {

@@ -680,13 +680,18 @@ func TestDiskCacheAcrossRestart(t *testing.T) {
 // job counters plus cache hit/miss/eviction/disk figures.
 func TestHealthzJobAndCacheCounters(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 2})
+	healthz := func() (healthResponse, []byte) {
+		t.Helper()
+		_, raw := get(t, ts.URL+"/v1/healthz")
+		var h healthResponse
+		if err := json.Unmarshal(raw, &h); err != nil {
+			t.Fatalf("healthz: %v (%s)", err, raw)
+		}
+		return h, raw
+	}
 	post(t, ts.URL+"/v1/run", quickConfig) // miss
 	post(t, ts.URL+"/v1/run", quickConfig) // hit
-	_, raw := get(t, ts.URL+"/v1/healthz")
-	var h healthResponse
-	if err := json.Unmarshal(raw, &h); err != nil {
-		t.Fatalf("healthz: %v (%s)", err, raw)
-	}
+	h, raw := healthz()
 	if h.Jobs.Done != 1 || h.Jobs.Failed != 0 || h.Jobs.Cancelled != 0 {
 		t.Errorf("healthz jobs = %+v, want exactly one done", h.Jobs)
 	}
@@ -697,6 +702,17 @@ func TestHealthzJobAndCacheCounters(t *testing.T) {
 	for _, key := range []string{`"jobs"`, `"done"`, `"failed"`, `"cancelled"`, `"evictions"`, `"disk_hits"`} {
 		if !strings.Contains(string(raw), key) {
 			t.Errorf("healthz body missing %s:\n%s", key, raw)
+		}
+	}
+	// A synchronous run's 200 means its job is already tallied: healthz
+	// read right after each response counts every run so far.
+	for i := 1; i <= 50; i++ {
+		cfg := fmt.Sprintf(`{"algorithm":"count-hop","n":5,"rho_num":1,"rho_den":3,"rounds":2000,"seed":%d}`, i)
+		if resp, body := post(t, ts.URL+"/v1/run", cfg); resp.StatusCode != http.StatusOK {
+			t.Fatalf("run %d: %d %s", i, resp.StatusCode, body)
+		}
+		if h, _ := healthz(); h.Jobs.Done != int64(i+1) {
+			t.Fatalf("after run %d: healthz jobs = %+v, want done = %d", i, h.Jobs, i+1)
 		}
 	}
 }
