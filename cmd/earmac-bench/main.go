@@ -391,14 +391,14 @@ func networkRows(scale expt.Scale, reps int) []benchcmp.Row {
 			network.Spec{Kind: network.Line, Channels: 16, N: 6}, 16, 50000, procs, "jam", false},
 		{"NET.jam16.ser", "aloha line ×16 jammed @ ρ=1/4 β=16 ρ_j=1/4 duty 32/16, n=6, serial",
 			network.Spec{Kind: network.Line, Channels: 16, N: 6}, 16, 50000, 1, "jam", false},
-		// The energy frontier under the quiescence engine: the ISSUE 8
-		// jam+duty shape in its sparse regime — n=24 per channel at a
-		// global entry rate of ρ=1/1024 and a long duty sleep, where the
-		// duty wrapper's zero-energy idle profile turns almost every
-		// round — jammed rounds included — into an O(1) quiescent tick
-		// per channel (the live jammer pins span skipping, so this row
-		// measures tier 1). The ".noskip" twin forces the per-round O(n)
-		// sweep; assertTwins gates the pair bit-identical on every run.
+		// The energy frontier under the quiescence engine: the jam+duty
+		// shape in its sparse regime — n=24 per channel at a global
+		// entry rate of ρ=1/1024 and a long duty sleep, where the duty
+		// wrapper's zero-energy idle profile makes almost every channel
+		// lazy between its duty wakes, and the network spans the rounds
+		// between jams when every channel is. The ".noskip" twin forces
+		// the per-round O(n) sweep; assertTwins gates the pair
+		// bit-identical on every run.
 		{"NET.frontier16", "aloha line ×16 jammed @ ρ=1/1024 β=16 ρ_j=1/4 duty 8/256, n=24, quiescent ticks",
 			network.Spec{Kind: network.Line, Channels: 16, N: 24}, 16, 50000, 1, "frontier", false},
 		{"NET.frontier16.noskip", "aloha line ×16 jammed @ ρ=1/1024 β=16 ρ_j=1/4 duty 8/256, n=24, per-round loop",

@@ -416,24 +416,21 @@ func prepare(cfg Config) (run, error) {
 			return d
 		}
 		// Span skipping past disrupted stretches needs a horizon over
-		// every disruption source. A replayed jam stream (JamReplay)
-		// knows its future; a live Jammer spends budget every round and
-		// has none, which pins spans (quiescent ticks still consult the
-		// closure round by round, so jam accounting stays exact).
-		jh, jok := disruptor.(network.JamHorizon)
-		if disruptor == nil || jok {
-			opts.DisruptHorizon = func(from int64) int64 {
-				next := int64(-1)
-				if jok {
-					next = jh.NextJamRound(from)
-				}
-				if outs != nil {
-					if nd := outs.NextDisrupted(0, from); nd >= 0 && (next < 0 || nd < next) {
-						next = nd
-					}
-				}
-				return next
+		// every disruption source: a replayed jam stream knows its
+		// future, a live Jammer the round its bucket next affords a jam
+		// (it refills the bucket for the skipped rounds at its next
+		// consult), and an outage schedule its windows.
+		opts.DisruptHorizon = func(from int64) int64 {
+			next := int64(-1)
+			if disruptor != nil {
+				next = disruptor.NextJamRound(from)
 			}
+			if outs != nil {
+				if nd := outs.NextDisrupted(0, from); nd >= 0 && (next < 0 || nd < next) {
+					next = nd
+				}
+			}
+			return next
 		}
 	}
 	if grp != nil && enc != nil {

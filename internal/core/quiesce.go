@@ -92,10 +92,11 @@ func (s *Sim) quiescentAdvance(end int64) error {
 	}
 	// A wake-up is forced by a pending injection, the idle-profile
 	// horizon, or a disrupted round some station would observe (the
-	// collision feedback alters station state, so it cannot be ticked;
-	// with zero idle energy nobody is listening and the tick just
-	// counts the jammed/outaged round).
-	if len(injs) > 0 || t == s.idleBreakAt || (d != 0 && s.idleEntry(t).Energy > 0) {
+	// collision feedback may alter station state, so it cannot be
+	// ticked). With zero idle energy nobody is listening, and with
+	// feedback-free idlers the collision changes nothing: either way
+	// the tick just counts the jammed/outaged round.
+	if len(injs) > 0 || t == s.idleBreakAt || (d != 0 && !s.fbFreeIdle && s.idleEntry(t).Energy > 0) {
 		s.wake(t)
 		return s.stepFrom(t, injs, d)
 	}
@@ -176,9 +177,9 @@ func (s *Sim) trySpan(end int64) {
 func (s *Sim) Quiescent() bool { return s.quiescent }
 
 // QuiescentConst returns the constant idle round of a quiescent sim
-// whose profile is period-1, and whether that holds. The network span
-// barrier requires constant profiles so per-round channel totals stay
-// aligned across an arbitrary window.
+// whose profile is period-1, and whether that holds. A network channel
+// goes lazy only on a constant profile: the fold then counts each
+// skipped round's energy from that one idle round.
 func (s *Sim) QuiescentConst() (IdleRound, bool) {
 	if !s.quiescent || len(s.idleCycle) != 1 {
 		return IdleRound{}, false

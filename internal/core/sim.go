@@ -58,16 +58,17 @@ type Options struct {
 	// the equivalence tests' way of comparing runs with and without
 	// validators.
 	ForceChecked bool
-	// Disrupted, when non-nil, is consulted exactly once per round —
-	// after the round's injections are gathered, before the station
-	// sweep — and returns the round's disruption flags. A disrupted
+	// Disrupted, when non-nil, is consulted once per executed or ticked
+	// round — after the round's injections are gathered, before the
+	// station sweep — and returns the round's disruption flags; rounds
+	// a span skips are not consulted (see DisruptHorizon). A disrupted
 	// round delivers nothing: every switched-on station observes
 	// FbCollision regardless of how many stations transmitted (jamming
 	// noise and a dead channel are indistinguishable from a collision at
 	// the receivers), stations still spend their energy, and the tracker
 	// counts the round as a collision plus the matching Jammed/Outaged
-	// counter. The hook runs on every round, so it must not allocate in
-	// steady state.
+	// counter. The hook runs on every executed or ticked round, so it
+	// must not allocate in steady state.
 	Disrupted func(round int64) Disrupt
 	// DropObserver, when non-nil, receives every packet that dies
 	// mid-route: a heard round whose destination station is switched off
@@ -92,7 +93,10 @@ type Options struct {
 	// consult may return nonzero (-1: never). It gates the span-skip
 	// tier: a Disrupted hook without a horizon pins spans, because the
 	// hook may have per-round side effects the engine cannot replay
-	// (quiescent ticks still consult it every round).
+	// (quiescent ticks still consult it every round). A hook with a
+	// horizon owns its per-round state across a span: the next consult
+	// must account for the rounds skipped since the last one (the live
+	// jammer advances its bucket then).
 	DisruptHorizon func(from int64) int64
 }
 
@@ -160,6 +164,7 @@ type Sim struct {
 
 	// Quiescence fast-forward state (no validator attached; see quiesce.go).
 	skipOK      bool          // engine enabled for this sim
+	fbFreeIdle  bool          // every station is a mac.FeedbackFreeIdler
 	quiescent   bool          // currently inside a quiescent stretch
 	qFrom       int64         // first round the stations have not executed
 	skippers    []mac.Skipper // per-station, populated only when skipOK
@@ -228,9 +233,23 @@ func NewSim(sys *System, adv Adversary, opt Options) *Sim {
 		if ok {
 			s.skippers = skippers
 			s.skipOK = true
+			s.fbFreeIdle = feedbackFreeIdle(sys.Stations)
 		}
 	}
 	return s
+}
+
+// feedbackFreeIdle reports whether every station's idle evolution
+// ignores channel feedback (mac.FeedbackFreeIdler), so a quiescent
+// system may tick through a disrupted round its stations listen to.
+func feedbackFreeIdle(stations []Protocol) bool {
+	for _, st := range stations {
+		f, ok := st.(mac.FeedbackFreeIdler)
+		if !ok || !f.FeedbackFreeIdle() {
+			return false
+		}
+	}
+	return true
 }
 
 // Tracker returns the statistics collector.

@@ -69,8 +69,7 @@ func (c ConstIdle) AppendIdleCycle(from int64, buf []IdleRound) []IdleRound {
 }
 
 // IdleConstOf reports the single idle round of a period-1 constant
-// profile, and whether p is one. The network span barrier requires
-// constant profiles so per-round totals across channels stay aligned.
+// profile, and whether p is one.
 func IdleConstOf(p IdleProfiler) (IdleRound, bool) {
 	c, ok := p.(ConstIdle)
 	return IdleRound(c), ok

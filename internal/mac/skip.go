@@ -28,7 +28,9 @@ type Skipper interface {
 // depend on channel feedback: SkipIdle is correct even if the station
 // was switched off (and so observed nothing) for the skipped rounds.
 // The duty-cycle wrapper requires it — a sleeping station's inner
-// protocol still Acts every round but never Observes.
+// protocol still Acts every round but never Observes — and a quiescent
+// sim whose stations all declare it ticks a jammed or outaged round in
+// O(1) instead of waking them to observe the collision.
 type FeedbackFreeIdler interface {
 	FeedbackFreeIdle() bool
 }

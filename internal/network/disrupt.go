@@ -1,8 +1,8 @@
 package network
 
-// Disruption sources (ISSUE 8): a budgeted jamming adversary choosing
+// Disruption sources: a budgeted jamming adversary choosing
 // (round, channel) pairs to jam, and validated per-channel outage
-// schedules. Both feed Network.Step's phase 1, which translates them
+// schedules. Both feed Network.step's phase 1, which translates them
 // into per-channel core.Disrupt flags for the round — a disrupted round
 // delivers nothing and reads as a collision (see core.Options.Disrupted)
 // — and, for outages, parks incoming relay hand-offs until the channel
@@ -18,12 +18,17 @@ import (
 )
 
 // Disruptor supplies the channels jammed in each round. AppendJams is
-// called exactly once per round, serially (from Step's phase 1, before
-// any channel is dispatched), with rounds strictly increasing; it must
-// append the jammed channel indices in ascending order and reuse buf —
-// the steady-state round loop is allocation-free.
+// called serially (from step's phase 1, before any channel is
+// dispatched) with rounds strictly increasing, once for every round the
+// network executes; it must append the jammed channel indices in
+// ascending order and reuse buf — the steady-state round loop is
+// allocation-free. Rounds a span skips are not consulted: the span ends
+// at or before NextJamRound(from), the earliest round >= from that may
+// jam (-1: none remains), so every skipped round jams nothing, and a
+// Disruptor with per-round state catches it up at the next AppendJams.
 type Disruptor interface {
 	AppendJams(round int64, buf []int) []int
+	NextJamRound(from int64) int64
 }
 
 // jamSeedMix decorrelates the jammer's channel choices from the
@@ -41,6 +46,7 @@ type Jammer struct {
 	state    uint64
 	channels int
 	perm     []int
+	next     int64 // the round AppendJams expects next
 }
 
 // NewJammer builds a jamming adversary over the given channel count.
@@ -65,8 +71,11 @@ func splitmix(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// AppendJams implements Disruptor.
+// AppendJams implements Disruptor. Rounds skipped since the last call
+// jammed nothing, so they only refill the bucket.
 func (j *Jammer) AppendJams(round int64, buf []int) []int {
+	j.bucket.SkipRounds(round - j.next)
+	j.next = round + 1
 	k := j.bucket.Tick()
 	if k > j.channels {
 		k = j.channels
@@ -100,6 +109,17 @@ func (j *Jammer) AppendJams(round int64, buf []int) []int {
 		}
 	}
 	return buf
+}
+
+// NextJamRound implements Disruptor: the round the bucket next affords
+// a jam, counted from the round AppendJams expects next (from never
+// precedes it, and rounds up to the result jam nothing), or -1.
+func (j *Jammer) NextJamRound(from int64) int64 {
+	w := j.bucket.RoundsToCredit()
+	if w < 0 {
+		return -1
+	}
+	return j.next + w
 }
 
 // JamReplay re-executes the jam stream of a recorded trace-v3 run: the
@@ -138,7 +158,7 @@ func (r *JamReplay) AppendJams(round int64, buf []int) []int {
 	return buf
 }
 
-// NextJamRound implements JamHorizon: the first recorded jam at round
+// NextJamRound implements Disruptor: the first recorded jam at round
 // >= from, or -1. Read-only — the cursor is left for AppendJams.
 func (r *JamReplay) NextJamRound(from int64) int64 {
 	for i := r.cur; i < len(r.events); i++ {

@@ -231,57 +231,97 @@ func TestDroppedPacketsReclaimMirrorState(t *testing.T) {
 // TestDisruptedNetworkZeroAllocs extends the steady-state allocation
 // contract to disrupted, duty-cycled runs: jamming, a (past) outage
 // window, and sleep suppression in the round loop must all stay off the
-// allocator once warm.
+// allocator once warm. The sparse case (ρ = 1/1024) runs where channels
+// go lazy and the network spans idle stretches between jams, and
+// checks that they do.
 func TestDisruptedNetworkZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocs-per-round is meaningless under the race detector")
 	}
-	for _, workers := range []int{1, 2} {
-		topo := mustCompile(t, Spec{Kind: Line, Channels: 4, N: 6})
-		outs, err := NewOutageSchedule([]Outage{{Channel: 1, From: 500, Rounds: 300}}, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		net, err := New(topo, func(ch int) (*core.System, error) {
-			// randmac (the registered "aloha") is the one Tolerant
-			// algorithm: jam-induced collisions are business as usual.
-			sys, err := randmac.NewSeeded(6, 3, 31)
+	cases := []struct {
+		name       string
+		entry, jam adversary.Type
+		sparse     bool
+	}{
+		{"dense", adversary.T(1, 4, 4), adversary.T(1, 4, 2), false},
+		{"sparse", adversary.T(1, 1024, 4), adversary.T(1, 8, 1), true},
+	}
+	for _, tc := range cases {
+		for _, workers := range []int{1, 2} {
+			topo := mustCompile(t, Spec{Kind: Line, Channels: 4, N: 6})
+			outs, err := NewOutageSchedule([]Outage{{Channel: 1, From: 500, Rounds: 300}}, 4)
 			if err != nil {
-				return nil, err
+				t.Fatal(err)
 			}
-			sys, _ = duty.Wrap(sys, duty.Params{SleepAfterIdle: 32, WakeEvery: 16})
-			return sys, nil
-		}, mkUniformAdversary(t, topo, adversary.T(1, 4, 4), 31), Options{
-			SampleEvery: -1, Workers: workers,
-			Disruptor: NewJammer(adversary.T(1, 4, 2), 4, 31),
-			Outages:   outs,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := net.Run(20000); err != nil {
-			t.Fatal(err)
-		}
-		best := -1.0
-		for window := 0; window < 5 && best != 0; window++ {
-			allocs := testing.AllocsPerRun(1, func() {
-				if err := net.Run(2000); err != nil {
-					t.Error(err)
+			net, err := New(topo, func(ch int) (*core.System, error) {
+				// randmac (the registered "aloha") is the one Tolerant
+				// algorithm: jam-induced collisions are business as usual.
+				sys, err := randmac.NewSeeded(6, 3, 31)
+				if err != nil {
+					return nil, err
 				}
+				sys, _ = duty.Wrap(sys, duty.Params{SleepAfterIdle: 32, WakeEvery: 16})
+				return sys, nil
+			}, mkUniformAdversary(t, topo, tc.entry, 31), Options{
+				SampleEvery: -1, Workers: workers,
+				Disruptor: NewJammer(tc.jam, 4, 31),
+				Outages:   outs,
 			})
-			if best < 0 || allocs < best {
-				best = allocs
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		agg := net.Tracker().Counters
-		net.Close()
-		if agg.JammedRounds == 0 || agg.OutageRounds == 0 {
-			t.Fatalf("workers=%d: disruption never fired (jammed %d, outage %d)",
-				workers, agg.JammedRounds, agg.OutageRounds)
-		}
-		if best != 0 {
-			t.Errorf("workers=%d: disrupted steady-state round loop allocates (%v allocs in the best window)",
-				workers, best)
+			if err := net.Run(20000); err != nil {
+				t.Fatal(err)
+			}
+			best := -1.0
+			for window := 0; window < 5 && best != 0; window++ {
+				allocs := testing.AllocsPerRun(1, func() {
+					if err := net.Run(2000); err != nil {
+						t.Error(err)
+					}
+				})
+				if best < 0 || allocs < best {
+					best = allocs
+				}
+			}
+			if tc.sparse && !skipsIdleRounds(t, net, 4096) {
+				t.Errorf("%s, workers=%d: no channel went lazy and no network span ran", tc.name, workers)
+			}
+			agg := net.Tracker().Counters
+			net.Close()
+			if agg.JammedRounds == 0 || agg.OutageRounds == 0 {
+				t.Fatalf("%s, workers=%d: disruption never fired (jammed %d, outage %d)",
+					tc.name, workers, agg.JammedRounds, agg.OutageRounds)
+			}
+			if best != 0 {
+				t.Errorf("%s, workers=%d: disrupted steady-state round loop allocates (%v allocs in the best window)",
+					tc.name, workers, best)
+			}
 		}
 	}
+}
+
+// skipsIdleRounds steps net one round at a time, as Run does, for up to
+// rounds rounds and reports whether a lazy channel was skipped (its sim
+// fell behind the network clock) or a network span ran. It settles net
+// before returning.
+func skipsIdleRounds(t *testing.T, net *Network, rounds int64) bool {
+	t.Helper()
+	defer net.settle()
+	end := net.round + rounds
+	for net.round < end {
+		if err := net.step(); err != nil {
+			t.Fatal(err)
+		}
+		for _, cs := range net.chans {
+			if cs.sim.Round() < net.round {
+				return true
+			}
+		}
+		from := net.round
+		if net.trySpan(end); net.round > from {
+			return true
+		}
+	}
+	return false
 }

@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 
 	"earmac/internal/core"
@@ -31,7 +32,7 @@ type Options struct {
 	// size (stepWorkers): 1 forces the serial loop, and any k > 1 steps
 	// channels on min(k, C) persistent worker goroutines. Every
 	// observable output — counters, per-channel trackers, traces,
-	// violations — is bit-identical at any worker count (see Step), so
+	// violations — is bit-identical at any worker count (see step), so
 	// Workers is a pure throughput knob. A non-nil Tracer forces 1: the
 	// per-round event log interleaves channel sections through a shared
 	// writer and is only deterministic when channels step in index
@@ -48,7 +49,7 @@ type Options struct {
 	Tracer func(ch int) core.Tracer
 	// Disruptor, when non-nil, supplies the jammed channels each round
 	// (a live Jammer, or a JamReplay during trace replay). It is
-	// consulted serially in Step's phase 1, so the per-channel disrupt
+	// consulted serially in step's phase 1, so the per-channel disrupt
 	// flags are computed before any worker runs.
 	Disruptor Disruptor
 	// Outages, when non-nil, is the validated channel-dead schedule. A
@@ -70,8 +71,8 @@ type Options struct {
 	// has acted, to drive Events.Sleep transitions.
 	Sleepers func(ch int) int
 	// NoSkip disables the quiescence fast-forward engine: per-channel
-	// O(1) idle ticks and the network-level span barrier (DESIGN.md
-	// §16). The escape hatch for A/B timing comparisons — skipping is
+	// O(1) idle ticks, lazy channels and network spans (DESIGN.md §16).
+	// The escape hatch for A/B timing comparisons — skipping is
 	// bit-identical, so results never depend on it.
 	NoSkip bool
 }
@@ -104,7 +105,7 @@ type netPacket struct {
 
 // chanState bundles everything one channel's step touches: its sim and
 // tracker, its relay buffers, its packet-id mirror, and the per-round
-// accumulators the deterministic fold consumes. During Step each
+// accumulators the deterministic fold consumes. During a round each
 // chanState is written only by the worker that owns the channel; the
 // fold reads them after the barrier, so no field needs locking.
 type chanState struct {
@@ -131,7 +132,7 @@ type chanState struct {
 	// hand-offs) on the first round the channel is back.
 	held []pending
 
-	// Per-round disruption state, written serially in Step's phase 1
+	// Per-round disruption state, written serially in step's phase 1
 	// before dispatch and read by this channel's sim (via its Disrupted
 	// hook) and by the fold's event emission.
 	disrupt    core.Disrupt
@@ -141,6 +142,16 @@ type chanState struct {
 
 	relayed    int64 // deliveries forwarded onward, cumulative
 	prevEnergy int64 // tracker energy already folded into the aggregate
+
+	// Lazy stepping (skip.go): after an executed round that leaves the
+	// sim quiescent on a constant idle profile with no packet
+	// registered, wakeAt is the sim's span horizon (0 while the channel
+	// is busy) and idleE its idle energy. Until wakeAt the channel is
+	// skipped on every round that brings it no relay arrival and no
+	// disruption; skipped marks this round's skip for the fold.
+	wakeAt  int64
+	idleE   int
+	skipped bool
 
 	// Per-round accumulators, reset by stepChannel and folded into the
 	// aggregate tracker in ascending channel order after the barrier.
@@ -168,10 +179,9 @@ type chanState struct {
 // states the argument. Networks stepped by more than one worker
 // (Workers) own worker goroutines — call Close when done.
 type Network struct {
-	topo         *Topology
-	chans        []*chanState
-	entryHorizon bool // every channel's entry adversary is a core.EventSkipper
-	opt          Options
+	topo  *Topology
+	chans []*chanState
+	opt   Options
 
 	agg           *metrics.Tracker
 	round         int64
@@ -194,11 +204,10 @@ func New(topo *Topology, build func(ch int) (*core.System, error), entry []core.
 		return nil, fmt.Errorf("network: %d entry adversaries for %d channels", len(entry), C)
 	}
 	n := &Network{
-		topo:         topo,
-		chans:        make([]*chanState, C),
-		entryHorizon: true,
-		opt:          opt,
-		agg:          metrics.NewTracker(),
+		topo:  topo,
+		chans: make([]*chanState, C),
+		opt:   opt,
+		agg:   metrics.NewTracker(),
 	}
 	switch {
 	case opt.SampleEvery < 0:
@@ -223,7 +232,6 @@ func New(topo *Topology, build func(ch int) (*core.System, error), entry []core.
 		cs := &chanState{trk: tr}
 		cs.feed = feed{net: n, cs: cs, ch: c, adv: entry[c]}
 		cs.feed.skip, _ = entry[c].(core.EventSkipper)
-		n.entryHorizon = n.entryHorizon && cs.feed.skip != nil
 		cs.relay = relayFeed{cs: cs}
 		n.chans[c] = cs
 		var tracer core.Tracer
@@ -250,7 +258,7 @@ func New(topo *Topology, build func(ch int) (*core.System, error), entry []core.
 			DropObserver: func(round int64, p mac.Packet) { n.onDrop(cs, ch, p) },
 		}
 		if opt.Disruptor != nil || opt.Outages != nil {
-			// Flags are computed serially in Step's phase 1; the sim
+			// Flags are computed serially in step's phase 1; the sim
 			// only reads its own channel's copy during dispatch.
 			copts.Disrupted = func(int64) core.Disrupt { return cs.disrupt }
 		}
@@ -414,34 +422,54 @@ func (n *Network) onDrop(cs *chanState, ch int, p mac.Packet) {
 // stepChannel advances one channel by one round: the worker-team body.
 // It touches only chanState c (plus the immutable topology and channel
 // c's own entry adversary), so channels step concurrently without
-// locks; everything the fold needs is parked in the chanState.
+// locks; everything the fold needs is parked in the chanState. A lazy
+// channel (see chanState.wakeAt) that nothing reaches this round is
+// skipped: its sim falls behind the network clock and catches up in
+// closed form before the next round it executes.
 //
 //earmac:hotpath
 func (n *Network) stepChannel(c int) {
 	cs := n.chans[c]
 	cs.admitted = 0
 	cs.deliv = cs.deliv[:0]
+	t := n.round
+	cs.skipped = false
+	if cs.wakeAt != 0 {
+		if t < cs.wakeAt && cs.disrupt == 0 && len(cs.arriving) == 0 {
+			cs.skipped = true
+			cs.entries = cs.entries[:0] // nothing for the Events flush
+			return
+		}
+		cs.catchUp(t)
+		cs.wakeAt = 0
+	}
 	cs.err = cs.sim.Step()
+	if e, ok := cs.sim.QuiescentConst(); ok && cs.meta.Live() == 0 {
+		if w := cs.sim.SpanHorizon(t+1, math.MaxInt64); w > t+1 {
+			cs.wakeAt, cs.idleE = w, e.Energy
+		}
+	}
 }
 
-// Step advances every channel by one lockstep round.
+// step advances every channel by one lockstep round.
 //
 // The round has three phases. (1) Relay hand-off: the previous round's
 // outboxes are merged into the destination channels' arriving buffers
 // in ascending source-channel order — exactly the order the serial loop
 // produced them in — so arrival order never depends on scheduling.
 // (2) Channel stepping: every channel's sim advances one round on the
-// worker team (Workers); the only cross-channel data are the
-// immutable topology and the per-channel buffers merged in phase 1, so
-// workers never contend. (3) Deterministic fold: after the barrier,
-// per-channel accumulators (entry admissions, end-to-end completions,
-// violations, entry buffers, queue/energy totals) are folded into
-// the aggregate tracker in ascending channel order. Phases 1 and 3
-// iterate channels identically at any worker count, which is why every
-// output is bit-identical to the serial loop's.
+// worker team (Workers), or is skipped when lazy; the only
+// cross-channel data are the immutable topology and the per-channel
+// buffers merged in phase 1, so workers never contend. (3)
+// Deterministic fold: after the barrier, per-channel accumulators
+// (entry admissions, end-to-end completions, violations, entry buffers,
+// queue/energy totals) are folded into the aggregate tracker in
+// ascending channel order. Phases 1 and 3 iterate channels identically
+// at any worker count, which is why every output is bit-identical to
+// the serial loop's.
 //
 //earmac:hotpath
-func (n *Network) Step() error {
+func (n *Network) step() error {
 	// (1) Disruption flags for the round, computed serially so every
 	// channel's sim sees its flags before dispatch, then the relay
 	// hand-off: last round's deliveries become this round's arrivals.
@@ -537,9 +565,13 @@ func (n *Network) Step() error {
 			}
 			cs.violations = cs.violations[:0]
 		}
-		totalQueue += cs.trk.FinalQueue
-		totalEnergy += int(cs.trk.EnergySum - cs.prevEnergy)
-		cs.prevEnergy = cs.trk.EnergySum
+		if cs.skipped {
+			totalEnergy += cs.idleE // an empty idle round
+		} else {
+			totalQueue += cs.trk.FinalQueue
+			totalEnergy += int(cs.trk.EnergySum - cs.prevEnergy)
+			cs.prevEnergy = cs.trk.EnergySum
+		}
 		// Relayed packets between channels, plus any parked behind an
 		// outage window.
 		inFlight += int64(len(cs.outbox) + len(cs.held))
@@ -550,13 +582,14 @@ func (n *Network) Step() error {
 	return nil
 }
 
-// Run executes the given number of rounds. Between steps it attempts
+// Run executes the given number of rounds. Between rounds it attempts
 // the network-level span skip (see trySpan); at exit it settles every
-// channel so station state is exact at the Run boundary.
+// channel, so trackers and station state are exact at the Run boundary
+// — read them only between Runs.
 func (n *Network) Run(rounds int64) error {
 	end := n.round + rounds
 	for n.round < end {
-		if err := n.Step(); err != nil {
+		if err := n.step(); err != nil {
 			return err
 		}
 		n.trySpan(end)
@@ -576,7 +609,7 @@ func (n *Network) Topology() *Topology { return n.topo }
 // trace footer. The end-to-end fields (Injected, Delivered, latency,
 // queue, energy, Rounds) are maintained live; the utilization sums are
 // folded in here because they are pure functions of the per-channel
-// counters. Call between rounds (never concurrently with Step).
+// counters. Call between Runs.
 func (n *Network) Tracker() *metrics.Tracker {
 	a := &n.agg.Counters
 	a.HeardRounds, a.SilentRounds, a.CollisionRounds = 0, 0, 0
@@ -599,7 +632,7 @@ func (n *Network) Tracker() *metrics.Tracker {
 }
 
 // ChannelTracker returns channel ch's own tracker (hop-level counters).
-// Call between rounds (never concurrently with Step).
+// Call between Runs: a lazy channel's tracker is exact once Run settles.
 func (n *Network) ChannelTracker(ch int) *metrics.Tracker { return n.chans[ch].trk }
 
 // Relayed returns how many deliveries channel ch forwarded onward.

@@ -14,10 +14,10 @@
 // round (one-round relay latency). Relay arrivals therefore never depend
 // on the order channels are stepped in, which makes every aggregate
 // deterministic and independent of channel iteration order — and of the
-// worker count: Network.Step fans a large network's channels out across
+// worker count: Network.Run fans a large network's channels out across
 // a persistent worker team (sized by stepWorkers) and every observable
-// output stays bit-identical to the serial loop (see Step and DESIGN.md
-// §13).
+// output stays bit-identical to the serial loop (see Network.step and
+// DESIGN.md §13).
 //
 // Stations are addressed globally: channel c owns the contiguous id
 // block [c·n, (c+1)·n). The adversary injects (src, dest) pairs in

@@ -24,7 +24,7 @@ import (
 // Determinism note: Dispatch guarantees nothing about the order run is
 // invoked in across workers — callers needing a deterministic fold must
 // buffer per index and merge in index order after Dispatch returns (see
-// network.Network.Step). The return of Dispatch happens-after every
+// network.Network.step). The return of Dispatch happens-after every
 // run call of that generation, so the caller may freely read anything
 // the calls wrote.
 //

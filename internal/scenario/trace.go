@@ -252,7 +252,7 @@ func (e *Encoder) Round(round int64, injs []core.Injection) {
 // ChannelRound records one channel's injections for one round (global
 // station coordinates). With Jam, Outage and Sleep it implements the
 // network's EventSink recording hook; callers must supply events in
-// increasing (round, channel) order, as Network.Step's fold does.
+// increasing (round, channel) order, as a network round's fold does.
 func (e *Encoder) ChannelRound(round int64, ch int, injs []core.Injection) {
 	if e.err != nil || len(injs) == 0 {
 		return
@@ -272,7 +272,7 @@ func (e *Encoder) kindLine(round int64, ch int, kind string, dur int64, asleep i
 
 // Jam records a jammed (round, channel). Callers must emit within one
 // (round, channel) in the order injections < jam < outage < sleep, as
-// Network.Step's fold and the façade's single-channel hooks do by
+// a network round's fold and the façade's single-channel hooks do by
 // construction.
 func (e *Encoder) Jam(round int64, ch int) { e.kindLine(round, ch, KindJam, 0, 0) }
 

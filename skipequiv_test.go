@@ -10,6 +10,8 @@ package earmac
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -63,8 +65,9 @@ func skipEquivConfig(seed int64, algIdx, patIdx, disIdx uint8) Config {
 	}
 	// Disruption and duty-cycling need a Tolerant algorithm — only
 	// aloha qualifies; the knobs cover a duty-cycled wrap (lazy skipped
-	// sleep accounting), a live jammer (pins spans, O(1) ticks stay),
-	// and an outage window cutting through the idle stretches.
+	// sleep accounting), a live jammer (spans end at its next jam, and
+	// it refills its bucket for the skipped rounds), and an outage
+	// window cutting through the idle stretches.
 	if cfg.Algorithm == "aloha" {
 		switch disIdx % 4 {
 		case 1:
@@ -128,6 +131,127 @@ func TestSkipNoSkipEquivalenceQuick(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 24}); err != nil {
 		t.Error(err)
+	}
+}
+
+// equivDisruptions are the disruption and duty-cycling knobs
+// TestSkipNoSkipEquivalenceTable crosses aloha with; channels is the
+// network's channel count (1 on a single channel).
+var equivDisruptions = []struct {
+	name  string
+	apply func(cfg *Config, channels int)
+}{
+	{"none", func(*Config, int) {}},
+	{"jam8", func(cfg *Config, _ int) { cfg.JamRhoNum, cfg.JamRhoDen, cfg.JamBeta = 1, 8, 1 }},
+	{"duty32-16", func(cfg *Config, _ int) { cfg.SleepAfterIdle, cfg.WakeEvery = 32, 16 }},
+	{"outages", func(cfg *Config, channels int) {
+		cfg.Outages = []Outage{{Channel: 0, From: 3000, Rounds: 400}, {Channel: channels - 1, From: 17000, Rounds: 900}}
+	}},
+	{"jam4b2-duty8-64", func(cfg *Config, _ int) {
+		cfg.JamRhoNum, cfg.JamRhoDen, cfg.JamBeta = 1, 4, 2
+		cfg.SleepAfterIdle, cfg.WakeEvery = 8, 64
+	}},
+}
+
+// TestSkipNoSkipEquivalenceTable is the deterministic counterpart of the
+// quick property, over the runs where the network's lazy channels and
+// spans, the live jammer's horizon and feedback-free jammed ticks
+// engage: lenient networks of four topologies crossing aloha under
+// every disruption knob, orchestra and count-hop, at one and two
+// workers, plus single-channel aloha under every knob. Each must match
+// its NoSkip twin on the Report JSON and the recorded trace bytes. The
+// horizon exceeds ctxCheckEvery, so every run settles mid-way at a
+// chunk boundary.
+func TestSkipNoSkipEquivalenceTable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs many full simulations")
+	}
+	const rounds = ctxCheckEvery + 3616
+	type equivCase struct {
+		name string
+		cfg  Config
+	}
+	var cases []equivCase
+	for _, d := range equivDisruptions {
+		cfg := Config{
+			Algorithm: "aloha", N: 6, K: 3,
+			RhoNum: 1, RhoDen: 64, Beta: 2,
+			Pattern: "uniform", Seed: 5, Rounds: rounds,
+			Lenient: true, DisableChecks: true,
+		}
+		d.apply(&cfg, 1)
+		cases = append(cases, equivCase{"single-aloha-" + d.name, cfg})
+	}
+	const channels = 4
+	for i, topo := range []string{"line", "star", "grid", "random"} {
+		net := Config{
+			N: 5, K: 3, Topology: topo, Channels: channels,
+			RhoNum: 1, RhoDen: 64 << (i % 3), Beta: channels,
+			Pattern: "uniform", Seed: int64(21 + i), Rounds: rounds,
+			Lenient: true, DisableChecks: true,
+		}
+		var algs []equivCase
+		for _, d := range equivDisruptions {
+			cfg := net
+			cfg.Algorithm = "aloha"
+			d.apply(&cfg, channels)
+			algs = append(algs, equivCase{"aloha-" + d.name, cfg})
+		}
+		for _, alg := range []string{"orchestra", "count-hop"} {
+			cfg := net
+			cfg.Algorithm = alg
+			algs = append(algs, equivCase{alg, cfg})
+		}
+		for _, workers := range []int{1, 2} {
+			for _, c := range algs {
+				c.cfg.NetWorkers = workers
+				cases = append(cases, equivCase{fmt.Sprintf("%s-%s-w%d", topo, c.name, workers), c.cfg})
+			}
+		}
+	}
+	run := func(t *testing.T, cfg Config) (report, trace []byte) {
+		t.Helper()
+		var buf bytes.Buffer
+		cfg.RecordTo = &buf
+		rep, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		js, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return js, buf.Bytes()
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			// A recorded duty-cycled run pins the engine on both sides
+			// (its per-round sleep observer), so the report is also
+			// compared from an unrecorded run.
+			on, err := Run(c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			off := c.cfg
+			off.NoSkip = true
+			offRep, err := Run(off)
+			if err != nil {
+				t.Fatal(err)
+			}
+			onJS, _ := json.Marshal(on)
+			offJS, _ := json.Marshal(offRep)
+			if !bytes.Equal(onJS, offJS) {
+				t.Fatalf("report differs from NoSkip:\nskip-on: %s\nnoskip:  %s", onJS, offJS)
+			}
+			onJS, onTrace := run(t, c.cfg)
+			offJS, offTrace := run(t, off)
+			if !bytes.Equal(onJS, offJS) {
+				t.Fatalf("recorded report differs from NoSkip:\nskip-on: %s\nnoskip:  %s", onJS, offJS)
+			}
+			if !bytes.Equal(onTrace, offTrace) {
+				t.Fatalf("recorded trace differs from NoSkip (%d bytes vs %d)", len(onTrace), len(offTrace))
+			}
+		})
 	}
 }
 
