@@ -253,10 +253,15 @@ func benchSpec(s expt.Spec, reps int) benchcmp.Row {
 }
 
 // sparseRows measures the quiescence fast-forward engine (DESIGN.md
-// §16) on a sparse single-channel workload: at ρ = 1/1024 the entry
+// §16) on sparse single-channel workloads: at ρ = 1/1024 the entry
 // bucket starves for ~1024 rounds after each spend, each injected
 // packet drains within a few dozen rounds, and the engine's closed-form
-// span skip covers almost the whole run in O(1) jumps. The ".noskip"
+// span skip covers almost the whole run in O(1) jumps. T1.duty adds
+// duty-cycling at the entry rate one channel of a 16-channel frontier
+// sees (ρ = 1/16384): its spans end at every 64th round, a wake round,
+// which the engine ticks as the inner idle round instead of sweeping
+// the 24 stations. It runs half T1.sparse's rounds, which keeps its
+// 24-station ".noskip" twin to about 4 s of a quick run. Each ".noskip"
 // twin runs the identical configuration on the classic per-round loop;
 // assertTwins gates their deterministic outputs bit-identical on every
 // bench run, the same contract the ".ser" rows pin for worker counts.
@@ -272,9 +277,19 @@ func sparseRows(scale expt.Scale, reps int) []benchcmp.Row {
 		}
 		return sys, adversary.New(adversary.T(1, 1024, 1), adversary.Uniform(6, 42))
 	}
+	buildDuty := func() (*core.System, core.Adversary) {
+		sys, err := randmac.New(24, 3)
+		if err != nil {
+			fail(err)
+		}
+		sys, _ = duty.Wrap(sys, duty.Params{SleepAfterIdle: 8, WakeEvery: 64})
+		return sys, adversary.New(adversary.T(1, 16384, 1), adversary.Uniform(24, 42))
+	}
 	return []benchcmp.Row{
 		measureOpt("T1.sparse", "3-subsets sparse @ ρ=1/1024 β=1, n=6 (span skipping)", build, rounds, reps, false),
 		measureOpt("T1.sparse.noskip", "3-subsets sparse @ ρ=1/1024 β=1, n=6, per-round loop", build, rounds, reps, true),
+		measureOpt("T1.duty", "3-aloha duty 8/64 @ ρ=1/16384 β=1, n=24 (ticked wakes)", buildDuty, rounds/2, reps, false),
+		measureOpt("T1.duty.noskip", "3-aloha duty 8/64 @ ρ=1/16384 β=1, n=24, per-round loop", buildDuty, rounds/2, reps, true),
 	}
 }
 
@@ -394,11 +409,11 @@ func networkRows(scale expt.Scale, reps int) []benchcmp.Row {
 		// The energy frontier under the quiescence engine: the jam+duty
 		// shape in its sparse regime — n=24 per channel at a global
 		// entry rate of ρ=1/1024 and a long duty sleep, where the duty
-		// wrapper's zero-energy idle profile makes almost every channel
-		// lazy between its duty wakes, and the network spans the rounds
-		// between jams when every channel is. The ".noskip" twin forces
-		// the per-round O(n) sweep; assertTwins gates the pair
-		// bit-identical on every run.
+		// wrapper's zero-energy idle profile keeps almost every channel
+		// lazy: a duty wake costs a lazy channel one O(1) tick, and the
+		// network spans the rounds between jams and wakes when every
+		// channel is lazy. The ".noskip" twin forces the per-round O(n)
+		// sweep; assertTwins gates the pair bit-identical on every run.
 		{"NET.frontier16", "aloha line ×16 jammed @ ρ=1/1024 β=16 ρ_j=1/4 duty 8/256, n=24, quiescent ticks",
 			network.Spec{Kind: network.Line, Channels: 16, N: 24}, 16, 50000, 1, "frontier", false},
 		{"NET.frontier16.noskip", "aloha line ×16 jammed @ ρ=1/1024 β=16 ρ_j=1/4 duty 8/256, n=24, per-round loop",

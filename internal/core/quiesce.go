@@ -22,8 +22,8 @@ func (s *Sim) tryEnterQuiescence() {
 	s.idleAnchor = s.round
 	s.qFrom = s.round
 	s.idleBreakAt = -1
-	if h, ok := s.sys.Idle.(IdleHorizon); ok {
-		s.idleBreakAt = h.NextIdleBreak(s.round)
+	if s.idleHor != nil {
+		s.idleBreakAt = s.idleHor.NextIdleBreak(s.round)
 	}
 	s.buildIdlePrefix()
 	s.quiescent = true
@@ -90,17 +90,27 @@ func (s *Sim) quiescentAdvance(end int64) error {
 	if s.disrupt != nil {
 		d = s.disrupt(t)
 	}
-	// A wake-up is forced by a pending injection, the idle-profile
-	// horizon, or a disrupted round some station would observe (the
-	// collision feedback may alter station state, so it cannot be
-	// ticked). With zero idle energy nobody is listening, and with
-	// feedback-free idlers the collision changes nothing: either way
-	// the tick just counts the jammed/outaged round.
-	if len(injs) > 0 || t == s.idleBreakAt || (d != 0 && !s.fbFreeIdle && s.idleEntry(t).Energy > 0) {
+	// A wake-up is forced by a pending injection, an idle-profile break
+	// the horizon cannot predict (IdleBreak declines), or a disrupted
+	// round some station would observe (the collision feedback may
+	// alter station state, so it cannot be ticked). With zero idle
+	// energy nobody is listening, and with feedback-free idlers the
+	// collision changes nothing: either way the tick just counts the
+	// jammed/outaged round. An accepted break ticks with the entry
+	// IdleBreak returns, and the horizon moves on to the next break.
+	e, idle := s.idleEntry(t), len(injs) == 0
+	brk := t == s.idleBreakAt
+	if idle && brk {
+		e, idle = s.idleHor.IdleBreak(t)
+	}
+	if !idle || (d != 0 && !s.fbFreeIdle && e.Energy > 0) {
 		s.wake(t)
 		return s.stepFrom(t, injs, d)
 	}
-	s.tick(t, d)
+	s.tick(t, d, e)
+	if brk {
+		s.idleBreakAt = s.idleHor.NextIdleBreak(t + 1)
+	}
 	s.trySpan(end)
 	return nil
 }
@@ -117,13 +127,13 @@ func (s *Sim) wake(t int64) {
 }
 
 // tick is the O(1) quiescent round: the station sweep collapses to the
-// idle profile's entry for round t. The caller has already consulted
-// the adversary (no injections) and the disruption hook.
+// idle round e the system plays at t — the profile's entry, or an
+// accepted break's. The caller has already consulted the adversary (no
+// injections) and the disruption hook.
 //
 //earmac:hotpath
-func (s *Sim) tick(t int64, d Disrupt) {
+func (s *Sim) tick(t int64, d Disrupt, e IdleRound) {
 	tr := s.tracker
-	e := s.idleEntry(t)
 	switch {
 	case d != 0:
 		tr.CollisionRounds++

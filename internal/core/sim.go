@@ -169,6 +169,7 @@ type Sim struct {
 	qFrom       int64         // first round the stations have not executed
 	skippers    []mac.Skipper // per-station, populated only when skipOK
 	advSkip     EventSkipper  // adversary skip contract, when supported
+	idleHor     IdleHorizon   // the idle profile's horizon, when it has one
 	dhor        func(from int64) int64
 	idleCycle   []IdleRound // reused idle-profile buffer
 	idleAnchor  int64       // round idleCycle[0] describes
@@ -234,6 +235,7 @@ func NewSim(sys *System, adv Adversary, opt Options) *Sim {
 			s.skippers = skippers
 			s.skipOK = true
 			s.fbFreeIdle = feedbackFreeIdle(sys.Stations)
+			s.idleHor, _ = sys.Idle.(IdleHorizon)
 		}
 	}
 	return s

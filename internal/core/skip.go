@@ -52,10 +52,18 @@ func (f IdleProfileFunc) AppendIdleCycle(from int64, buf []IdleRound) []IdleRoun
 // IdleHorizon is an optional IdleProfiler extension for profiles that
 // hold only up to a known round: NextIdleBreak returns the earliest
 // round >= from at which the idle cycle may stop describing the system
-// (a duty-cycled wake round), or -1 when it holds indefinitely. The
-// simulator runs a full station sweep at that round.
+// (a duty-cycled wake round), or -1 when it holds indefinitely.
+//
+// IdleBreak(t) returns the idle round a system that is still quiescent
+// plays at break round t, and true when that round is predictable; the
+// simulator then ticks it in O(1) like any idle round, and the cycle
+// goes on describing the rounds after it from the same anchor. The
+// stations' SkipIdle replays an accepted break with the rest of the
+// stretch, so it must be the round their Act/Observe would play. False
+// makes the simulator wake every station and sweep the break.
 type IdleHorizon interface {
 	NextIdleBreak(from int64) int64
+	IdleBreak(t int64) (IdleRound, bool)
 }
 
 // ConstIdle is the period-1 idle profile: every quiescent round looks

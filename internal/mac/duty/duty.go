@@ -22,6 +22,14 @@
 // Wrapping clears the system's oblivious schedule claim: the sleep rules
 // are adaptive (they depend on queue history), so the wrapped system is
 // no longer schedule-conformant and must not advertise one.
+//
+// A wrapped system fast-forwards under the quiescence engine (DESIGN.md
+// §16) when its inner system declares a constant, silent idle profile
+// and feedback-free Skipper stations. With every station asleep, a
+// non-wake round is silent at zero energy, and a WakeEvery round plays
+// the inner idle round awake; both tick in O(1). Under an EnergyBudget a
+// wake round is swept instead, since its listens count against the
+// budget.
 package duty
 
 import (
@@ -65,7 +73,9 @@ type Group struct {
 	skippedTo int64
 }
 
-// skipIdle accrues the group counters for a skipped all-asleep stretch.
+// skipIdle accrues the group counters for a skipped quiescent stretch:
+// the inner idle round's listeners sleep through every round of it but
+// the WakeEvery wake rounds, which they spend awake.
 func (g *Group) skipIdle(from, to int64) {
 	if to <= g.skippedTo {
 		return
@@ -73,9 +83,26 @@ func (g *Group) skipIdle(from, to int64) {
 	if from < g.skippedTo {
 		from = g.skippedTo
 	}
-	g.sleepRounds += int64(g.innerOn) * (to - from)
-	g.curRound, g.curAsleep = to-1, g.innerOn
+	slept, asleep := to-from, g.innerOn
+	if w := g.p.WakeEvery; w > 0 {
+		slept -= floorDiv(to-1, w) - floorDiv(from-1, w) // wake rounds in [from, to)
+		if (to-1)%w == 0 {
+			asleep = 0
+		}
+	}
+	g.sleepRounds += int64(g.innerOn) * slept
+	g.curRound, g.curAsleep = to-1, asleep
 	g.skippedTo = to
+}
+
+// floorDiv is a/b rounded toward minus infinity, for b > 0 (Go's /
+// truncates toward zero).
+func floorDiv(a, b int64) int64 {
+	q := a / b
+	if a%b < 0 {
+		q--
+	}
+	return q
 }
 
 // Asleep returns the number of stations that suppressed their action in
@@ -92,7 +119,7 @@ type station struct {
 	inner core.Protocol
 	sk    mac.Skipper // inner as a Skipper when duty-level skip is validated, else nil
 	idle  int64       // consecutive rounds ended with an empty queue
-	spent int64       // switched-on rounds consumed against EnergyBudget
+	spent int64       // switched-on rounds consumed against EnergyBudget (counted only when set)
 }
 
 //earmac:hotpath
@@ -113,7 +140,7 @@ func (s *station) Act(round int64) core.Action {
 		g.curAsleep++
 		g.sleepRounds++
 	}
-	if a.On {
+	if a.On && g.p.EnergyBudget > 0 {
 		s.spent++
 	}
 	if s.inner.QueueLen() == 0 {
@@ -150,15 +177,21 @@ func (s *station) Quiescent() bool {
 }
 
 // SkipIdle implements mac.Skipper for a stretch the station slept
-// through: the inner protocol's idle evolution is feedback-free (Wrap
-// validated mac.FeedbackFreeIdler), the idle clock advances one per
-// round, no energy is spent, and the group accrues the suppressed
-// listens once.
+// through, waking only at WakeEvery rounds: the inner protocol's idle
+// evolution is feedback-free (Wrap validated mac.FeedbackFreeIdler),
+// the idle clock advances one per round, no budget is spent (a wake
+// round inside a stretch implies no EnergyBudget, see IdleBreak), and
+// the group accrues the suppressed listens once.
 func (s *station) SkipIdle(from, to int64) {
 	s.sk.SkipIdle(from, to)
 	s.idle += to - from
 	s.g.skipIdle(from, to)
 }
+
+// FeedbackFreeIdle implements mac.FeedbackFreeIdler: the idle clock and
+// the budget never read feedback, and Wrap validated the inner station
+// whenever sk is set.
+func (s *station) FeedbackFreeIdle() bool { return s.sk != nil }
 
 //earmac:hotpath
 func (s *station) Observe(round int64, fb mac.Feedback) { s.inner.Observe(round, fb) }
@@ -234,8 +267,10 @@ func skipProfile(sys *core.System) (core.IdleRound, bool) {
 // dutyIdle is the wrapped system's idle profile: with every station
 // asleep (Quiescent), each non-wake round is silent with energy zero.
 // WakeEvery rounds break the profile — the sleeping stations listen —
-// so they are reported as idle breaks and run a full station sweep.
+// so they are reported as idle breaks, which IdleBreak describes.
 type dutyIdle struct{ g *Group }
+
+var _ core.IdleHorizon = dutyIdle{}
 
 // AppendIdleCycle implements core.IdleProfiler.
 func (d dutyIdle) AppendIdleCycle(from int64, buf []core.IdleRound) []core.IdleRound {
@@ -249,4 +284,16 @@ func (d dutyIdle) NextIdleBreak(from int64) int64 {
 		return -1
 	}
 	return from + (w-from%w)%w
+}
+
+// IdleBreak implements core.IdleHorizon. With no EnergyBudget no
+// quiescent station sleeps at a wake round, so the inner idle round
+// plays out: its listeners switch on and hear the channel. Under a
+// budget the wake's listens count against it and an exhausted station
+// sleeps through wakes, so the break is left to a full sweep.
+func (d dutyIdle) IdleBreak(t int64) (core.IdleRound, bool) {
+	if d.g.p.EnergyBudget > 0 {
+		return core.IdleRound{}, false
+	}
+	return core.IdleRound{Energy: d.g.innerOn}, true
 }

@@ -156,3 +156,119 @@ func TestGroupAsleepPerRound(t *testing.T) {
 		t.Errorf("SleepRounds = %d, want 2", g.SleepRounds())
 	}
 }
+
+// skipListener is listener with the fast-forward contract: a
+// feedback-free Skipper whose idle round is one listen. It counts the
+// rounds it has been through, acted or skipped.
+type skipListener struct {
+	listener
+	rounds int64
+}
+
+func (l *skipListener) Act(round int64) core.Action { l.rounds++; return core.Listen() }
+func (l *skipListener) Quiescent() bool             { return len(l.queue) == 0 }
+func (l *skipListener) SkipIdle(from, to int64)     { l.rounds += to - from }
+func (l *skipListener) FeedbackFreeIdle() bool      { return true }
+
+// wrapSkippers wraps three skipListeners, whose constant idle round is
+// three listens, so Wrap enables duty-level skipping.
+func wrapSkippers(t *testing.T, p Params) (*core.System, []*station, *Group) {
+	t.Helper()
+	const n = 3
+	inner := &core.System{
+		Info: core.AlgorithmInfo{Name: "skip-listener", EnergyCap: n},
+		Idle: core.ConstIdle{Energy: n},
+	}
+	for range n {
+		inner.Stations = append(inner.Stations, &skipListener{})
+	}
+	sys, g := Wrap(inner, p)
+	stations := make([]*station, n)
+	for i, st := range sys.Stations {
+		stations[i] = st.(*station)
+		if stations[i].sk == nil {
+			t.Fatal("Wrap did not enable duty-level skipping")
+		}
+	}
+	return sys, stations, g
+}
+
+// TestSkipIdleMatchesStepping: SkipIdle over a stretch that crosses
+// wake rounds leaves the group's SleepRounds and Asleep, and every
+// station's idle clock, budget and inner state, exactly as stepping
+// Act/Observe over the same rounds does.
+func TestSkipIdleMatchesStepping(t *testing.T) {
+	for _, c := range []struct {
+		name           string
+		wake, from, to int64
+	}{
+		{"from-zero", 16, 0, 40},
+		{"wake-every-round", 1, 5, 12},
+		{"ends-on-wake", 8, 3, 17},
+		{"no-wake-inside", 8, 9, 16},
+		{"one-wake-round", 5, 10, 11},
+		{"never-wakes", 0, 0, 10},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			p := Params{SleepAfterIdle: 4, WakeEvery: c.wake}
+			_, stepped, sg := wrapSkippers(t, p)
+			_, skipped, kg := wrapSkippers(t, p)
+			// Both sets start past their sleep threshold, as every
+			// station of a quiescent system is.
+			for i := range stepped {
+				stepped[i].idle, skipped[i].idle = p.SleepAfterIdle, p.SleepAfterIdle
+			}
+			for r := c.from; r < c.to; r++ {
+				var on []*station
+				for _, s := range stepped {
+					if s.Act(r).On {
+						on = append(on, s)
+					}
+				}
+				for _, s := range on {
+					s.Observe(r, mac.Feedback{Kind: mac.FbSilence})
+				}
+			}
+			for _, s := range skipped {
+				s.SkipIdle(c.from, c.to)
+			}
+			if sg.SleepRounds() != kg.SleepRounds() || sg.Asleep() != kg.Asleep() {
+				t.Errorf("SleepRounds/Asleep: stepped %d/%d, skipped %d/%d",
+					sg.SleepRounds(), sg.Asleep(), kg.SleepRounds(), kg.Asleep())
+			}
+			for i := range stepped {
+				a, b := stepped[i], skipped[i]
+				ar, br := a.inner.(*skipListener).rounds, b.inner.(*skipListener).rounds
+				if a.idle != b.idle || a.spent != b.spent || ar != br {
+					t.Errorf("station %d idle/spent/inner rounds: stepped %d/%d/%d, skipped %d/%d/%d",
+						i, a.idle, a.spent, ar, b.idle, b.spent, br)
+				}
+			}
+		})
+	}
+}
+
+// TestWakeBreaks: the wrapped profile lets a wake round tick as the
+// inner idle round unless an EnergyBudget is set, and the stations
+// declare feedback-free idling exactly when duty-level skipping is on.
+func TestWakeBreaks(t *testing.T) {
+	sys, stations, _ := wrapSkippers(t, Params{SleepAfterIdle: 4, WakeEvery: 8})
+	h := sys.Idle.(core.IdleHorizon)
+	if got := h.NextIdleBreak(9); got != 16 {
+		t.Errorf("NextIdleBreak(9) = %d, want 16", got)
+	}
+	if e, ok := h.IdleBreak(16); !ok || e != (core.IdleRound{Energy: 3}) {
+		t.Errorf("IdleBreak(16) = %+v, %v; want the inner idle round, accepted", e, ok)
+	}
+	if !stations[0].FeedbackFreeIdle() {
+		t.Error("a skip-capable duty station does not declare FeedbackFreeIdle")
+	}
+	sys, _, _ = wrapSkippers(t, Params{SleepAfterIdle: 4, WakeEvery: 8, EnergyBudget: 100})
+	if _, ok := sys.Idle.(core.IdleHorizon).IdleBreak(16); ok {
+		t.Error("IdleBreak accepted a wake round under an EnergyBudget")
+	}
+	s, _ := wrapOne(t, Params{SleepAfterIdle: 4})
+	if s.FeedbackFreeIdle() {
+		t.Error("a duty station over a non-Skipper declares FeedbackFreeIdle")
+	}
+}

@@ -136,7 +136,10 @@ func TestSkipNoSkipEquivalenceQuick(t *testing.T) {
 
 // equivDisruptions are the disruption and duty-cycling knobs
 // TestSkipNoSkipEquivalenceTable crosses aloha with; channels is the
-// network's channel count (1 on a single channel).
+// network's channel count (1 on a single channel). The duty rows cover
+// the wake rounds a quiescent system ticks (accepted idle breaks): every
+// round a wake, jammed and outaged wakes, and a budget, under which
+// wakes are swept.
 var equivDisruptions = []struct {
 	name  string
 	apply func(cfg *Config, channels int)
@@ -144,13 +147,29 @@ var equivDisruptions = []struct {
 	{"none", func(*Config, int) {}},
 	{"jam8", func(cfg *Config, _ int) { cfg.JamRhoNum, cfg.JamRhoDen, cfg.JamBeta = 1, 8, 1 }},
 	{"duty32-16", func(cfg *Config, _ int) { cfg.SleepAfterIdle, cfg.WakeEvery = 32, 16 }},
-	{"outages", func(cfg *Config, channels int) {
-		cfg.Outages = []Outage{{Channel: 0, From: 3000, Rounds: 400}, {Channel: channels - 1, From: 17000, Rounds: 900}}
-	}},
+	{"outages", func(cfg *Config, channels int) { cfg.Outages = equivOutages(channels) }},
 	{"jam4b2-duty8-64", func(cfg *Config, _ int) {
 		cfg.JamRhoNum, cfg.JamRhoDen, cfg.JamBeta = 1, 4, 2
 		cfg.SleepAfterIdle, cfg.WakeEvery = 8, 64
 	}},
+	{"duty8-16-budget200", func(cfg *Config, _ int) {
+		cfg.SleepAfterIdle, cfg.WakeEvery, cfg.EnergyBudget = 8, 16, 200
+	}},
+	{"duty4-1", func(cfg *Config, _ int) { cfg.SleepAfterIdle, cfg.WakeEvery = 4, 1 }},
+	{"jam4-duty8-7", func(cfg *Config, _ int) {
+		cfg.JamRhoNum, cfg.JamRhoDen, cfg.JamBeta = 1, 4, 1
+		cfg.SleepAfterIdle, cfg.WakeEvery = 8, 7
+	}},
+	{"duty8-16-outages", func(cfg *Config, channels int) {
+		cfg.SleepAfterIdle, cfg.WakeEvery = 8, 16
+		cfg.Outages = equivOutages(channels)
+	}},
+}
+
+// equivOutages are two outage windows, on the first and the last
+// channel, each crossing many duty wake rounds.
+func equivOutages(channels int) []Outage {
+	return []Outage{{Channel: 0, From: 3000, Rounds: 400}, {Channel: channels - 1, From: 17000, Rounds: 900}}
 }
 
 // TestSkipNoSkipEquivalenceTable is the deterministic counterpart of the
