@@ -23,7 +23,7 @@ lint-smoke:
 race:
 	go test -race ./...
 
-# Fuzz smoke: same budget as the CI fuzz job.
+# Fuzz smoke, 10 s per fuzzer (what the CI fuzz job runs).
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzBucket$$' -fuzztime 10s ./internal/adversary
 	go test -run '^$$' -fuzz '^FuzzTraceRoundTrip$$' -fuzztime 10s ./internal/scenario

@@ -333,6 +333,8 @@ func TestCLIRejectsBadRates(t *testing.T) {
 		{"earmac-sim", []string{"-alg", "aloha", "-jam-rho", "1/10", "-jam-beta", "1000000000000000000", "-rounds", "10"},
 			"bad burstiness"},
 		{"earmac-sim", []string{"-rho", "1/3", "-beta", "3000000000000000000"}, "bad burstiness"},
+		{"earmac-sim", []string{"-alg", "aloha", "-n", "6", "-rounds", "200", "-outages", "0@10+9223372036854775807"},
+			"bad topology"},
 		{"earmac-sweep", []string{"-mode", "frontier", "-jam-rhos", "0,-1/4"}, `bad -jam-rhos: negative rate "-1/4"`},
 		{"earmac-sweep", []string{"-mode", "frontier", "-sleep-idles", "0,-5"}, "bad -sleep-idles: negative threshold -5"},
 		{"earmac-sweep", []string{"-mode", "seed", "-seeds", "1,x"}, `bad seed list "1,x"`},

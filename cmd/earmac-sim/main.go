@@ -89,13 +89,11 @@ func main() {
 		// replay would just copy the input. Silently letting one flag win
 		// used to hide the mistake.
 		if err := replayConflicts(); err != nil {
-			fmt.Fprintln(os.Stderr, "earmac-sim:", err)
-			os.Exit(2)
+			usage(err)
 		}
 		f, err := os.Open(*replay)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "earmac-sim:", err)
-			os.Exit(2)
+			usage(err)
 		}
 		tr, err := earmac.ReadTrace(f)
 		f.Close()
@@ -103,8 +101,7 @@ func main() {
 			cfg, err = earmac.ReplayConfig(tr)
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "earmac-sim:", err)
-			os.Exit(2)
+			usage(err)
 		}
 		if *lenient {
 			cfg.Lenient = true
@@ -112,18 +109,15 @@ func main() {
 	} else {
 		num, den, err := parseRho(*rho)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "earmac-sim:", err)
-			os.Exit(2)
+			usage(err)
 		}
 		lk, err := parseLinks(*links)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "earmac-sim:", err)
-			os.Exit(2)
+			usage(err)
 		}
 		ow, err := parseOutages(*outages)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "earmac-sim:", err)
-			os.Exit(2)
+			usage(err)
 		}
 		cfg = earmac.Config{
 			Algorithm:           *alg,
@@ -151,16 +145,14 @@ func main() {
 		if *jamRho != "" {
 			jn, jd, err := parseRho(*jamRho)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "earmac-sim:", err)
-				os.Exit(2)
+				usage(err)
 			}
 			cfg.JamRhoNum, cfg.JamRhoDen = jn, jd
 		}
 		if *phases != "" {
 			ph, err := parsePhases(*phases)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "earmac-sim:", err)
-				os.Exit(2)
+				usage(err)
 			}
 			cfg.Phases = ph
 		}
@@ -172,8 +164,7 @@ func main() {
 	if *record != "" {
 		f, err := os.Create(*record)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "earmac-sim:", err)
-			os.Exit(2)
+			usage(err)
 		}
 		recordFile = f
 		cfg.RecordTo = f
@@ -190,14 +181,12 @@ func main() {
 		}
 	}
 	if err := cfg.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "earmac-sim:", err)
-		os.Exit(2)
+		usage(err)
 	}
 
 	ps, err := prof.Start(*cpuProf, *memProf)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "earmac-sim:", err)
-		os.Exit(2)
+		usage(err)
 	}
 
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -236,6 +225,13 @@ func main() {
 		// Distinguish a truncated horizon from a completed run for scripts.
 		os.Exit(130)
 	}
+}
+
+// usage reports a malformed flag value or an unusable configuration and
+// exits 2, like the flag package's own errors.
+func usage(err error) {
+	fmt.Fprintln(os.Stderr, "earmac-sim:", err)
+	os.Exit(2)
 }
 
 // replayConflicts returns a typed error (wrapping earmac.ErrConflict)

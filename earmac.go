@@ -366,6 +366,11 @@ func prepare(cfg Config) (run, error) {
 	if enc != nil {
 		injObs = enc.Round
 	}
+	// A recording of a duty-cycled run reads the asleep count after
+	// every round to emit sleep transitions. Quiescent ticks advance
+	// duty state lazily, so it steps round by round, as a network's
+	// recording does (network.Options.Sleepers).
+	recordSleep := grp != nil && enc != nil
 	opts := core.Options{
 		Strict:            !cfg.Lenient,
 		CheckEvery:        conservationCheckEvery(cfg),
@@ -373,78 +378,47 @@ func prepare(cfg Config) (run, error) {
 		Tracer:            tracer,
 		ForceChecked:      cfg.ForceChecked,
 		InjectionObserver: injObs,
-		NoSkip:            cfg.NoSkip,
+		NoSkip:            cfg.NoSkip || recordSleep,
 	}
-	// Disruption on the classic single channel: the jammer (or a trace
-	// replay of one) and the outage schedule address channel 0. The
-	// closure runs once per round, serially, after the round's injection
-	// event was recorded — so jam/outage events land behind it in the
-	// trace, as the trace's per-round ordering requires.
-	var disruptor network.Disruptor
+	dis := soloDisruption{enc: enc}
 	if cfg.Replay != nil {
 		if jr := network.NewJamReplay(cfg.Replay); jr != nil {
-			disruptor = jr
+			dis.jams = jr
 		}
 	} else if cfg.jamming() {
-		disruptor = network.NewJammer(adversary.T(cfg.JamRhoNum, cfg.JamRhoDen, cfg.JamBeta), 1, cfg.Seed)
+		dis.jams = network.NewJammer(adversary.T(cfg.JamRhoNum, cfg.JamRhoDen, cfg.JamBeta), 1, cfg.Seed)
 	}
-	outs, err := network.NewOutageSchedule(cfg.Outages, 1)
-	if err != nil {
+	if dis.outs, err = network.NewOutageSchedule(cfg.Outages, 1); err != nil {
 		return run{}, fmt.Errorf("earmac: %w", err)
 	}
-	if disruptor != nil || outs != nil {
-		jamBuf := make([]int, 0, 1)
-		opts.Disrupted = func(round int64) core.Disrupt {
-			var d core.Disrupt
-			if disruptor != nil {
-				jamBuf = disruptor.AppendJams(round, jamBuf[:0])
-				if len(jamBuf) > 0 {
-					d |= core.DisruptJam
-					if enc != nil {
-						enc.Jam(round, 0)
-					}
-				}
-			}
-			if outs != nil {
-				if active, starts, dur := outs.Active(0, round); active {
-					d |= core.DisruptOutage
-					if starts && enc != nil {
-						enc.Outage(round, 0, dur)
-					}
-				}
-			}
-			return d
-		}
-		// Span skipping past disrupted stretches needs a horizon over
-		// every disruption source: a replayed jam stream knows its
-		// future, a live Jammer the round its bucket next affords a jam
-		// (it refills the bucket for the skipped rounds at its next
-		// consult), and an outage schedule its windows.
-		opts.DisruptHorizon = func(from int64) int64 {
-			next := int64(-1)
-			if disruptor != nil {
-				next = disruptor.NextJamRound(from)
-			}
-			if outs != nil {
-				if nd := outs.NextDisrupted(0, from); nd >= 0 && (next < 0 || nd < next) {
-					next = nd
-				}
-			}
-			return next
-		}
-	}
-	if grp != nil && enc != nil {
-		lastAsleep := 0
-		opts.RoundEnd = func(round int64) {
-			if a := grp.Asleep(); a != lastAsleep {
-				lastAsleep = a
-				enc.Sleep(round, 0, a)
-			}
-		}
+	if dis.jams != nil || dis.outs != nil {
+		dis.jamBuf = make([]int, 0, 1)
+		opts.Disruption = &dis
 	}
 	sim := core.NewSim(sys, adv, opts)
+	step := sim.Run
+	if recordSleep {
+		lastAsleep := 0
+		step = func(rounds int64) error {
+			for end := sim.Round() + rounds; sim.Round() < end; {
+				t := sim.Round()
+				err := sim.Step()
+				// A completed round emits, even one whose conservation
+				// check failed; a round a strict violation cut short
+				// does not.
+				if sim.Round() > t && grp.Asleep() != lastAsleep {
+					lastAsleep = grp.Asleep()
+					enc.Sleep(t, 0, lastAsleep)
+				}
+				if err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
 	return run{
-		step: sim.Run,
+		step: step,
 		snapshot: func() Report {
 			rep := report.FromTracker(sys.Info, cfg.N, tr)
 			if grp != nil {
@@ -455,6 +429,59 @@ func prepare(cfg Config) (run, error) {
 		counters: func() *metrics.Counters { return &tr.Counters },
 		enc:      enc,
 	}, nil
+}
+
+// soloDisruption is the classic single channel's core.Disruption: the
+// jammer (or a trace replay of one) and the outage schedule, both
+// addressing channel 0.
+type soloDisruption struct {
+	jams   network.Disruptor       // nil without jamming
+	outs   *network.OutageSchedule // nil without outages
+	enc    *scenario.Encoder       // non-nil when recording
+	jamBuf []int
+}
+
+// Disrupt implements core.Disruption. It runs once per round, serially,
+// after the round's injection event was recorded, so jam/outage events
+// land behind it in the trace, as the trace's per-round ordering
+// requires.
+func (d *soloDisruption) Disrupt(round int64) core.Disrupt {
+	var f core.Disrupt
+	if d.jams != nil {
+		d.jamBuf = d.jams.AppendJams(round, d.jamBuf[:0])
+		if len(d.jamBuf) > 0 {
+			f |= core.DisruptJam
+			if d.enc != nil {
+				d.enc.Jam(round, 0)
+			}
+		}
+	}
+	if d.outs != nil {
+		if active, starts, dur := d.outs.Active(0, round); active {
+			f |= core.DisruptOutage
+			if starts && d.enc != nil {
+				d.enc.Outage(round, 0, dur)
+			}
+		}
+	}
+	return f
+}
+
+// NextDisrupt implements core.Disruption over every disruption source:
+// a replayed jam stream knows its future, a live Jammer the round its
+// bucket next affords a jam (it refills the bucket for the skipped
+// rounds at its next consult), and an outage schedule its windows.
+func (d *soloDisruption) NextDisrupt(from int64) int64 {
+	next := int64(-1)
+	if d.jams != nil {
+		next = d.jams.NextJamRound(from)
+	}
+	if d.outs != nil {
+		if nd := d.outs.NextDisrupted(0, from); nd >= 0 && (next < 0 || nd < next) {
+			next = nd
+		}
+	}
+	return next
 }
 
 // newRecorder returns the trace encoder of a run that records, its

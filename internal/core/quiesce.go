@@ -77,10 +77,10 @@ func (s *Sim) prefRange(pref []int64, a, b int64) int64 {
 // quiescentAdvance executes one quiescent round — an O(1) tick, or a
 // wake-up full sweep when the round carries an event — and then
 // attempts a span skip toward end. The per-round external state
-// (adversary bucket, replay cursors, the Disrupted hook) advances
-// exactly as on the classic loop: gather and the disruption consult
-// run for every ticked round. A wake-up returns stepFrom's error,
-// always nil here: the engine runs only on lenient sims.
+// (adversary bucket, replay cursors, the Disruption) advances exactly
+// as on the classic loop: gather and the disruption consult run for
+// every ticked round. A wake-up returns stepFrom's error, always nil
+// here: the engine runs only on lenient sims.
 //
 //earmac:hotpath
 func (s *Sim) quiescentAdvance(end int64) error {
@@ -88,7 +88,7 @@ func (s *Sim) quiescentAdvance(end int64) error {
 	injs := s.gather(t)
 	var d Disrupt
 	if s.disrupt != nil {
-		d = s.disrupt(t)
+		d = s.disrupt.Disrupt(t)
 	}
 	// A wake-up is forced by a pending injection, an idle-profile break
 	// the horizon cannot predict (IdleBreak declines), or a disrupted
@@ -156,24 +156,20 @@ func (s *Sim) tick(t int64, d Disrupt, e IdleRound) {
 
 // trySpan attempts the closed-form span skip after a successful tick,
 // bounded by end (the Run horizon), the idle-profile break, the
-// adversary's next possible event, and the disruption horizon. A
-// Disrupted hook without DisruptHorizon pins spans (its per-round
-// consult may have side effects the engine cannot replay); external
-// injections (a topology layer's relay feed) pin spans too — the
-// network layer skips spans itself, under its own guarantees.
+// adversary's next possible event, and the disruption horizon. A span
+// needs at least two rounds before end, so a one-round Step (the only
+// way a network advances its channel sims) never computes a horizon;
+// the network skips spans itself, under its own guarantees.
 //
 //earmac:hotpath
 func (s *Sim) trySpan(end int64) {
-	if s.advSkip == nil || s.extInj != nil {
+	from := s.round
+	if s.advSkip == nil || end-from < 2 {
 		return
 	}
-	from := s.round
 	limit := end
 	if s.disrupt != nil {
-		if s.dhor == nil {
-			return
-		}
-		if dh := s.dhor(from); dh >= 0 && dh < limit {
+		if dh := s.disrupt.NextDisrupt(from); dh >= 0 && dh < limit {
 			limit = dh
 		}
 	}
@@ -200,8 +196,8 @@ func (s *Sim) QuiescentConst() (IdleRound, bool) {
 // SpanHorizon returns the furthest round to <= limit such that rounds
 // [from, to) are provably idle by the simulator's own constraints (the
 // idle-profile break and the adversary's next possible event); from
-// must equal Round(). It does not consult the Disrupted hook — the
-// single-channel span gates on Options.DisruptHorizon, and a topology
+// must equal Round(). It does not consult the Disruption — the
+// single-channel span bounds itself by its NextDisrupt, and a topology
 // layer owns its own disruption horizon.
 func (s *Sim) SpanHorizon(from, limit int64) int64 {
 	if !s.quiescent || s.advSkip == nil || from != s.round {

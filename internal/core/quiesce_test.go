@@ -99,13 +99,25 @@ func nextIn[V any](m map[int64]V, from int64) int64 {
 	return next
 }
 
+// jamSet is a Disruption jamming exactly the rounds it holds.
+type jamSet map[int64]bool
+
+func (j jamSet) Disrupt(t int64) Disrupt {
+	if j[t] {
+		return DisruptJam
+	}
+	return 0
+}
+
+func (j jamSet) NextDisrupt(from int64) int64 { return nextIn(j, from) }
+
 // breakCase is one run of n sleepers waking every w rounds.
 type breakCase struct {
 	w, rounds int64
 	accept    bool // IdleBreak accepts
 	ff        bool // the sleepers are feedback-free idlers
 	inject    scheduled
-	jam       map[int64]bool
+	jam       jamSet
 }
 
 func (c breakCase) run(t *testing.T, noSkip bool) ([]*sleeper, metrics.Counters) {
@@ -121,13 +133,7 @@ func (c breakCase) run(t *testing.T, noSkip bool) ([]*sleeper, metrics.Counters)
 	sys.Idle = wakeProfile{w: c.w, n: n, accept: c.accept}
 	opt := Options{NoSkip: noSkip}
 	if c.jam != nil {
-		opt.Disrupted = func(t int64) Disrupt {
-			if c.jam[t] {
-				return DisruptJam
-			}
-			return 0
-		}
-		opt.DisruptHorizon = func(from int64) int64 { return nextIn(c.jam, from) }
+		opt.Disruption = c.jam
 	}
 	sim := NewSim(sys, c.inject, opt)
 	if sim.SkipCapable() == noSkip {
@@ -199,7 +205,7 @@ func TestIdleBreakWithInjection(t *testing.T) {
 // feedback-free idlers. A jammed round between breaks has no listener
 // and always ticks.
 func TestIdleBreakJammed(t *testing.T) {
-	jam := map[int64]bool{13: true, 16: true}
+	jam := jamSet{13: true, 16: true}
 	c := breakCase{w: 8, rounds: 41, accept: true, jam: jam}
 	wantActs(t, c.check(t), 0, 16)
 	c.ff = true

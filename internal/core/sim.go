@@ -37,67 +37,53 @@ type Options struct {
 	// — the hook the trace recorder (internal/scenario) captures
 	// replayable runs with. The slice is reused between rounds and must
 	// not be retained. Unlike Tracer it attaches no validator.
-	// Externally-sourced injections (ExtraInjections) are NOT reported:
-	// they are derived state, fully reproducible from the recorded
-	// adversarial stream.
 	InjectionObserver func(round int64, injs []Injection)
-	// ExtraInjections, when non-nil, supplies externally-sourced
-	// injections — relay arrivals from a surrounding topology layer
-	// (internal/network) — appended after the adversary's injections
-	// each round. It appends into the same scratch buffer, so the
-	// steady-state round loop stays allocation-free; when nil (every
-	// single-channel run) the hook costs one pointer comparison.
-	ExtraInjections Adversary
-	// DeliveryObserver, when non-nil, receives every delivered packet in
-	// the round it was delivered. It is the hook relay layers intercept
-	// deliveries with; like InjectionObserver it attaches no validator.
-	DeliveryObserver func(round int64, p mac.Packet)
+	// ExitObserver, when non-nil, receives every packet that leaves the
+	// stations, in the round it leaves: delivered (true) when its
+	// switched-on destination hears it, or dropped (false) when it dies
+	// mid-route — a heard round whose destination is switched off under
+	// a direct algorithm (see Counters.Dropped). It is the hook relay
+	// layers route deliveries and reclaim per-packet state with; like
+	// InjectionObserver it attaches no validator.
+	ExitObserver func(round int64, p mac.Packet, delivered bool)
 	// ForceChecked attaches the schedule-conformance scan (see Sim) to a
 	// sim that would otherwise run with no validator, which also keeps
 	// the quiescence engine off. It is the lenient schedule audit, and
 	// the equivalence tests' way of comparing runs with and without
 	// validators.
 	ForceChecked bool
-	// Disrupted, when non-nil, is consulted once per executed or ticked
-	// round — after the round's injections are gathered, before the
-	// station sweep — and returns the round's disruption flags; rounds
-	// a span skips are not consulted (see DisruptHorizon). A disrupted
-	// round delivers nothing: every switched-on station observes
-	// FbCollision regardless of how many stations transmitted (jamming
-	// noise and a dead channel are indistinguishable from a collision at
-	// the receivers), stations still spend their energy, and the tracker
-	// counts the round as a collision plus the matching Jammed/Outaged
-	// counter. The hook runs on every executed or ticked round, so it
-	// must not allocate in steady state.
-	Disrupted func(round int64) Disrupt
-	// DropObserver, when non-nil, receives every packet that dies
-	// mid-route: a heard round whose destination station is switched off
-	// under a direct algorithm (see Counters.Dropped for the exact
-	// semantics). Topology layers use it to reclaim per-packet relay
-	// state.
-	DropObserver func(round int64, p mac.Packet)
-	// RoundEnd, when non-nil, runs at the very end of every round, after
-	// all statistics for the round are folded. It is the hook duty-cycle
-	// recorders use to observe per-round sleep state at a point where
-	// every station has acted. Because it observes every round, it
-	// disables the quiescence fast-forward engine entirely.
-	RoundEnd func(round int64)
+	// Disruption, when non-nil, is the source of externally disrupted
+	// rounds: jamming and channel outages (see Disruption).
+	Disruption Disruption
 	// NoSkip disables the quiescence fast-forward engine (quiesce.go)
 	// even when the system declares an idle profile, forcing the
 	// classic per-round loop. The engine is bit-identical by
-	// construction; the flag exists as an escape hatch and for the
-	// equivalence tests.
+	// construction; the flag exists as an escape hatch, for the
+	// equivalence tests, and for callers that read station state after
+	// every round (a recording of a duty-cycled run).
 	NoSkip bool
-	// DisruptHorizon, when non-nil alongside Disrupted, returns a
-	// lower bound on the earliest round >= from whose Disrupted
-	// consult may return nonzero (-1: never). It gates the span-skip
-	// tier: a Disrupted hook without a horizon pins spans, because the
-	// hook may have per-round side effects the engine cannot replay
-	// (quiescent ticks still consult it every round). A hook with a
-	// horizon owns its per-round state across a span: the next consult
-	// must account for the rounds skipped since the last one (the live
-	// jammer advances its bucket then).
-	DisruptHorizon func(from int64) int64
+}
+
+// Disruption is the source of a sim's externally disrupted rounds. A
+// disrupted round delivers nothing: every switched-on station observes
+// FbCollision regardless of how many stations transmitted (jamming
+// noise and a dead channel are indistinguishable from a collision at
+// the receivers), stations still spend their energy, and the tracker
+// counts the round as a collision plus the matching Jammed/Outaged
+// counter.
+type Disruption interface {
+	// Disrupt returns the flags of round, which are nonzero when it is
+	// disrupted. It is consulted once per executed or ticked round, with
+	// rounds increasing — after the round's injections are gathered,
+	// before the station sweep — and must not allocate in steady state.
+	// Rounds a span skips are not consulted, so a source with per-round
+	// state accounts for them at its next consult (the live jammer
+	// refills its bucket then).
+	Disrupt(round int64) Disrupt
+	// NextDisrupt returns a lower bound on the earliest round >= from
+	// whose Disrupt may return nonzero, or -1 when none remains. A span
+	// skip ends at or before it; returning from pins spans.
+	NextDisrupt(from int64) int64
 }
 
 // Disrupt is a bit set of reasons a round was externally disrupted.
@@ -143,11 +129,8 @@ type Sim struct {
 	queueObs QueueObserver
 	fbObs    FeedbackObserver
 	injObs   func(round int64, injs []Injection)
-	extInj   Adversary
-	delObs   func(round int64, p mac.Packet)
-	disrupt  func(round int64) Disrupt
-	dropObs  func(round int64, p mac.Packet)
-	roundEnd func(round int64)
+	exitObs  func(round int64, p mac.Packet, delivered bool)
+	disrupt  Disruption
 
 	// Validators (see the type comment); each is nil when not attached.
 	sched  sched.Schedule
@@ -170,11 +153,10 @@ type Sim struct {
 	skippers    []mac.Skipper // per-station, populated only when skipOK
 	advSkip     EventSkipper  // adversary skip contract, when supported
 	idleHor     IdleHorizon   // the idle profile's horizon, when it has one
-	dhor        func(from int64) int64
-	idleCycle   []IdleRound // reused idle-profile buffer
-	idleAnchor  int64       // round idleCycle[0] describes
-	idleBreakAt int64       // profile horizon (-1: indefinite)
-	prefEnergy  []int64     // prefix sums over idleCycle (span accrual)
+	idleCycle   []IdleRound   // reused idle-profile buffer
+	idleAnchor  int64         // round idleCycle[0] describes
+	idleBreakAt int64         // profile horizon (-1: indefinite)
+	prefEnergy  []int64       // prefix sums over idleCycle (span accrual)
 	prefLight   []int64
 	prefCtrl    []int64
 	cycleMaxE   int
@@ -201,12 +183,8 @@ func NewSim(sys *System, adv Adversary, opt Options) *Sim {
 		s.advSkip, _ = adv.(EventSkipper)
 	}
 	s.injObs = opt.InjectionObserver
-	s.extInj = opt.ExtraInjections
-	s.delObs = opt.DeliveryObserver
-	s.disrupt = opt.Disrupted
-	s.dropObs = opt.DropObserver
-	s.roundEnd = opt.RoundEnd
-	s.dhor = opt.DisruptHorizon
+	s.exitObs = opt.ExitObserver
+	s.disrupt = opt.Disruption
 	if opt.CheckEvery > 0 {
 		s.ledger = &ledger{}
 	}
@@ -219,10 +197,9 @@ func NewSim(sys *System, adv Adversary, opt Options) *Sim {
 		return s
 	}
 	// The fast-forward engine needs an idle profile, a Skipper at every
-	// station, and the absence of every per-round observer the engine
-	// cannot replay: RoundEnd and the adaptive-adversary hooks see each
-	// round individually, so any of them pins the loop to per-round.
-	if !opt.NoSkip && sys.Idle != nil && opt.RoundEnd == nil &&
+	// station, and no adaptive-adversary hook: those see each round
+	// individually, so any of them pins the loop to per-round.
+	if !opt.NoSkip && sys.Idle != nil &&
 		s.roundObs == nil && s.queueObs == nil && s.fbObs == nil {
 		skippers := make([]mac.Skipper, len(sys.Stations))
 		ok := true
@@ -260,9 +237,6 @@ func (s *Sim) Tracker() *metrics.Tracker { return s.tracker }
 // Round returns the number of completed rounds.
 func (s *Sim) Round() int64 { return s.round }
 
-// System returns the simulated system.
-func (s *Sim) System() *System { return s.sys }
-
 // FastPath reports whether the sim runs with no validator attached:
 // lenient, no conservation checking, no tracer, not ForceChecked.
 func (s *Sim) FastPath() bool {
@@ -273,7 +247,7 @@ func (s *Sim) FastPath() bool {
 // SkipCapable reports whether the quiescence fast-forward engine was
 // enabled at construction: no validator is attached, NoSkip is off,
 // the system declares an idle profile, every station implements
-// mac.Skipper, and no per-round observer pins the loop.
+// mac.Skipper, and no adaptive-adversary hook pins the loop.
 func (s *Sim) SkipCapable() bool { return s.skipOK }
 
 // violate records a model violation. A lenient sim carries on (nil); a
@@ -316,11 +290,11 @@ func (s *Sim) Step() error {
 	return s.step()
 }
 
-// gather assembles one round's full injection list in the reused
-// scratch buffer: the adversary's injections (reported to
-// InjectionObserver) followed by the externally-sourced ones
-// (ExtraInjections; not reported — they are derived state, reproducible
-// from the adversarial stream). Every executed or ticked round calls it.
+// gather assembles one round's injection list in the reused scratch
+// buffer and reports it to InjectionObserver. Every executed or ticked
+// round calls it. Packet IDs are handed out sequentially, in injection
+// order, to every in-range injection: the contract a topology layer
+// relies on to mirror IDs by emission order (internal/network).
 func (s *Sim) gather(t int64) []Injection {
 	buf := s.injBuf[:0]
 	if s.adv != nil {
@@ -329,23 +303,12 @@ func (s *Sim) gather(t int64) []Injection {
 			s.injObs(t, buf)
 		}
 	}
-	if s.extInj != nil {
-		buf = s.extInj.InjectAppend(t, buf)
-	}
 	s.injBuf = buf
 	return buf
 }
 
-// NextPacketID returns the ID the next accepted injection will be
-// assigned. IDs are handed out sequentially, in injection order, to
-// every in-range injection, ExtraInjections included. That is the
-// contract a topology layer relies on to mirror IDs by emission order
-// (internal/network counts its own pushes and never calls this); the
-// accessor lets tests pin it.
-func (s *Sim) NextPacketID() int64 { return s.nextID }
-
 // step executes one round: it obtains the injections and the round's
-// disruption flags, then runs the station sweep. The Disrupted consult
+// disruption flags, then runs the station sweep. The Disrupt consult
 // commutes with the sweep — it interacts with nothing before channel
 // resolution — so hoisting it lets the quiescence engine, which must
 // consult it before deciding to wake, share stepFrom.
@@ -356,7 +319,7 @@ func (s *Sim) step() error {
 	injs := s.gather(t)
 	var disrupted Disrupt
 	if s.disrupt != nil {
-		disrupted = s.disrupt(t)
+		disrupted = s.disrupt.Disrupt(t)
 	}
 	return s.stepFrom(t, injs, disrupted)
 }
@@ -466,8 +429,8 @@ func (s *Sim) stepFrom(t int64, injs []Injection, disrupted Disrupt) error {
 		} else if s.on[p.Dest] {
 			tr.DeliveryRounds++
 			tr.ObserveDelivery(t - p.Injected)
-			if s.delObs != nil {
-				s.delObs(t, p)
+			if s.exitObs != nil {
+				s.exitObs(t, p, true)
 			}
 			if s.tracer != nil {
 				delivered = append(delivered, p)
@@ -487,8 +450,8 @@ func (s *Sim) stepFrom(t int64, injs []Injection, disrupted Disrupt) error {
 			// packet dies mid-route and leaves conservation tracking as
 			// consumed — no station may hold it afterwards.
 			tr.Dropped++
-			if s.dropObs != nil {
-				s.dropObs(t, p)
+			if s.exitObs != nil {
+				s.exitObs(t, p, false)
 			}
 			if s.ledger != nil {
 				s.ledger.retire(p.ID)
@@ -528,9 +491,6 @@ func (s *Sim) stepFrom(t int64, injs []Injection, disrupted Disrupt) error {
 	}
 	tr.ObserveStationQueues(s.queueLen)
 	tr.ObserveRound(t, totalQueue, energy)
-	if s.roundEnd != nil {
-		s.roundEnd(t)
-	}
 	s.round++
 	if s.ledger != nil && s.round%s.opt.CheckEvery == 0 {
 		return s.CheckConservation()

@@ -413,88 +413,58 @@ func TestQueueTrackedPerRound(t *testing.T) {
 	}
 }
 
-// extraOnce is an ExtraInjections source feeding a fixed list at round 0.
-type extraOnce struct{ injs []Injection }
-
-func (e *extraOnce) InjectAppend(round int64, buf []Injection) []Injection {
-	if round == 0 {
-		buf = append(buf, e.injs...)
+// TestExitObserver: the exit hook fires exactly when a packet leaves
+// the stations, with the packet, its round, and whether it was
+// delivered: a delivery when the destination is switched on, a drop
+// when a direct algorithm's destination is off. Both simulator paths.
+func TestExitObserver(t *testing.T) {
+	type exit struct {
+		round     int64
+		p         mac.Packet
+		delivered bool
 	}
-	return buf
-}
-
-// TestExtraInjectionsHook: externally-sourced injections are processed
-// like adversarial ones (IDs, tracker totals) but are invisible to the
-// InjectionObserver — on both simulator paths.
-func TestExtraInjectionsHook(t *testing.T) {
 	for _, forceChecked := range []bool{false, true} {
-		a := &scriptProto{acts: []Action{Listen()}}
-		b := &scriptProto{acts: []Action{Listen()}}
-		var observed []Injection
-		s := NewSim(sys(2, a, b),
-			&injectOnce{injs: []Injection{{Station: 0, Dest: 1}}},
-			Options{
-				ForceChecked:    forceChecked,
-				ExtraInjections: &extraOnce{injs: []Injection{{Station: 1, Dest: 0}, {Station: 1, Dest: 1}}},
-				InjectionObserver: func(round int64, injs []Injection) {
-					observed = append(observed, injs...)
-				},
-			})
-		if forceChecked != !s.FastPath() {
-			t.Fatalf("forceChecked=%v but FastPath=%v", forceChecked, s.FastPath())
-		}
-		if err := s.Run(1); err != nil {
-			t.Fatal(err)
-		}
-		if got := s.Tracker().Injected; got != 3 {
-			t.Errorf("checked=%v: injected %d, want 3 (1 adversarial + 2 external)", forceChecked, got)
-		}
-		if len(observed) != 1 || observed[0] != (Injection{Station: 0, Dest: 1}) {
-			t.Errorf("checked=%v: observer saw %+v, want only the adversarial injection", forceChecked, observed)
-		}
-		if a.QueueLen() != 1 || b.QueueLen() != 2 {
-			t.Errorf("checked=%v: queues (%d, %d), want (1, 2)", forceChecked, a.QueueLen(), b.QueueLen())
-		}
-		if s.NextPacketID() != 3 {
-			t.Errorf("checked=%v: NextPacketID = %d, want 3", forceChecked, s.NextPacketID())
-		}
-	}
-}
-
-// TestDeliveryObserver: the hook fires exactly on ground-truth
-// deliveries (dest switched on), with the delivered packet, on both
-// simulator paths.
-func TestDeliveryObserver(t *testing.T) {
-	for _, forceChecked := range []bool{false, true} {
-		tx := &scriptProto{
-			acts:       []Action{Listen(), Transmit(mac.Message{}), Listen()},
-			txPacket:   []bool{false, true, false},
-			removeOnTx: true,
-		}
-		rx := &scriptProto{acts: []Action{Listen(), Listen(), Listen()}}
-		var delivered []mac.Packet
-		var rounds []int64
-		s := NewSim(sys(2, tx, rx),
-			&injectOnce{injs: []Injection{{Station: 0, Dest: 1}}},
-			Options{
-				ForceChecked: forceChecked,
-				DeliveryObserver: func(round int64, p mac.Packet) {
-					delivered = append(delivered, p)
-					rounds = append(rounds, round)
-				},
-			})
-		if err := s.Run(3); err != nil {
-			t.Fatal(err)
-		}
-		if len(delivered) != 1 {
-			t.Fatalf("checked=%v: observer saw %d deliveries, want 1", forceChecked, len(delivered))
-		}
-		if delivered[0].Src != 0 || delivered[0].Dest != 1 || rounds[0] != 1 {
-			t.Errorf("checked=%v: observed %v at round %d, want pkt 0->1 at round 1",
-				forceChecked, delivered[0], rounds[0])
-		}
-		if s.Tracker().Delivered != 1 {
-			t.Errorf("checked=%v: tracker delivered %d, want 1", forceChecked, s.Tracker().Delivered)
+		for _, rxOn := range []bool{true, false} {
+			tx := &scriptProto{
+				acts:       []Action{Listen(), Transmit(mac.Message{}), Listen()},
+				txPacket:   []bool{false, true, false},
+				removeOnTx: true,
+			}
+			rxAct := Listen()
+			if !rxOn {
+				rxAct = Off()
+			}
+			rx := &scriptProto{acts: []Action{Listen(), rxAct, Listen()}}
+			system := sys(2, tx, rx)
+			system.Info.Direct = true
+			var exits []exit
+			s := NewSim(system,
+				&injectOnce{injs: []Injection{{Station: 0, Dest: 1}}},
+				Options{
+					ForceChecked: forceChecked,
+					ExitObserver: func(round int64, p mac.Packet, delivered bool) {
+						exits = append(exits, exit{round, p, delivered})
+					},
+				})
+			if err := s.Run(3); err != nil {
+				t.Fatal(err)
+			}
+			if len(exits) != 1 {
+				t.Fatalf("checked=%v rxOn=%v: observer saw %d exits, want 1", forceChecked, rxOn, len(exits))
+			}
+			e := exits[0]
+			if e.p.Src != 0 || e.p.Dest != 1 || e.round != 1 || e.delivered != rxOn {
+				t.Errorf("checked=%v rxOn=%v: observed %v at round %d delivered=%v, want pkt 0->1 at round 1 delivered=%v",
+					forceChecked, rxOn, e.p, e.round, e.delivered, rxOn)
+			}
+			var wantDelivered, wantDropped int64 = 1, 0
+			if !rxOn {
+				wantDelivered, wantDropped = 0, 1
+			}
+			if tr := s.Tracker(); tr.Delivered != wantDelivered || tr.Dropped != wantDropped {
+				t.Errorf("checked=%v rxOn=%v: tracker delivered %d dropped %d, want %d and %d",
+					forceChecked, rxOn, tr.Delivered, tr.Dropped, wantDelivered, wantDropped)
+			}
 		}
 	}
 }

@@ -7,11 +7,12 @@ package core
 //
 //   - a quiescent tick: the O(n) station sweep collapses to an O(1)
 //     counter update, while all per-round external state (adversary
-//     bucket, replay cursors, disruption hooks) still advances exactly;
+//     bucket, replay cursors, the disruption source) still advances
+//     exactly;
 //   - a span skip: when the next possible event round is computable
-//     (EventSkipper on the adversary, IdleHorizon on the profile, a
-//     DisruptHorizon on the disruption source), the simulator jumps
-//     from→to in one step, accruing energy, channel-utilization
+//     (EventSkipper on the adversary, IdleHorizon on the profile,
+//     Disruption.NextDisrupt on the disruption source), the simulator
+//     jumps from→to in one step, accruing energy, channel-utilization
 //     counters, and queue samples in closed form.
 //
 // Both tiers are bit-identical to executing the rounds: a tick covers

@@ -107,8 +107,9 @@ func floorDiv(a, b int64) int64 {
 
 // Asleep returns the number of stations that suppressed their action in
 // the round currently being (or just finished being) stepped. It is
-// meaningful at round end — core.Options.RoundEnd, or the network's
-// post-dispatch fold — after every station has acted.
+// meaningful at round end, after every station has acted: between the
+// façade's per-round Steps of a recorded run, or in the network's
+// post-dispatch fold.
 func (g *Group) Asleep() int { return g.curAsleep }
 
 // SleepRounds returns the cumulative count of suppressed station-rounds.

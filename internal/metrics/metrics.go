@@ -104,22 +104,27 @@ func (t *Tracker) StationMaxQueues() []int64 { return t.stationMax }
 // mean peak — 1 means perfectly balanced load, large values indicate one
 // station absorbed the brunt. Returns 0 unless TrackStations was called
 // and some packet was queued.
-func (t *Tracker) QueueImbalance() float64 {
-	if t.stationMax == nil {
-		return 0
-	}
+func (t *Tracker) QueueImbalance() float64 { return QueueImbalance(t.stationMax) }
+
+// QueueImbalance returns the ratio of the largest per-station queue
+// peak to the mean peak over every station in peaks (one slice per
+// tracker), or 0 when no packet was ever queued.
+func QueueImbalance(peaks ...[]int64) float64 {
 	var sum, max int64
-	for _, m := range t.stationMax {
-		sum += m
-		if m > max {
-			max = m
+	count := 0
+	for _, ps := range peaks {
+		for _, m := range ps {
+			sum += m
+			if m > max {
+				max = m
+			}
 		}
+		count += len(ps)
 	}
 	if sum == 0 {
 		return 0
 	}
-	mean := float64(sum) / float64(len(t.stationMax))
-	return float64(max) / mean
+	return float64(max) / (float64(sum) / float64(count))
 }
 
 // NewTracker returns a Tracker sampling the queue curve every 1024 rounds.

@@ -4,12 +4,13 @@ package network
 // (round, channel) pairs to jam, and validated per-channel outage
 // schedules. Both feed Network.step's phase 1, which translates them
 // into per-channel core.Disrupt flags for the round — a disrupted round
-// delivers nothing and reads as a collision (see core.Options.Disrupted)
+// delivers nothing and reads as a collision (see core.Disruption)
 // — and, for outages, parks incoming relay hand-offs until the channel
 // comes back.
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"earmac/internal/adversary"
@@ -189,8 +190,9 @@ type OutageSchedule struct {
 
 // NewOutageSchedule validates and indexes outage windows for a network
 // of the given channel count: every window must name a valid channel,
-// start at round ≥ 0, last ≥ 1 round, and windows on the same channel
-// must not overlap. An empty window set returns (nil, nil).
+// start at round ≥ 0, last ≥ 1 round, end within int64 (From+Rounds
+// must not overflow), and windows on the same channel must not
+// overlap. An empty window set returns (nil, nil).
 func NewOutageSchedule(outs []Outage, channels int) (*OutageSchedule, error) {
 	if len(outs) == 0 {
 		return nil, nil
@@ -208,6 +210,10 @@ func NewOutageSchedule(outs []Outage, channels int) (*OutageSchedule, error) {
 		}
 		if o.Rounds < 1 {
 			return nil, fmt.Errorf("network: outage on channel %d lasts %d rounds, need >= 1", o.Channel, o.Rounds)
+		}
+		if o.Rounds > math.MaxInt64-o.From {
+			return nil, fmt.Errorf("network: outage on channel %d from round %d lasting %d rounds ends past round %d",
+				o.Channel, o.From, o.Rounds, int64(math.MaxInt64))
 		}
 		s.byCh[o.Channel] = append(s.byCh[o.Channel], o)
 	}

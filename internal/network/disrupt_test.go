@@ -6,6 +6,7 @@ package network
 // variant of the allocation-free steady state.
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -117,6 +118,7 @@ func TestOutageScheduleValidation(t *testing.T) {
 		{"negative channel", []Outage{{Channel: -1, From: 0, Rounds: 5}}},
 		{"negative start", []Outage{{Channel: 0, From: -2, Rounds: 5}}},
 		{"empty window", []Outage{{Channel: 0, From: 10, Rounds: 0}}},
+		{"end overflows int64", []Outage{{Channel: 0, From: 10, Rounds: math.MaxInt64}}},
 		{"overlap", []Outage{{Channel: 1, From: 10, Rounds: 10}, {Channel: 1, From: 15, Rounds: 3}}},
 	}
 	for _, c := range cases {
@@ -135,6 +137,28 @@ func TestOutageScheduleValidation(t *testing.T) {
 		{Channel: 2, From: 12, Rounds: 4},
 	}, 3); err != nil {
 		t.Errorf("valid schedule rejected: %v", err)
+	}
+}
+
+// TestOutageScheduleEndsWithinInt64: a window may end at the largest
+// round, and one round more is rejected instead of wrapping to a
+// negative end that Active and NextDisrupted would skip.
+func TestOutageScheduleEndsWithinInt64(t *testing.T) {
+	if _, err := NewOutageSchedule([]Outage{{Channel: 0, From: 10, Rounds: math.MaxInt64 - 9}}, 1); err == nil {
+		t.Fatal("accepted a window whose end overflows int64")
+	}
+	s, err := NewOutageSchedule([]Outage{{Channel: 0, From: 10, Rounds: math.MaxInt64 - 10}}, 1)
+	if err != nil {
+		t.Fatalf("rejected a window ending at round MaxInt64: %v", err)
+	}
+	if got := s.NextDisrupted(0, 0); got != 10 {
+		t.Errorf("NextDisrupted(0) = %d, want 10", got)
+	}
+	if active, starts, _ := s.Active(0, 10); !active || !starts {
+		t.Errorf("Active(10) = %v/%v, want an opening dead round", active, starts)
+	}
+	if active, _, _ := s.Active(0, math.MaxInt64-1); !active {
+		t.Error("round MaxInt64-1 not inside the window")
 	}
 }
 

@@ -112,14 +112,13 @@ type chanState struct {
 	sim *core.Sim
 	trk *metrics.Tracker
 
-	feed  feed      // the sim's adversary: entry injections
-	relay relayFeed // the sim's ExtraInjections: relay arrivals
+	feed feed // the sim's adversary: entry injections, then relay arrivals
 
 	// entries is this round's raw entry stream (global coordinates),
 	// buffered for the post-barrier Events flush. Reused every round.
 	entries []core.Injection
 	// arriving holds the relay arrivals injected this round (filled by
-	// the hand-off merge, drained by relayFeed). outbox collects this
+	// the hand-off merge, drained by the feed). outbox collects this
 	// round's onward deliveries, merged into the destinations' arriving
 	// buffers at the next round's hand-off.
 	arriving []pending
@@ -133,8 +132,8 @@ type chanState struct {
 	held []pending
 
 	// Per-round disruption state, written serially in step's phase 1
-	// before dispatch and read by this channel's sim (via its Disrupted
-	// hook) and by the fold's event emission.
+	// before dispatch and read by this channel's sim (the chanState is
+	// its core.Disruption) and by the fold's event emission.
 	disrupt    core.Disrupt
 	outStart   bool  // this round opens an outage window
 	outDur     int64 // window length when outStart
@@ -232,7 +231,6 @@ func New(topo *Topology, build func(ch int) (*core.System, error), entry []core.
 		cs := &chanState{trk: tr}
 		cs.feed = feed{net: n, cs: cs, ch: c, adv: entry[c]}
 		cs.feed.skip, _ = entry[c].(core.EventSkipper)
-		cs.relay = relayFeed{cs: cs}
 		n.chans[c] = cs
 		var tracer core.Tracer
 		if opt.Tracer != nil {
@@ -248,19 +246,11 @@ func New(topo *Topology, build func(ch int) (*core.System, error), entry []core.
 			// Sleep-event emission reads duty.Group.Asleep every round;
 			// quiescent ticks advance duty state lazily, so that pairing
 			// pins the channel to the classic per-round loop.
-			NoSkip:           opt.NoSkip || (opt.Events != nil && opt.Sleepers != nil),
-			ExtraInjections:  &cs.relay,
-			DeliveryObserver: func(round int64, p mac.Packet) { n.onDelivery(cs, ch, round, p) },
-			// Mid-route death (a duty-cycled destination missed an
-			// uncontended transmission) must reclaim the packet's
-			// mirror-table slot, or the arena would leak one live entry
-			// per drop forever.
-			DropObserver: func(round int64, p mac.Packet) { n.onDrop(cs, ch, p) },
+			NoSkip:       opt.NoSkip || (opt.Events != nil && opt.Sleepers != nil),
+			ExitObserver: func(round int64, p mac.Packet, delivered bool) { n.onExit(cs, ch, round, p, delivered) },
 		}
 		if opt.Disruptor != nil || opt.Outages != nil {
-			// Flags are computed serially in step's phase 1; the sim
-			// only reads its own channel's copy during dispatch.
-			copts.Disrupted = func(int64) core.Disrupt { return cs.disrupt }
+			copts.Disruption = cs
 		}
 		cs.sim = core.NewSim(sys, &cs.feed, copts)
 	}
@@ -307,7 +297,9 @@ func (n *Network) Close() {
 
 // feed is channel ch's core.Adversary: it pulls the channel's entry
 // injections from the channel's entry adversary, buffers them for the
-// post-barrier Events flush, and routes them into local coordinates.
+// post-barrier Events flush, and routes them into local coordinates;
+// then it appends the round's relay arrivals, already local. The sim
+// numbers packets in that order, and the mirror pushes follow it.
 type feed struct {
 	net  *Network
 	cs   *chanState
@@ -325,26 +317,21 @@ func (f *feed) InjectAppend(round int64, buf []core.Injection) []core.Injection 
 	for _, in := range cs.entries {
 		buf = f.net.admit(round, f.ch, cs, in, buf)
 	}
-	return buf
-}
-
-// relayFeed is channel ch's core.Options.ExtraInjections: the relay
-// arrivals scheduled for this round, already in local coordinates.
-type relayFeed struct {
-	cs *chanState
-}
-
-// InjectAppend implements core.Adversary.
-//
-//earmac:hotpath
-func (r *relayFeed) InjectAppend(round int64, buf []core.Injection) []core.Injection {
-	cs := r.cs
 	for _, p := range cs.arriving {
 		buf = append(buf, core.Injection{Station: p.station, Dest: p.dest})
 		cs.meta.Push(p.meta)
 	}
 	return buf
 }
+
+// Disrupt implements core.Disruption: the channel's flags, computed
+// serially in step's phase 1 before dispatch.
+func (cs *chanState) Disrupt(int64) core.Disrupt { return cs.disrupt }
+
+// NextDisrupt implements core.Disruption. A channel sim never spans by
+// itself, because the network only Steps it, so the horizon is from;
+// the network bounds its own spans by the jam and outage sources.
+func (cs *chanState) NextDisrupt(from int64) int64 { return from }
 
 // admit validates one global entry injection for channel ch, translates
 // it into the channel's local coordinates, registers its network
@@ -375,16 +362,25 @@ func (n *Network) admit(round int64, ch int, cs *chanState, in core.Injection, b
 	return append(buf, core.Injection{Station: n.topo.Local(in.Station), Dest: dest})
 }
 
-// onDelivery is channel ch's DeliveryObserver: a within-channel
-// delivery either completes a packet's journey (buffered for the
-// post-barrier latency fold) or parks it in the channel's outbox,
-// tagged with the next channel on its path, to arrive there next round.
+// onExit is channel ch's ExitObserver. A packet leaving the channel
+// gives back its mirror-table slot, delivered or not, or the arena
+// would leak one live entry per exit. A packet dropped mid-route (its
+// duty-cycled destination, final station or relay gateway, was off on
+// an uncontended heard round) needs nothing more: the channel tracker
+// counted the drop, and the aggregate fold sums those counts end-to-end
+// (a packet dies at most once, so the sum is exact). A delivery either
+// completes the packet's journey (buffered for the post-barrier latency
+// fold) or parks it in the channel's outbox, tagged with the next
+// channel on its path, to arrive there next round.
 //
 //earmac:hotpath
-func (n *Network) onDelivery(cs *chanState, ch int, round int64, p mac.Packet) {
+func (n *Network) onExit(cs *chanState, ch int, round int64, p mac.Packet, delivered bool) {
 	m, ok := cs.meta.Take(p.ID)
 	if !ok {
-		panic(fmt.Sprintf("network: channel %d delivered unregistered packet %v", ch, p))
+		panic(fmt.Sprintf("network: channel %d: unregistered packet %v left the channel", ch, p))
+	}
+	if !delivered {
+		return
 	}
 	if m.destCh == ch {
 		cs.deliv = append(cs.deliv, round-m.origin)
@@ -403,20 +399,6 @@ func (n *Network) onDelivery(cs *chanState, ch int, round int64, p mac.Packet) {
 		meta:    m,
 	}})
 	cs.relayed++
-}
-
-// onDrop is channel ch's DropObserver: a packet died mid-route (its
-// duty-cycled destination — final station or relay gateway — was off on
-// an uncontended heard round). The network's only job is to reclaim the
-// packet's mirror-table slot; the channel tracker already counted the
-// drop, and the aggregate Tracker fold sums those counts end-to-end
-// (a packet dies at most once, so the sum is exact).
-//
-//earmac:hotpath
-func (n *Network) onDrop(cs *chanState, ch int, p mac.Packet) {
-	if _, ok := cs.meta.Take(p.ID); !ok {
-		panic(fmt.Sprintf("network: channel %d dropped unregistered packet %v", ch, p))
-	}
 }
 
 // stepChannel advances one channel by one round: the worker-team body.
@@ -598,9 +580,6 @@ func (n *Network) Run(rounds int64) error {
 	return nil
 }
 
-// Round returns the number of completed rounds.
-func (n *Network) Round() int64 { return n.round }
-
 // Topology returns the compiled topology.
 func (n *Network) Topology() *Topology { return n.topo }
 
@@ -653,21 +632,11 @@ func (n *Network) InFlight() int {
 // per-station queue peak across all channels relative to the mean peak
 // (0 unless Options.TrackStations was set).
 func (n *Network) QueueImbalance() float64 {
-	var sum, max int64
-	count := 0
-	for _, cs := range n.chans {
-		for _, m := range cs.trk.StationMaxQueues() {
-			sum += m
-			if m > max {
-				max = m
-			}
-			count++
-		}
+	peaks := make([][]int64, len(n.chans))
+	for c, cs := range n.chans {
+		peaks[c] = cs.trk.StationMaxQueues()
 	}
-	if count == 0 || sum == 0 {
-		return 0
-	}
-	return float64(max) / (float64(sum) / float64(count))
+	return metrics.QueueImbalance(peaks...)
 }
 
 // Violations collects every channel's model violations (prefixed with

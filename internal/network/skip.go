@@ -1,8 +1,9 @@
 package network
 
 // Network-level quiescence fast-forward (DESIGN.md §16). Channel sims
-// run their own O(1) quiescent ticks; their relay feed pins
-// single-channel spans by design. On top of that a channel goes lazy
+// run their own O(1) quiescent ticks but never span by themselves: the
+// network only Steps them, one round at a time. On top of that a
+// channel goes lazy
 // after a round it executes that leaves its sim quiescent on a constant
 // idle profile with no packet registered: until its sim's span horizon
 // (chanState.wakeAt) it is skipped on every round that brings it no
@@ -11,9 +12,10 @@ package network
 // catches up in one closed-form core.Sim.SkipSpan. When every channel
 // is lazy and nothing is in flight, Run skips whole network spans.
 
-// NextEventRound implements core.EventSkipper for a channel's entry
-// feed: the entry adversary's horizon when it has one, else the queried
-// round itself (so the channel never goes lazy).
+// NextEventRound implements core.EventSkipper for a channel's feed:
+// the entry adversary's horizon when it has one, else the queried round
+// itself (so the channel never goes lazy). Relay arrivals are outside
+// it: the network wakes a lazy channel on any arrival (stepChannel).
 func (f *feed) NextEventRound(from int64) int64 {
 	if f.skip != nil {
 		return f.skip.NextEventRound(from)

@@ -301,9 +301,6 @@ func sortInts(a []int) {
 	}
 }
 
-// Spec returns the compiled spec.
-func (t *Topology) Spec() Spec { return t.spec }
-
 // Channels returns the number of channels.
 func (t *Topology) Channels() int { return t.spec.Channels }
 

@@ -287,9 +287,6 @@ func (e *Encoder) Sleep(round int64, ch int, asleep int) {
 	e.kindLine(round, ch, KindSleep, 0, asleep)
 }
 
-// Injected returns the number of injections recorded so far.
-func (e *Encoder) Injected() int64 { return e.injected }
-
 // Close writes the footer (with the run's final counters, which may be
 // nil) and flushes. It returns the first error the encoder hit.
 func (e *Encoder) Close(c *metrics.Counters) error {

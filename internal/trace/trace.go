@@ -24,9 +24,6 @@ type Logger struct {
 	Names []string
 }
 
-// New returns a logger for the given writer covering all rounds.
-func New(w io.Writer) *Logger { return &Logger{W: w} }
-
 func (l *Logger) name(st int) string {
 	if l.Names != nil && st < len(l.Names) {
 		return l.Names[st]

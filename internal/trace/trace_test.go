@@ -19,7 +19,7 @@ func actions() []core.Action {
 
 func TestTraceHeardAndDelivered(t *testing.T) {
 	var sb strings.Builder
-	l := New(&sb)
+	l := &Logger{W: &sb}
 	p := mac.Packet{ID: 4, Src: 0, Dest: 2, Injected: 1}
 	l.TraceRound(5, actions(), mac.Feedback{Kind: mac.FbHeard, Msg: mac.PacketMsg(p)}, []mac.Packet{p})
 	out := sb.String()
@@ -32,7 +32,7 @@ func TestTraceHeardAndDelivered(t *testing.T) {
 
 func TestTraceSilenceAndCollision(t *testing.T) {
 	var sb strings.Builder
-	l := New(&sb)
+	l := &Logger{W: &sb}
 	l.TraceRound(1, []core.Action{core.Listen()}, mac.Feedback{Kind: mac.FbSilence}, nil)
 	twoTx := []core.Action{
 		core.Transmit(mac.CtrlMsg(mac.MakeControl(3))),
@@ -71,7 +71,7 @@ func TestTraceNames(t *testing.T) {
 
 func TestLightAndCtrlDescriptions(t *testing.T) {
 	var sb strings.Builder
-	l := New(&sb)
+	l := &Logger{W: &sb}
 	ctrl := mac.MakeControl(5)
 	l.TraceRound(0, []core.Action{core.Transmit(mac.CtrlMsg(ctrl))},
 		mac.Feedback{Kind: mac.FbHeard, Msg: mac.CtrlMsg(ctrl)}, nil)
@@ -79,7 +79,7 @@ func TestLightAndCtrlDescriptions(t *testing.T) {
 		t.Errorf("light message not described: %s", sb.String())
 	}
 	p := mac.Packet{ID: 1}
-	l2 := New(&sb)
+	l2 := &Logger{W: &sb}
 	sb.Reset()
 	msg := mac.Message{HasPacket: true, Packet: p, Ctrl: ctrl}
 	l2.TraceRound(0, []core.Action{core.Transmit(msg)}, mac.Feedback{Kind: mac.FbHeard, Msg: msg}, nil)

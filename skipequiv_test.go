@@ -108,9 +108,11 @@ func TestSkipNoSkipEquivalenceQuick(t *testing.T) {
 			t.Logf("config %+v:\nskip-on: %+v\nnoskip:  %+v", cfg, on, offRep)
 			return false
 		}
-		// Recorded trace bytes. Recording a duty-cycled run installs a
-		// per-round sleep observer that pins the engine on both sides,
-		// so the duty case is covered by the report comparison above.
+		// Recorded trace bytes. A recording of a duty-cycled run steps
+		// under NoSkip on both sides (its sleep recorder reads station
+		// state after every round), so for the duty case this pair runs
+		// the per-round loop twice and the report comparison above is
+		// what covers the engine.
 		var recOn, recOff bytes.Buffer
 		onRec, offRec := cfg, off
 		onRec.RecordTo, offRec.RecordTo = &recOn, &recOff
@@ -178,9 +180,11 @@ func equivOutages(channels int) []Outage {
 // engage: lenient networks of four topologies crossing aloha under
 // every disruption knob, orchestra and count-hop, at one and two
 // workers, plus single-channel aloha under every knob. Each must match
-// its NoSkip twin on the Report JSON and the recorded trace bytes. The
-// horizon exceeds ctxCheckEvery, so every run settles mid-way at a
-// chunk boundary.
+// its NoSkip twin on the Report JSON and the recorded trace bytes,
+// except that a duty-cycled run, whose recording steps under NoSkip on
+// both sides, is recorded once and must match the unrecorded skip-on
+// report. The horizon exceeds ctxCheckEvery, so every run settles
+// mid-way at a chunk boundary.
 func TestSkipNoSkipEquivalenceTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs many full simulations")
@@ -244,9 +248,6 @@ func TestSkipNoSkipEquivalenceTable(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			// A recorded duty-cycled run pins the engine on both sides
-			// (its per-round sleep observer), so the report is also
-			// compared from an unrecorded run.
 			on, err := Run(c.cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -262,10 +263,16 @@ func TestSkipNoSkipEquivalenceTable(t *testing.T) {
 			if !bytes.Equal(onJS, offJS) {
 				t.Fatalf("report differs from NoSkip:\nskip-on: %s\nnoskip:  %s", onJS, offJS)
 			}
-			onJS, onTrace := run(t, c.cfg)
+			recJS, onTrace := run(t, c.cfg)
+			if c.cfg.dutyParams().Enabled() {
+				if !bytes.Equal(recJS, onJS) {
+					t.Fatalf("recorded report differs from the unrecorded one:\nrecorded: %s\nskip-on:  %s", recJS, onJS)
+				}
+				return
+			}
 			offJS, offTrace := run(t, off)
-			if !bytes.Equal(onJS, offJS) {
-				t.Fatalf("recorded report differs from NoSkip:\nskip-on: %s\nnoskip:  %s", onJS, offJS)
+			if !bytes.Equal(recJS, offJS) {
+				t.Fatalf("recorded report differs from NoSkip:\nskip-on: %s\nnoskip:  %s", recJS, offJS)
 			}
 			if !bytes.Equal(onTrace, offTrace) {
 				t.Fatalf("recorded trace differs from NoSkip (%d bytes vs %d)", len(onTrace), len(offTrace))

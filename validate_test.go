@@ -65,6 +65,10 @@ func TestValidateTypedErrors(t *testing.T) {
 		{"beta above the bound", Config{RhoNum: 1, RhoDen: 3, Beta: MaxBeta + 1}, ErrBadBurst},
 		{"network beta above the bound", Config{Topology: "grid", Channels: 16, RhoNum: 1, RhoDen: 3, Beta: MaxBeta + 1}, ErrBadBurst},
 		{"burst that fits int64", Config{RhoNum: 1, RhoDen: 3, Beta: 3e18}, ErrBadBurst},
+		// An outage window must end within int64: a wrapped end would
+		// make the schedule skip the window.
+		{"outage end overflows", Config{Algorithm: "aloha", Outages: []Outage{{Channel: 0, From: 10, Rounds: math.MaxInt64}}}, ErrBadTopology},
+		{"outage ending at the last round", Config{Algorithm: "aloha", Outages: []Outage{{Channel: 0, From: 10, Rounds: math.MaxInt64 - 10}}}, nil},
 	}
 	for _, c := range cases {
 		err := c.cfg.Validate()
