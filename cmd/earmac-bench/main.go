@@ -261,10 +261,15 @@ func benchSpec(s expt.Spec, reps int) benchcmp.Row {
 // sees (ρ = 1/16384): its spans end at every 64th round, a wake round,
 // which the engine ticks as the inner idle round instead of sweeping
 // the 24 stations. It runs half T1.sparse's rounds, which keeps its
-// 24-station ".noskip" twin to about 4 s of a quick run. Each ".noskip"
-// twin runs the identical configuration on the classic per-round loop;
-// assertTwins gates their deterministic outputs bit-identical on every
-// bench run, the same contract the ".ser" rows pin for worker counts.
+// 24-station ".noskip" twin to about 4 s of a quick run. T1.busy is the
+// same system at ρ = 1/32, where queues rarely all drain: most rounds
+// are busy, and the sparse sweep visits each one's 3 awake stations and
+// its injected ones instead of all 24. It runs a quarter of T1.sparse's
+// rounds, which keeps the pair to about 5 s of a quick run. Each
+// ".noskip" twin runs the identical configuration on the classic
+// per-round loop, which visits every station every round; assertTwins
+// gates their deterministic outputs bit-identical on every bench run,
+// the same contract the ".ser" rows pin for worker counts.
 func sparseRows(scale expt.Scale, reps int) []benchcmp.Row {
 	rounds := int64(2000000)
 	if scale == expt.Full {
@@ -277,19 +282,23 @@ func sparseRows(scale expt.Scale, reps int) []benchcmp.Row {
 		}
 		return sys, adversary.New(adversary.T(1, 1024, 1), adversary.Uniform(6, 42))
 	}
-	buildDuty := func() (*core.System, core.Adversary) {
-		sys, err := randmac.New(24, 3)
-		if err != nil {
-			fail(err)
+	buildDuty := func(rhoDen int64) func() (*core.System, core.Adversary) {
+		return func() (*core.System, core.Adversary) {
+			sys, err := randmac.New(24, 3)
+			if err != nil {
+				fail(err)
+			}
+			sys, _ = duty.Wrap(sys, duty.Params{SleepAfterIdle: 8, WakeEvery: 64})
+			return sys, adversary.New(adversary.T(1, rhoDen, 1), adversary.Uniform(24, 42))
 		}
-		sys, _ = duty.Wrap(sys, duty.Params{SleepAfterIdle: 8, WakeEvery: 64})
-		return sys, adversary.New(adversary.T(1, 16384, 1), adversary.Uniform(24, 42))
 	}
 	return []benchcmp.Row{
 		measureOpt("T1.sparse", "3-subsets sparse @ ρ=1/1024 β=1, n=6 (span skipping)", build, rounds, reps, false),
 		measureOpt("T1.sparse.noskip", "3-subsets sparse @ ρ=1/1024 β=1, n=6, per-round loop", build, rounds, reps, true),
-		measureOpt("T1.duty", "3-aloha duty 8/64 @ ρ=1/16384 β=1, n=24 (ticked wakes)", buildDuty, rounds/2, reps, false),
-		measureOpt("T1.duty.noskip", "3-aloha duty 8/64 @ ρ=1/16384 β=1, n=24, per-round loop", buildDuty, rounds/2, reps, true),
+		measureOpt("T1.duty", "3-aloha duty 8/64 @ ρ=1/16384 β=1, n=24 (ticked wakes)", buildDuty(16384), rounds/2, reps, false),
+		measureOpt("T1.duty.noskip", "3-aloha duty 8/64 @ ρ=1/16384 β=1, n=24, per-round loop", buildDuty(16384), rounds/2, reps, true),
+		measureOpt("T1.busy", "3-aloha duty 8/64 @ ρ=1/32 β=1, n=24 (sparse sweeps)", buildDuty(32), rounds/4, reps, false),
+		measureOpt("T1.busy.noskip", "3-aloha duty 8/64 @ ρ=1/32 β=1, n=24, per-round loop", buildDuty(32), rounds/4, reps, true),
 	}
 }
 
@@ -410,10 +419,13 @@ func networkRows(scale expt.Scale, reps int) []benchcmp.Row {
 		// shape in its sparse regime — n=24 per channel at a global
 		// entry rate of ρ=1/1024 and a long duty sleep, where the duty
 		// wrapper's zero-energy idle profile keeps almost every channel
-		// lazy: a duty wake costs a lazy channel one O(1) tick, and the
+		// lazy: a duty wake costs a lazy channel one O(1) tick, the
 		// network spans the rounds between jams and wakes when every
-		// channel is lazy. The ".noskip" twin forces the per-round O(n)
-		// sweep; assertTwins gates the pair bit-identical on every run.
+		// channel is lazy, and a busy channel's round visits its 3
+		// awake stations and its injected ones. The ".noskip" twin
+		// forces the per-round loop, which sweeps all 24 stations of
+		// every channel every round; assertTwins gates the pair
+		// bit-identical on every run.
 		{"NET.frontier16", "aloha line ×16 jammed @ ρ=1/1024 β=16 ρ_j=1/4 duty 8/256, n=24, quiescent ticks",
 			network.Spec{Kind: network.Line, Channels: 16, N: 24}, 16, 50000, 1, "frontier", false},
 		{"NET.frontier16.noskip", "aloha line ×16 jammed @ ρ=1/1024 β=16 ρ_j=1/4 duty 8/256, n=24, per-round loop",
@@ -442,8 +454,9 @@ func networkRows(scale expt.Scale, reps int) []benchcmp.Row {
 // assertTwins enforces the twin contracts on every bench run, CI's gate
 // included: a ".ser" row must match its parallel base row (the
 // worker-count-independence contract, DESIGN.md §13) and a ".noskip"
-// row must match its fast-forward base row (the quiescence-engine
-// bit-identity contract, DESIGN.md §16) on the deterministic outputs.
+// row must match its base row (the fast-path bit-identity contract of
+// the quiescence engine and the sparse sweep, DESIGN.md §16) on the
+// deterministic outputs.
 func assertTwins(rows []benchcmp.Row) {
 	byID := make(map[string]benchcmp.Row, len(rows))
 	for _, r := range rows {
@@ -455,7 +468,7 @@ func assertTwins(rows []benchcmp.Row) {
 		case strings.HasSuffix(r.ID, ".ser"):
 			base, contract = strings.TrimSuffix(r.ID, ".ser"), "worker-count independence"
 		case strings.HasSuffix(r.ID, ".noskip"):
-			base, contract = strings.TrimSuffix(r.ID, ".noskip"), "quiescence-engine bit-identity"
+			base, contract = strings.TrimSuffix(r.ID, ".noskip"), "fast-path bit-identity"
 		default:
 			continue
 		}

@@ -181,12 +181,13 @@ type Config struct {
 	// are ignored for injection (they still describe the recorded run).
 	// Use ReplayConfig to assemble a faithful Config from a trace.
 	Replay *Trace `json:"-"`
-	// NoSkip disables the quiescence fast-forward engine (DESIGN.md
-	// §16), forcing the classic per-round loop even where the simulator
-	// could prove idle rounds skippable. The engine is bit-identical by
-	// construction — reports, traces, and recordings match at either
-	// setting — so this is a pure throughput knob: runtime-only,
-	// excluded from the JSON schema and from Fingerprint.
+	// NoSkip disables the quiescence fast-forward engine and the sparse
+	// sweep (DESIGN.md §16), forcing the classic per-round loop, which
+	// visits every station every round, even where the simulator could
+	// prove idle rounds skippable or stations switched off. Both are
+	// bit-identical by construction — reports, traces, and recordings
+	// match at either setting — so this is a pure throughput knob:
+	// runtime-only, excluded from the JSON schema and from Fingerprint.
 	NoSkip bool `json:"-"`
 	// NetWorkers overrides how many workers step a network's channels:
 	// 0 chooses from its size (DESIGN.md §13) and means serial in a

@@ -120,6 +120,32 @@ func TestFastPathZeroAllocsDutyCycled(t *testing.T) {
 	}
 }
 
+// TestFastPathZeroAllocsSparseSweep pins the sparse sweep to the perf
+// floor: busy n = 24 aloha at ρ = 1/32, alone and duty-cycled, visits
+// its 3 awake stations and its injected ones each round and catches
+// stations up over the Off rounds they skipped, without touching the
+// allocator.
+func TestFastPathZeroAllocsSparseSweep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("steady-state warmup is long")
+	}
+	for _, p := range []duty.Params{{}, {SleepAfterIdle: 8, WakeEvery: 64}} {
+		sys, err := randmac.New(24, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, _ = duty.Wrap(sys, p)
+		if !core.NewSim(sys, nil, core.Options{}).Sparse() {
+			t.Fatalf("duty %+v: the sim does not sweep sparsely", p)
+		}
+		adv := adversary.New(adversary.T(1, 32, 1), adversary.Uniform(24, 7))
+		perRound := steadyAllocsPerRound(t, sys, adv, 60000, 30000)
+		if perRound != 0 {
+			t.Errorf("duty %+v: sparse steady state allocates %.4f allocs/round, want 0", p, perRound)
+		}
+	}
+}
+
 // TestFastPathZeroAllocsStochasticScenario pins the seed/RNG plumbing
 // of the scenario subsystem to the same perf floor as the hand-written
 // patterns: a phased stochastic workload — quiet warm-up, Bernoulli

@@ -36,7 +36,6 @@ type Layout struct {
 	pairs     [][2]int
 	members   [][]int // pair → sorted stations
 	pairsOf   [][]int // station → pair indices containing it
-	inPair    []map[int]bool
 }
 
 // FeasibleK returns the largest k' ≤ k that is even, divides 2n, and
@@ -89,12 +88,9 @@ func NewLayout(n, k int) (*Layout, error) {
 				m = append(m, s)
 			}
 			lay.members = append(lay.members, m)
-			in := make(map[int]bool, ek)
 			for _, s := range m {
-				in[s] = true
 				lay.pairsOf[s] = append(lay.pairsOf[s], idx)
 			}
-			lay.inPair = append(lay.inPair, in)
 		}
 	}
 	lay.NumPairs = len(lay.pairs)
@@ -103,6 +99,13 @@ func NewLayout(n, k int) (*Layout, error) {
 
 // SetOf returns the half-set of a station.
 func (l *Layout) SetOf(s int) int { return s / (l.K / 2) }
+
+// inPair reports whether station st belongs to pair p: its half-set is
+// one of the pair's two.
+func (l *Layout) inPair(p, st int) bool {
+	set := l.SetOf(st)
+	return set == l.pairs[p][0] || set == l.pairs[p][1]
+}
 
 // ActivePair returns the pair switched on in the given round.
 func (l *Layout) ActivePair(round int64) int {
@@ -126,7 +129,7 @@ func (l *Layout) Schedule() sched.Schedule {
 		N: l.N,
 		P: int64(l.NumPairs),
 		F: func(st int, round int64) bool {
-			return l.inPair[l.ActivePair(round)][st]
+			return l.inPair(l.ActivePair(round), st)
 		},
 	}
 }

@@ -1,6 +1,7 @@
 package kclique
 
 import (
+	"slices"
 	"testing"
 
 	"earmac/internal/adversary"
@@ -57,7 +58,7 @@ func TestPairForAssignsBothEndpoints(t *testing.T) {
 	for src := 0; src < 8; src++ {
 		for dest := 0; dest < 8; dest++ {
 			p := lay.PairFor(src, dest)
-			if !lay.inPair[p][src] || !lay.inPair[p][dest] {
+			if !lay.inPair(p, src) || !lay.inPair(p, dest) {
 				t.Errorf("pair %d for %d→%d misses an endpoint", p, src, dest)
 			}
 		}
@@ -222,5 +223,25 @@ func TestInfeasibleConfigRejected(t *testing.T) {
 	}
 	if _, err := New(8, 1); err == nil {
 		t.Error("k=1 accepted")
+	}
+}
+
+// TestInPairMatchesMembers: the half-set test agrees with the member
+// lists for every pair and station.
+func TestInPairMatchesMembers(t *testing.T) {
+	for n := 3; n <= 24; n++ {
+		for k := 2; k <= n; k++ {
+			lay, err := NewLayout(n, k)
+			if err != nil {
+				continue // no feasible k
+			}
+			for p := 0; p < lay.NumPairs; p++ {
+				for st := 0; st < n; st++ {
+					if got, want := lay.inPair(p, st), slices.Contains(lay.members[p], st); got != want {
+						t.Errorf("n=%d k=%d: inPair(%d, %d) = %v, members %v", n, k, p, st, got, lay.members[p])
+					}
+				}
+			}
+		}
 	}
 }

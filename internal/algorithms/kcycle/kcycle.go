@@ -43,7 +43,6 @@ type Layout struct {
 	groupsOf  [][]int // station → groups it belongs to
 	connector []int   // group → connector station shared with next group
 	forward   []int   // station → its forward group (where it is first)
-	inGroup   []map[int]bool
 }
 
 // NewLayout computes the group structure. The requested cap k is clamped
@@ -67,7 +66,6 @@ func NewLayout(n, k int) (*Layout, error) {
 		groupsOf:  make([][]int, n),
 		connector: make([]int, l),
 		forward:   make([]int, n),
-		inGroup:   make([]map[int]bool, l),
 	}
 	for i := range lay.forward {
 		lay.forward[i] = -1
@@ -89,9 +87,7 @@ func NewLayout(n, k int) (*Layout, error) {
 			lay.connector[g] = 0
 		}
 		lay.members[g] = m
-		lay.inGroup[g] = make(map[int]bool, len(m))
 		for _, s := range m {
-			lay.inGroup[g][s] = true
 			lay.groupsOf[s] = append(lay.groupsOf[s], g)
 		}
 		// The group's first station (in cycle direction) treats g as its
@@ -108,6 +104,17 @@ func NewLayout(n, k int) (*Layout, error) {
 	return lay, nil
 }
 
+// inGroup reports whether station st belongs to group g: the k
+// consecutive stations from g(k−1), or, for the last group, station 0
+// and every station from its start on.
+func (l *Layout) inGroup(g, st int) bool {
+	start := g * (l.K - 1)
+	if g == l.L-1 {
+		return st == 0 || st >= start
+	}
+	return start <= st && st < start+l.K
+}
+
 // ActiveGroup returns the group switched on in the given round.
 func (l *Layout) ActiveGroup(round int64) int {
 	return int((round / l.Delta) % int64(l.L))
@@ -119,7 +126,7 @@ func (l *Layout) Schedule() sched.Schedule {
 		N: l.N,
 		P: l.Delta * int64(l.L),
 		F: func(st int, round int64) bool {
-			return l.inGroup[l.ActiveGroup(round)][st]
+			return l.inGroup(l.ActiveGroup(round), st)
 		},
 	}
 }
@@ -128,7 +135,7 @@ func (l *Layout) Schedule() sched.Schedule {
 // destination is initially associated with.
 func (l *Layout) HomeGroup(src, dest int) int {
 	for _, g := range l.groupsOf[src] {
-		if l.inGroup[g][dest] {
+		if l.inGroup(g, dest) {
 			return g
 		}
 	}
@@ -241,7 +248,7 @@ func (s *station) Observe(round int64, fb mac.Feedback) {
 			s.pendingTx = -1
 		}
 		p := fb.Msg.Packet
-		if !s.lay.inGroup[g][p.Dest] && s.id == s.lay.connector[g] {
+		if !s.lay.inGroup(g, p.Dest) && s.id == s.lay.connector[g] {
 			// Adopt and advance the packet to the next group.
 			ni := s.local(s.lay.NextGroup(g))
 			s.subs[ni].push(p, s.rings[ni].Phase())

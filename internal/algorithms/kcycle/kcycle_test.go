@@ -1,6 +1,7 @@
 package kcycle
 
 import (
+	"slices"
 	"testing"
 
 	"earmac/internal/adversary"
@@ -78,7 +79,7 @@ func TestLayoutCoversAllStationsEveryK(t *testing.T) {
 				// Consecutive groups share their connector.
 				c := lay.connector[g]
 				ng := lay.NextGroup(g)
-				if !lay.inGroup[g][c] || !lay.inGroup[ng][c] {
+				if !lay.inGroup(g, c) || !lay.inGroup(ng, c) {
 					t.Errorf("n=%d k=%d: connector %d not shared between groups %d and %d", n, k, c, g, ng)
 				}
 			}
@@ -315,6 +316,26 @@ func TestReplicaRingsConsistent(t *testing.T) {
 				st := sys.Stations[m].(*station)
 				if !st.rings[st.local(g)].Equal(ref) {
 					t.Fatalf("round %d: ring replicas for group %d diverged", r, g)
+				}
+			}
+		}
+	}
+}
+
+// TestInGroupMatchesMembers: the range test agrees with the member
+// lists for every group and station, the wrapping last group included.
+func TestInGroupMatchesMembers(t *testing.T) {
+	for n := 3; n <= 20; n++ {
+		for k := 2; k <= n; k++ {
+			lay, err := NewLayout(n, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for g := 0; g < lay.L; g++ {
+				for st := 0; st < n; st++ {
+					if got, want := lay.inGroup(g, st), slices.Contains(lay.members[g], st); got != want {
+						t.Errorf("n=%d k=%d: inGroup(%d, %d) = %v, members %v", n, k, g, st, got, lay.members[g])
+					}
 				}
 			}
 		}

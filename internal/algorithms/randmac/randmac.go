@@ -27,6 +27,7 @@ package randmac
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"earmac/internal/core"
 	"earmac/internal/mac"
@@ -118,6 +119,16 @@ func (l *Layout) fill(round int64) {
 	l.stamp = round
 }
 
+// AppendAwake implements core.Awaker: it appends the round's on-set to
+// buf and sorts the appended entries there, leaving the cache (which
+// OnSet returns in shuffle order) as it is.
+func (l *Layout) AppendAwake(round int64, buf []int) []int {
+	n := len(buf)
+	buf = append(buf, l.onSet(round)...)
+	slices.Sort(buf[n:])
+	return buf
+}
+
 // Schedule returns the oblivious on/off schedule. It reads the Layout's
 // cache, so it is queried on the goroutine that steps the system.
 func (l *Layout) Schedule() sched.Schedule {
@@ -207,6 +218,10 @@ func (s *station) Quiescent() bool { return s.q.Len() == 0 && s.pendingTx < 0 }
 // SkipIdle implements mac.Skipper: idle rounds are stateless.
 func (s *station) SkipIdle(from, to int64) {}
 
+// SkipOff implements mac.OffSkipper: an Off round only resets
+// pendingTx, which is already -1 after every round.
+func (s *station) SkipOff(from, to int64) {}
+
 // FeedbackFreeIdle implements mac.FeedbackFreeIdler: idle rounds never
 // consult channel feedback, so the duty-cycle wrapper may fast-forward
 // sleeping stations too.
@@ -244,6 +259,7 @@ func NewSeeded(n, k int, seed uint64) (*core.System, error) {
 		Stations: stations,
 		Schedule: lay.Schedule(),
 		// Idle rounds: the k scheduled stations listen in silence.
-		Idle: core.ConstIdle{Energy: k},
+		Idle:  core.ConstIdle{Energy: k},
+		Awake: lay,
 	}, nil
 }

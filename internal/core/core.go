@@ -99,6 +99,24 @@ type System struct {
 	// Constructors set it only when every station implements
 	// mac.Skipper; nil keeps the classic per-round loop.
 	Idle IdleProfiler
+	// Awake, when non-nil, names each round's possibly-on stations for
+	// the sparse sweep (see Awaker). Constructors set it only when every
+	// station implements mac.OffSkipper; nil keeps the full sweep.
+	Awake Awaker
+}
+
+// Awaker is the sparse-sweep contract of an energy-oblivious system
+// (DESIGN.md §16). AppendAwake appends to buf, in ascending order,
+// every station that may switch on in round t, and returns the extended
+// slice; every other station's Act(t) returns Off. The simulator passes
+// one scratch buffer, reused every round, with room for all n stations.
+//
+// With no validator attached a sim then visits only those stations and
+// the round's injected ones; every other station catches up over its
+// skipped Off rounds in O(1) (mac.OffSkipper) the next time it is
+// visited, and at every Run boundary.
+type Awaker interface {
+	AppendAwake(t int64, buf []int) []int
 }
 
 // N returns the number of stations.

@@ -8,9 +8,15 @@ package core
 // tryEnterQuiescence is called after a completed round whose
 // total queue was zero; s.round is the next unexecuted round. It asks
 // every station whether its idle behavior is fast-forwardable and the
-// profiler for the system's idle cycle, anchoring both at s.round.
+// profiler for the system's idle cycle, anchoring both at s.round. A
+// sparse sim catches each station up before asking it (duty's answer
+// reads its idle clock), one at a time, so a refusal stops both early.
 func (s *Sim) tryEnterQuiescence() {
-	for _, sk := range s.skippers {
+	sparse := s.offSkippers != nil
+	for i, sk := range s.skippers {
+		if sparse {
+			s.catchUp(i, s.round)
+		}
 		if !sk.Quiescent() {
 			return
 		}
@@ -116,14 +122,25 @@ func (s *Sim) quiescentAdvance(end int64) error {
 }
 
 // wake replays the skipped idle rounds into the stations and leaves
-// quiescence; the caller then executes round t as a normal full sweep.
+// quiescence; the caller then executes round t as a normal sweep.
 func (s *Sim) wake(t int64) {
-	if t > s.qFrom {
-		for _, sk := range s.skippers {
-			sk.SkipIdle(s.qFrom, t)
-		}
-	}
+	s.skipIdle(t)
 	s.quiescent = false
+}
+
+// skipIdle replays the quiescent stretch [qFrom, t) into every station
+// and leaves them all at round t.
+func (s *Sim) skipIdle(t int64) {
+	if t <= s.qFrom {
+		return
+	}
+	for _, sk := range s.skippers {
+		sk.SkipIdle(s.qFrom, t)
+	}
+	for i := range s.actedTo {
+		s.actedTo[i] = t
+	}
+	s.qFrom = t
 }
 
 // tick is the O(1) quiescent round: the station sweep collapses to the
@@ -254,15 +271,16 @@ func (s *Sim) SkipSpan(to int64) {
 }
 
 // Settle replays any pending skipped rounds into the stations without
-// leaving quiescence, so externally visible station state (queue
-// snapshots, duty-cycle sleep totals) is exact at Run boundaries. It
-// is idempotent and cheap when nothing is pending.
+// leaving quiescence, and on a busy sparse sim catches every station
+// up over its skipped Off rounds, so externally visible station state
+// (queue snapshots, duty-cycle sleep totals) is exact at Run
+// boundaries. It is idempotent, and cheap when nothing is pending.
 func (s *Sim) Settle() {
-	if !s.quiescent || s.round == s.qFrom {
+	if s.quiescent {
+		s.skipIdle(s.round)
 		return
 	}
-	for _, sk := range s.skippers {
-		sk.SkipIdle(s.qFrom, s.round)
+	for i := range s.actedTo {
+		s.catchUp(i, s.round)
 	}
-	s.qFrom = s.round
 }

@@ -56,11 +56,13 @@ type Options struct {
 	// rounds: jamming and channel outages (see Disruption).
 	Disruption Disruption
 	// NoSkip disables the quiescence fast-forward engine (quiesce.go)
-	// even when the system declares an idle profile, forcing the
-	// classic per-round loop. The engine is bit-identical by
-	// construction; the flag exists as an escape hatch, for the
-	// equivalence tests, and for callers that read station state after
-	// every round (a recording of a duty-cycled run).
+	// even when the system declares an idle profile, and the sparse
+	// sweep even when it declares an awake set (Awaker), forcing the
+	// classic per-round loop: every round visits every station. Both
+	// are bit-identical by construction; the flag exists as an escape
+	// hatch, for the equivalence tests, and for callers that read
+	// station state after every round (a recording of a duty-cycled
+	// run).
 	NoSkip bool
 }
 
@@ -114,7 +116,9 @@ const (
 // With no validator attached (FastPath) the loop allocates nothing in
 // steady state — injections land in a reused scratch buffer (see
 // Adversary) and all statistics go to the tracker's flat counters
-// — and quiescent stretches may be fast-forwarded (quiesce.go). The
+// — quiescent stretches may be fast-forwarded (quiesce.go), and a
+// system that names each round's awake set (Awaker) is swept sparsely:
+// a round visits that set and its injected stations, not all n. The
 // tracker totals are the same either way for any well-behaved system;
 // only schedule-conformance violations go unnoticed without the scan.
 type Sim struct {
@@ -137,13 +141,20 @@ type Sim struct {
 	ledger *ledger
 	tracer Tracer
 
-	round    int64
-	nextID   int64
-	on       []bool
-	queueLen []int
-	injBuf   []Injection  // reused injection scratch
-	actions  []Action     // the round's actions, kept for the tracer only
-	delBuf   []mac.Packet // the round's deliveries, kept for the tracer only
+	round      int64
+	nextID     int64
+	on         []bool       // the round's on flags; a sparse round clears its visited ones at its end
+	queueLen   []int        // each station's queue at the end of its last visited round
+	totalQueue int64        // the running sum of queueLen
+	visit      []int        // the round's visit list: every station, or the awake set's buffer
+	injBuf     []Injection  // reused injection scratch
+	actions    []Action     // the round's actions, kept for the tracer only
+	delBuf     []mac.Packet // the round's deliveries, kept for the tracer only
+
+	// Sparse sweep state (no validator attached; see Awaker), nil on a
+	// sim that visits every station every round.
+	offSkippers []mac.OffSkipper
+	actedTo     []int64 // per station, the first round it has not executed
 
 	// Quiescence fast-forward state (no validator attached; see quiesce.go).
 	skipOK      bool          // engine enabled for this sim
@@ -176,6 +187,10 @@ func NewSim(sys *System, adv Adversary, opt Options) *Sim {
 		on:       make([]bool, sys.N()),
 		queueLen: make([]int, sys.N()),
 	}
+	for i, st := range sys.Stations {
+		s.queueLen[i] = st.QueueLen()
+		s.totalQueue += int64(s.queueLen[i])
+	}
 	if adv != nil {
 		s.roundObs, _ = adv.(RoundObserver)
 		s.queueObs, _ = adv.(QueueObserver)
@@ -194,28 +209,50 @@ func NewSim(sys *System, adv Adversary, opt Options) *Sim {
 	}
 	if !s.FastPath() {
 		s.sched = sys.Schedule
-		return s
-	}
-	// The fast-forward engine needs an idle profile, a Skipper at every
-	// station, and no adaptive-adversary hook: those see each round
-	// individually, so any of them pins the loop to per-round.
-	if !opt.NoSkip && sys.Idle != nil &&
-		s.roundObs == nil && s.queueObs == nil && s.fbObs == nil {
-		skippers := make([]mac.Skipper, len(sys.Stations))
-		ok := true
-		for i, st := range sys.Stations {
-			if skippers[i], ok = st.(mac.Skipper); !ok {
-				break
+	} else if !opt.NoSkip && s.roundObs == nil && s.queueObs == nil && s.fbObs == nil {
+		// The fast-forward engine and the sparse sweep run only here:
+		// the validators need every station's action every round, and
+		// the adaptive-adversary hooks see each round individually.
+		// The engine needs an idle profile and a Skipper at every
+		// station; the sparse sweep an awake set and an OffSkipper at
+		// every station.
+		if sys.Idle != nil {
+			if skippers, ok := implementAll[mac.Skipper](sys.Stations); ok {
+				s.skippers = skippers
+				s.skipOK = true
+				s.fbFreeIdle = feedbackFreeIdle(sys.Stations)
+				s.idleHor, _ = sys.Idle.(IdleHorizon)
 			}
 		}
-		if ok {
-			s.skippers = skippers
-			s.skipOK = true
-			s.fbFreeIdle = feedbackFreeIdle(sys.Stations)
-			s.idleHor, _ = sys.Idle.(IdleHorizon)
+		if sys.Awake != nil {
+			if offs, ok := implementAll[mac.OffSkipper](sys.Stations); ok {
+				s.offSkippers = offs
+				s.actedTo = make([]int64, len(offs))
+			}
+		}
+	}
+	if s.offSkippers == nil {
+		// The full sweep visits every station, in index order.
+		s.visit = make([]int, sys.N())
+		for i := range s.visit {
+			s.visit[i] = i
 		}
 	}
 	return s
+}
+
+// implementAll returns every station as a T, and whether all of them
+// implement it.
+func implementAll[T any](stations []Protocol) ([]T, bool) {
+	out := make([]T, len(stations))
+	for i, st := range stations {
+		t, ok := st.(T)
+		if !ok {
+			return nil, false
+		}
+		out[i] = t
+	}
+	return out, true
 }
 
 // feedbackFreeIdle reports whether every station's idle evolution
@@ -249,6 +286,21 @@ func (s *Sim) FastPath() bool {
 // the system declares an idle profile, every station implements
 // mac.Skipper, and no adaptive-adversary hook pins the loop.
 func (s *Sim) SkipCapable() bool { return s.skipOK }
+
+// Sparse reports whether the sim sweeps sparsely, as decided at
+// construction: no validator is attached, NoSkip is off, no
+// adaptive-adversary hook pins the loop, the system declares an awake
+// set (Awaker) and every station implements mac.OffSkipper.
+func (s *Sim) Sparse() bool { return s.offSkippers != nil }
+
+// catchUp replays station i's skipped Off rounds up to round t into
+// it (sparse sweep only).
+func (s *Sim) catchUp(i int, t int64) {
+	if from := s.actedTo[i]; from < t {
+		s.offSkippers[i].SkipOff(from, t)
+		s.actedTo[i] = t
+	}
+}
 
 // violate records a model violation. A lenient sim carries on (nil); a
 // strict one stops with the violation as its error.
@@ -328,10 +380,22 @@ func (s *Sim) step() error {
 // disruption flags have already been obtained. A strict sim returns the
 // round's first violation and leaves the round unfinished.
 //
+// The sweep runs over the round's visit list: every station, or on a
+// sparse sim the round's awake set, in ascending order either way. A
+// station outside the awake set would act Off: it spends no energy,
+// transmits nothing, hears nothing and cannot be a delivery's
+// switched-on destination, and its queue moves only on Inject. So a
+// sparse round catches up (mac.OffSkipper) only the stations it
+// touches — its awake and injected ones — refreshes the running queue
+// total and the per-station peaks from their queues alone, and leaves
+// the others behind.
+//
 //earmac:hotpath
 func (s *Sim) stepFrom(t int64, injs []Injection, disrupted Disrupt) error {
 	n := s.sys.N()
 	tr := s.tracker
+	stations := s.sys.Stations
+	sparse := s.offSkippers != nil
 
 	// 1. Injections.
 	for _, in := range injs {
@@ -346,18 +410,30 @@ func (s *Sim) stepFrom(t int64, injs []Injection, disrupted Disrupt) error {
 		if s.ledger != nil {
 			s.ledger.add(p)
 		}
-		s.sys.Stations[in.Station].Inject(p)
+		if sparse {
+			s.catchUp(in.Station, t)
+		}
+		stations[in.Station].Inject(p)
 		tr.Injected++
 	}
 
 	// 2. Station actions. Only the transmitted message is retained,
 	// unless a tracer wants the whole action vector.
+	visit := s.visit
+	if sparse {
+		visit = s.sys.Awake.AppendAwake(t, visit[:0])
+		s.visit = visit
+		for _, i := range visit {
+			s.catchUp(i, t)
+			s.actedTo[i] = t + 1
+		}
+	}
 	energy := 0
 	transmitters := 0
 	lastTx := -1
 	var txMsg mac.Message
-	for i, st := range s.sys.Stations {
-		a := st.Act(t)
+	for _, i := range visit {
+		a := stations[i].Act(t)
 		if a.On {
 			energy++
 		}
@@ -463,9 +539,9 @@ func (s *Sim) stepFrom(t int64, injs []Injection, disrupted Disrupt) error {
 	}
 
 	// 5. Feedback to switched-on stations.
-	for i, st := range s.sys.Stations {
+	for _, i := range visit {
 		if s.on[i] {
-			st.Observe(t, fb)
+			stations[i].Observe(t, fb)
 		}
 	}
 
@@ -480,22 +556,39 @@ func (s *Sim) stepFrom(t int64, injs []Injection, disrupted Disrupt) error {
 		s.tracer.TraceRound(t, s.actions, fb, delivered)
 	}
 
-	var totalQueue int64
-	for i, st := range s.sys.Stations {
-		l := st.QueueLen()
-		s.queueLen[i] = l
-		totalQueue += int64(l)
+	// 6. Queues of every station whose queue may have moved: the
+	// visited ones, and on a sparse round the injected ones, which it
+	// did not visit if they were asleep (one listed twice moves nothing
+	// the second time). A sparse round first clears the on flags it
+	// set, so the next one reads none stale.
+	if sparse {
+		for _, i := range visit {
+			s.on[i] = false
+		}
+		for _, in := range injs {
+			if in.Station >= 0 && in.Station < n {
+				visit = append(visit, in.Station)
+			}
+		}
+		s.visit = visit
 	}
+	total := s.totalQueue
+	for _, i := range visit {
+		l := stations[i].QueueLen()
+		total += int64(l - s.queueLen[i])
+		s.queueLen[i] = l
+		tr.ObserveStationQueue(i, l)
+	}
+	s.totalQueue = total
 	if s.queueObs != nil {
 		s.queueObs.ObserveQueues(t, s.queueLen)
 	}
-	tr.ObserveStationQueues(s.queueLen)
-	tr.ObserveRound(t, totalQueue, energy)
+	tr.ObserveRound(t, s.totalQueue, energy)
 	s.round++
 	if s.ledger != nil && s.round%s.opt.CheckEvery == 0 {
 		return s.CheckConservation()
 	}
-	if s.skipOK && totalQueue == 0 && !s.quiescent {
+	if s.skipOK && s.totalQueue == 0 && !s.quiescent {
 		s.tryEnterQuiescence()
 	}
 	return nil

@@ -30,6 +30,11 @@
 // the inner idle round awake; both tick in O(1). Under an EnergyBudget a
 // wake round is swept instead, since its listens count against the
 // budget.
+//
+// It is swept sparsely (core.Awaker) when its inner system names each
+// round's awake set over mac.OffSkipper stations: sleeping only
+// suppresses listens, so the inner set still bounds the wrapped one,
+// and a station's skipped Off rounds move only its idle clock.
 package duty
 
 import (
@@ -118,9 +123,10 @@ func (g *Group) SleepRounds() int64 { return g.sleepRounds }
 type station struct {
 	g     *Group
 	inner core.Protocol
-	sk    mac.Skipper // inner as a Skipper when duty-level skip is validated, else nil
-	idle  int64       // consecutive rounds ended with an empty queue
-	spent int64       // switched-on rounds consumed against EnergyBudget (counted only when set)
+	sk    mac.Skipper    // inner as a Skipper when duty-level skip is validated, else nil
+	off   mac.OffSkipper // inner as an OffSkipper when Wrap passed the inner awake set through, else nil
+	idle  int64          // consecutive rounds ended with an empty queue
+	spent int64          // switched-on rounds consumed against EnergyBudget (counted only when set)
 }
 
 //earmac:hotpath
@@ -189,6 +195,19 @@ func (s *station) SkipIdle(from, to int64) {
 	s.g.skipIdle(from, to)
 }
 
+// SkipOff implements mac.OffSkipper for rounds the inner protocol is
+// scheduled off: an Off action is never suppressed and spends no
+// budget, so only the idle clock moves, and the queue it reads cannot
+// change without an Inject or an Observe.
+func (s *station) SkipOff(from, to int64) {
+	s.off.SkipOff(from, to)
+	if s.inner.QueueLen() == 0 {
+		s.idle += to - from
+	} else {
+		s.idle = 0
+	}
+}
+
 // FeedbackFreeIdle implements mac.FeedbackFreeIdler: the idle clock and
 // the budget never read feedback, and Wrap validated the inner station
 // whenever sk is set.
@@ -227,6 +246,14 @@ func Wrap(sys *core.System, p Params) (*core.System, *Group) {
 	info := sys.Info
 	info.Oblivious = false
 	out := &core.System{Info: info, Stations: stations}
+	// Sleeping only suppresses listens, so the inner awake set still
+	// bounds the wrapped one.
+	if sys.Awake != nil && allOffSkippers(sys.Stations) {
+		for i, st := range sys.Stations {
+			wrapped[i].off = st.(mac.OffSkipper)
+		}
+		out.Awake = sys.Awake
+	}
 	if inner, ok := skipProfile(sys); ok {
 		g.innerOn = inner.Energy
 		for i, st := range sys.Stations {
@@ -235,6 +262,17 @@ func Wrap(sys *core.System, p Params) (*core.System, *Group) {
 		out.Idle = dutyIdle{g: g}
 	}
 	return out, g
+}
+
+// allOffSkippers reports whether every station implements
+// mac.OffSkipper, so the wrapped stations can skip their Off rounds.
+func allOffSkippers(stations []core.Protocol) bool {
+	for _, st := range stations {
+		if _, ok := st.(mac.OffSkipper); !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // skipProfile decides whether the wrapped system supports quiescence

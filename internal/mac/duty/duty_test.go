@@ -272,3 +272,130 @@ func TestWakeBreaks(t *testing.T) {
 		t.Error("a duty station over a non-Skipper declares FeedbackFreeIdle")
 	}
 }
+
+// offListener is skipListener in an energy-oblivious system: it is
+// scheduled on only in the rounds ≡ 9 mod 10, where it listens, and
+// counts its Off rounds, stepped or skipped (mac.OffSkipper).
+type offListener struct {
+	skipListener
+	offs int64
+}
+
+func offListenerOn(round int64) bool { return round%10 == 9 }
+
+func (l *offListener) Act(round int64) core.Action {
+	if !offListenerOn(round) {
+		l.offs++
+		return core.Off()
+	}
+	return l.skipListener.Act(round)
+}
+
+func (l *offListener) SkipOff(from, to int64) { l.offs += to - from }
+
+// offAwake is the offListeners' awake set.
+type offAwake struct{ n int }
+
+func (a offAwake) AppendAwake(t int64, buf []int) []int {
+	if offListenerOn(t) {
+		for i := range a.n {
+			buf = append(buf, i)
+		}
+	}
+	return buf
+}
+
+// wrapOffListener wraps one offListener under p. The inner system
+// declares a constant silent idle profile only so that Wrap enables
+// duty-level skipping, which Quiescent needs; nothing runs it.
+func wrapOffListener(t *testing.T, p Params) (*station, *Group) {
+	t.Helper()
+	inner := &core.System{
+		Info:     core.AlgorithmInfo{Name: "off-listener", EnergyCap: 1},
+		Stations: []core.Protocol{&offListener{}},
+		Idle:     core.ConstIdle{},
+		Awake:    offAwake{n: 1},
+	}
+	sys, g := Wrap(inner, p)
+	if sys.Awake != inner.Awake {
+		t.Fatal("Wrap did not pass the inner awake set through")
+	}
+	s := sys.Stations[0].(*station)
+	if s.sk == nil || s.off == nil {
+		t.Fatal("Wrap did not enable duty-level skipping and Off skipping")
+	}
+	return s, g
+}
+
+// TestSkipOffMatchesStepping: SkipOff over rounds the inner protocol is
+// scheduled off leaves the idle clock, Quiescent and the inner state
+// exactly as stepping Act over them does, and so the same listens are
+// suppressed afterwards — with an empty queue, a held packet, a range
+// crossing the sleep threshold, and one starting at round 0.
+func TestSkipOffMatchesStepping(t *testing.T) {
+	p := Params{SleepAfterIdle: 4, WakeEvery: 3}
+	for _, c := range []struct {
+		name     string
+		from, to int64 // rounds the inner protocol is scheduled off
+		idle     int64 // the idle clock at from
+		queued   bool  // the inner queue holds a packet through the range
+	}{
+		{"from-zero", 0, 9, 0, false},
+		{"below-threshold", 10, 12, 0, false},
+		{"crosses-threshold", 10, 19, 2, false},
+		{"asleep", 20, 29, 30, false},
+		{"queued", 10, 19, 7, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			stepped, sg := wrapOffListener(t, p)
+			skipped, kg := wrapOffListener(t, p)
+			for _, s := range []*station{stepped, skipped} {
+				s.idle = c.idle
+				if c.queued {
+					s.inner.Inject(mac.Packet{ID: 1})
+				}
+			}
+			for r := c.from; r < c.to; r++ {
+				if stepped.Act(r).On {
+					t.Fatalf("round %d: the inner protocol is scheduled on", r)
+				}
+			}
+			skipped.SkipOff(c.from, c.to)
+			a, b := stepped, skipped
+			ao, bo := a.inner.(*offListener).offs, b.inner.(*offListener).offs
+			if a.idle != b.idle || a.Quiescent() != b.Quiescent() || ao != bo {
+				t.Fatalf("idle/quiescent/inner offs: stepped %d/%v/%d, skipped %d/%v/%d",
+					a.idle, a.Quiescent(), ao, b.idle, b.Quiescent(), bo)
+			}
+			// The packet leaves; both go on with the same actions.
+			for _, s := range []*station{stepped, skipped} {
+				s.inner.(*offListener).queue = nil
+			}
+			for r := c.to; r < c.to+60; r++ {
+				if x, y := stepped.Act(r).On, skipped.Act(r).On; x != y {
+					t.Fatalf("round %d: On stepped %v, skipped %v", r, x, y)
+				}
+			}
+			if sg.SleepRounds() != kg.SleepRounds() || sg.SleepRounds() == 0 {
+				t.Errorf("SleepRounds: stepped %d, skipped %d, want equal and nonzero", sg.SleepRounds(), kg.SleepRounds())
+			}
+		})
+	}
+}
+
+// TestWrapPassesAwakeThrough: the wrapped system names the inner awake
+// set only when every inner station can skip its Off rounds.
+func TestWrapPassesAwakeThrough(t *testing.T) {
+	p := Params{SleepAfterIdle: 4}
+	inner := &core.System{
+		Stations: []core.Protocol{&offListener{}, &listener{}},
+		Awake:    offAwake{n: 2},
+	}
+	if sys, _ := Wrap(inner, p); sys.Awake != nil {
+		t.Error("Wrap passed the awake set through over a station without SkipOff")
+	}
+	inner.Stations[1] = &offListener{}
+	if sys, _ := Wrap(inner, p); sys.Awake != inner.Awake {
+		t.Error("Wrap dropped the awake set of OffSkipper stations")
+	}
+}

@@ -83,16 +83,12 @@ type Tracker struct {
 // TrackStations enables per-station queue peak tracking for n stations.
 func (t *Tracker) TrackStations(n int) { t.stationMax = make([]int64, n) }
 
-// ObserveStationQueues records one round's per-station queue lengths
-// (no-op unless TrackStations was called).
-func (t *Tracker) ObserveStationQueues(lens []int) {
-	if t.stationMax == nil {
-		return
-	}
-	for i, l := range lens {
-		if int64(l) > t.stationMax[i] {
-			t.stationMax[i] = int64(l)
-		}
+// ObserveStationQueue records station i's queue length l at the end of
+// a round (no-op unless TrackStations was called). A station whose
+// queue did not move since its last record may be left out.
+func (t *Tracker) ObserveStationQueue(i, l int) {
+	if t.stationMax != nil && int64(l) > t.stationMax[i] {
+		t.stationMax[i] = int64(l)
 	}
 }
 

@@ -228,13 +228,18 @@ func TestGrowthRatioNotEnoughData(t *testing.T) {
 func TestPerStationTracking(t *testing.T) {
 	tr := NewTracker()
 	// Disabled by default: no-ops.
-	tr.ObserveStationQueues([]int{5, 5})
+	observe := func(lens ...int) {
+		for i, l := range lens {
+			tr.ObserveStationQueue(i, l)
+		}
+	}
+	observe(5, 5)
 	if tr.StationMaxQueues() != nil || tr.QueueImbalance() != 0 {
 		t.Error("per-station tracking should be off by default")
 	}
 	tr.TrackStations(3)
-	tr.ObserveStationQueues([]int{1, 7, 2})
-	tr.ObserveStationQueues([]int{4, 3, 2})
+	observe(1, 7, 2)
+	observe(4, 3, 2)
 	peaks := tr.StationMaxQueues()
 	want := []int64{4, 7, 2}
 	for i := range want {

@@ -70,9 +70,10 @@ type Options struct {
 	// (duty.Group.Asleep). Consulted in the fold, after every station
 	// has acted, to drive Events.Sleep transitions.
 	Sleepers func(ch int) int
-	// NoSkip disables the quiescence fast-forward engine: per-channel
-	// O(1) idle ticks, lazy channels and network spans (DESIGN.md §16).
-	// The escape hatch for A/B timing comparisons — skipping is
+	// NoSkip disables the quiescence fast-forward engine — per-channel
+	// O(1) idle ticks, lazy channels and network spans — and the sparse
+	// sweep, so every channel round visits every station (DESIGN.md
+	// §16). The escape hatch for A/B timing comparisons — both are
 	// bit-identical, so results never depend on it.
 	NoSkip bool
 }

@@ -179,7 +179,9 @@ func equivOutages(channels int) []Outage {
 // spans, the live jammer's horizon and feedback-free jammed ticks
 // engage: lenient networks of four topologies crossing aloha under
 // every disruption knob, orchestra and count-hop, at one and two
-// workers, plus single-channel aloha under every knob. Each must match
+// workers, plus single-channel aloha under every knob; and the runs
+// where the sparse sweep does the work: busy n = 24 aloha, alone,
+// duty-cycled and on a line of four channels. Each must match
 // its NoSkip twin on the Report JSON and the recorded trace bytes,
 // except that a duty-cycled run, whose recording steps under NoSkip on
 // both sides, is recorded once and must match the unrecorded skip-on
@@ -205,6 +207,24 @@ func TestSkipNoSkipEquivalenceTable(t *testing.T) {
 		d.apply(&cfg, 1)
 		cases = append(cases, equivCase{"single-aloha-" + d.name, cfg})
 	}
+	// n = 24 aloha at ρ = 1/16 is busy: stations hold packets through
+	// the rounds they are scheduled off, which the sparse sweep skips
+	// and catches up on, with and without duty-cycling, and on a
+	// network.
+	busy := Config{
+		Algorithm: "aloha", N: 24, K: 3,
+		RhoNum: 1, RhoDen: 16, Beta: 2,
+		Pattern: "uniform", Seed: 9, Rounds: rounds,
+		Lenient: true, DisableChecks: true,
+	}
+	busyDuty := busy
+	busyDuty.SleepAfterIdle, busyDuty.WakeEvery = 8, 64
+	busyNet := busy
+	busyNet.Topology, busyNet.Channels, busyNet.Beta = "line", 4, 4
+	cases = append(cases,
+		equivCase{"single-aloha-n24-busy", busy},
+		equivCase{"single-aloha-n24-busy-duty8-64", busyDuty},
+		equivCase{"line-aloha-n24-busy", busyNet})
 	const channels = 4
 	for i, topo := range []string{"line", "star", "grid", "random"} {
 		net := Config{
