@@ -26,6 +26,7 @@ race:
 # Fuzz smoke, 10 s per fuzzer (what the CI fuzz job runs).
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzBucket$$' -fuzztime 10s ./internal/adversary
+	go test -run '^$$' -fuzz '^FuzzIdleClock$$' -fuzztime 10s ./internal/mac/duty
 	go test -run '^$$' -fuzz '^FuzzTraceRoundTrip$$' -fuzztime 10s ./internal/scenario
 	go test -run '^$$' -fuzz '^FuzzAdmissible$$' -fuzztime 10s ./internal/scenario
 

@@ -305,7 +305,10 @@ func TestCLITraceDiffGolden(t *testing.T) {
 // run at some other rate, and so is a (ρ, β) whose bucket does not fit
 // int64 arithmetic, which used to panic, a β above MaxBeta, whose
 // round-0 burst used to exhaust memory, and a malformed or negative
-// earmac-sweep list entry, which used to run as zero. The binaries are
+// earmac-sweep list entry, which used to run as zero. So is an
+// earmac-sweep flag that makes any cell invalid, or names no mode: the
+// sweep used to print the CSV header (and any valid cells' rows) and
+// exit 1. No usage error prints anything on stdout. The binaries are
 // built rather than run via `go run`, which reports every failure as
 // exit 1 (and a Go panic exits 2 too, hence the typed error text and no
 // "panic:"). Each runs under a 2 GB address-space limit, so a
@@ -340,6 +343,13 @@ func TestCLIRejectsBadRates(t *testing.T) {
 		{"earmac-sweep", []string{"-mode", "seed", "-seeds", "1,x"}, `bad seed list "1,x"`},
 		{"earmac-sweep", []string{"-mode", "cap", "-alg", "orchestra", "-n", "2"}, "empty at -n 2"},
 		{"earmac-sweep", []string{"-mode", "channels", "-topology", "line", "-max-channels", "0"}, "empty at -max-channels 0"},
+		{"earmac-sweep", []string{"-alg", "nope"}, `cell 0: earmac: unknown algorithm "nope"`},
+		{"earmac-sweep", []string{"-n", "-1"}, "cell 0: earmac: count-hop: bad system size"},
+		{"earmac-sweep", []string{"-pattern", "nope"}, `cell 0: earmac: unknown pattern "nope"`},
+		{"earmac-sweep", []string{"-beta", "-4"}, "cell 0: earmac: bad burstiness"},
+		{"earmac-sweep", []string{"-mode", "frontier", "-alg", "orchestra", "-rounds", "100"}, `cell 1: earmac: conflicting options: algorithm "orchestra"`},
+		{"earmac-sweep", []string{"-mode", "bogus"}, `unknown mode "bogus"`},
+		{"earmac-sweep", []string{"-mode", "channels"}, "-mode channels needs -topology"},
 	}
 	for _, c := range cases {
 		cmd := exec.Command("sh", append([]string{"-c", `ulimit -v 2000000 && exec "$0" "$@"`, filepath.Join(bin, c.cmd)}, c.args...)...)
@@ -347,8 +357,8 @@ func TestCLIRejectsBadRates(t *testing.T) {
 		cmd.Stdout, cmd.Stderr = &stdout, &stderr
 		err := cmd.Run()
 		var exitErr *exec.ExitError
-		if !errors.As(err, &exitErr) || exitErr.ExitCode() != 2 {
-			t.Errorf("%s %v: err %v, want exit status 2\nstdout:\n%.500s", c.cmd, c.args, err, stdout.String())
+		if !errors.As(err, &exitErr) || exitErr.ExitCode() != 2 || stdout.Len() > 0 {
+			t.Errorf("%s %v: err %v, want exit status 2 and nothing on stdout\nstdout:\n%.500s", c.cmd, c.args, err, stdout.String())
 		}
 		if !strings.Contains(stderr.String(), c.want) || strings.Contains(stderr.String(), "panic:") {
 			t.Errorf("%s %v: stderr missing %q or panicking:\n%s", c.cmd, c.args, c.want, stderr.String())

@@ -140,7 +140,7 @@ func main() {
 		grid.Ns = []int{4, 6, 8, 10, 12, 14, 16}
 	case "channels":
 		if *topology == "" {
-			fail(fmt.Errorf("-mode channels needs -topology (one of %s)",
+			usage(fmt.Errorf("-mode channels needs -topology (one of %s)",
 				strings.Join(earmac.Topologies(), ", ")))
 		}
 		for c := 2; c <= *maxChan; c++ {
@@ -154,7 +154,7 @@ func main() {
 		// intensity, axes Grid doesn't model. The suite is assembled
 		// below from explicit cells.
 	default:
-		fail(fmt.Errorf("unknown mode %q", *mode))
+		usage(fmt.Errorf("unknown mode %q", *mode))
 	}
 
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -166,6 +166,13 @@ func main() {
 			usage(ferr)
 		}
 		suite = earmac.Suite{Configs: cells}
+	}
+	// A cell that cannot run is a flag error: reject the sweep before any
+	// cell runs or any CSV line is printed.
+	for i, cfg := range suite.Configs {
+		if err := cfg.Validate(); err != nil {
+			usage(fmt.Errorf("cell %d: %v", i, err))
+		}
 	}
 	var traceFiles []*os.File
 	if *recordDir != "" {

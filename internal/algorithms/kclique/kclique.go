@@ -17,6 +17,7 @@ package kclique
 
 import (
 	"fmt"
+	"slices"
 
 	"earmac/internal/broadcast"
 	"earmac/internal/core"
@@ -148,12 +149,11 @@ type station struct {
 	// Pair-local state in membership order (pairs = lay.pairsOf[id],
 	// sorted ascending). Pairs activate in index order, so a cursor into
 	// the sorted membership list replaces a per-round map lookup.
-	pairs   []int
-	rings   []*broadcast.Ring
-	subs    []*pairQueue
-	localOf map[int]int // global pair → membership index (cold paths)
-	cursor  int
-	cycle   int64
+	pairs  []int
+	rings  []*broadcast.Ring
+	subs   []*pairQueue
+	cursor int
+	cycle  int64
 
 	pendingTx int64
 }
@@ -162,22 +162,27 @@ func newStation(id int, lay *Layout) *station {
 	pairs := lay.pairsOf[id]
 	s := &station{
 		id: id, lay: lay,
-		pairs:   pairs,
-		rings:   make([]*broadcast.Ring, len(pairs)),
-		subs:    make([]*pairQueue, len(pairs)),
-		localOf: make(map[int]int, len(pairs)),
-		cycle:   -1, pendingTx: -1,
+		pairs: pairs,
+		rings: make([]*broadcast.Ring, len(pairs)),
+		subs:  make([]*pairQueue, len(pairs)),
+		cycle: -1, pendingTx: -1,
 	}
 	for i, p := range pairs {
 		s.rings[i] = broadcast.NewRing(lay.members[p])
 		s.subs[i] = &pairQueue{q: pktq.New(lay.N)}
-		s.localOf[p] = i
 	}
 	return s
 }
 
+// local returns the membership index of pair p, which must contain the
+// station: a binary search of the sorted membership list.
+func (s *station) local(p int) int {
+	i, _ := slices.BinarySearch(s.pairs, p)
+	return i
+}
+
 func (s *station) Inject(p mac.Packet) {
-	i := s.localOf[s.lay.PairFor(s.id, p.Dest)]
+	i := s.local(s.lay.PairFor(s.id, p.Dest))
 	sub := s.subs[i]
 	sub.q.Push(p)
 	sub.tail.Pushed(s.rings[i].Phase())

@@ -206,10 +206,10 @@ func TestReplicaRingsConsistent(t *testing.T) {
 		}
 		for p := 0; p < lay.NumPairs; p++ {
 			first := sys.Stations[lay.members[p][0]].(*station)
-			ref := first.rings[first.localOf[p]]
+			ref := first.rings[first.local(p)]
 			for _, m := range lay.members[p][1:] {
 				st := sys.Stations[m].(*station)
-				if !st.rings[st.localOf[p]].Equal(ref) {
+				if !st.rings[st.local(p)].Equal(ref) {
 					t.Fatalf("round %d: ring replicas for pair %d diverged", r, p)
 				}
 			}
@@ -239,6 +239,34 @@ func TestInPairMatchesMembers(t *testing.T) {
 				for st := 0; st < n; st++ {
 					if got, want := lay.inPair(p, st), slices.Contains(lay.members[p], st); got != want {
 						t.Errorf("n=%d k=%d: inPair(%d, %d) = %v, members %v", n, k, p, st, got, lay.members[p])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestLocalMatchesMembers: a station's binary-search lookup of a pair
+// finds that pair's slot in its membership list, for every pair it
+// belongs to and every destination Inject routes through.
+func TestLocalMatchesMembers(t *testing.T) {
+	for n := 3; n <= 24; n++ {
+		for k := 2; k <= n; k++ {
+			lay, err := NewLayout(n, k)
+			if err != nil {
+				continue // no feasible k
+			}
+			for id := 0; id < n; id++ {
+				s := newStation(id, lay)
+				for i, p := range s.pairs {
+					if got := s.local(p); got != i {
+						t.Errorf("n=%d k=%d station %d: local(%d) = %d, want %d", n, k, id, p, got, i)
+					}
+				}
+				for dest := 0; dest < n; dest++ {
+					p := lay.PairFor(id, dest)
+					if got := s.local(p); got >= len(s.pairs) || s.pairs[got] != p {
+						t.Errorf("n=%d k=%d station %d: local(%d) = %d for dest %d, pairs %v", n, k, id, p, got, dest, s.pairs)
 					}
 				}
 			}

@@ -23,6 +23,7 @@ package ksubsets
 import (
 	"fmt"
 	"math/big"
+	"slices"
 
 	"earmac/internal/broadcast"
 	"earmac/internal/core"
@@ -198,11 +199,10 @@ type station struct {
 	threads []int32
 	engines []threadEngine
 	queues  []*pktq.Queue
-	localOf map[int32]int // global thread → membership index (cold paths)
 	cursor  int
 
-	staging  []mac.Packet    // injected this phase, allocated at next boundary
-	counters map[int][]int64 // dest → per-eligible-thread allocation counts
+	staging  []mac.Packet // injected this phase, allocated at next boundary
+	counters [][]int64    // dest → per-eligible-thread allocation counts, nil before its first packet
 
 	curPhase  int64
 	pendingTx int64
@@ -215,8 +215,7 @@ func newStation(id int, lay *Layout, rrw bool) *station {
 		threads:   threads,
 		engines:   make([]threadEngine, len(threads)),
 		queues:    make([]*pktq.Queue, len(threads)),
-		localOf:   make(map[int32]int, len(threads)),
-		counters:  make(map[int][]int64),
+		counters:  make([][]int64, lay.N),
 		curPhase:  -1,
 		pendingTx: -1,
 	}
@@ -227,9 +226,15 @@ func newStation(id int, lay *Layout, rrw bool) *station {
 			s.engines[i] = newMBTFEngine(lay.members[t])
 		}
 		s.queues[i] = pktq.New(lay.N)
-		s.localOf[t] = i
 	}
 	return s
+}
+
+// local returns the membership index of thread t, which must contain
+// the station: a binary search of the sorted membership list.
+func (s *station) local(t int32) int {
+	i, _ := slices.BinarySearch(s.threads, t)
+	return i
 }
 
 func (s *station) Inject(p mac.Packet) { s.staging = append(s.staging, p) }
@@ -239,8 +244,8 @@ func (s *station) Inject(p mac.Packet) { s.staging = append(s.staging, p) }
 func (s *station) allocate() {
 	for _, p := range s.staging {
 		el := s.lay.Eligible(s.id, p.Dest)
-		cnt, ok := s.counters[p.Dest]
-		if !ok {
+		cnt := s.counters[p.Dest]
+		if cnt == nil {
 			cnt = make([]int64, len(el))
 			s.counters[p.Dest] = cnt
 		}
@@ -251,7 +256,7 @@ func (s *station) allocate() {
 			}
 		}
 		cnt[best]++
-		s.queues[s.localOf[el[best]]].Push(p)
+		s.queues[s.local(el[best])].Push(p)
 	}
 	s.staging = s.staging[:0]
 }

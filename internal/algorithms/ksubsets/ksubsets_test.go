@@ -260,3 +260,32 @@ func TestFullSetSingleThread(t *testing.T) {
 func pktFor(id int64, src, dest int) mac.Packet {
 	return mac.Packet{ID: id, Src: src, Dest: dest}
 }
+
+// TestLocalMatchesMembers: a station's binary-search lookup of a
+// thread finds that thread's slot in its membership list, for every
+// thread it belongs to and every thread allocate may pick.
+func TestLocalMatchesMembers(t *testing.T) {
+	for n := 3; n <= 9; n++ {
+		for k := 2; k <= n; k++ {
+			lay, err := NewLayout(n, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for id := 0; id < n; id++ {
+				s := newStation(id, lay, false)
+				for i, th := range s.threads {
+					if got := s.local(th); got != i {
+						t.Errorf("n=%d k=%d station %d: local(%d) = %d, want %d", n, k, id, th, got, i)
+					}
+				}
+				for dest := 0; dest < n; dest++ {
+					for _, th := range lay.Eligible(id, dest) {
+						if got := s.local(th); got >= len(s.threads) || s.threads[got] != th {
+							t.Errorf("n=%d k=%d station %d: local(%d) = %d for dest %d, threads %v", n, k, id, th, got, dest, s.threads)
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -215,17 +215,10 @@ func (s *station) AppendHeld(dst []mac.Packet) []mac.Packet { return s.q.AppendT
 // stream is untouched by idle rounds).
 func (s *station) Quiescent() bool { return s.q.Len() == 0 && s.pendingTx < 0 }
 
-// SkipIdle implements mac.Skipper: idle rounds are stateless.
+// SkipIdle implements mac.Skipper: idle rounds are stateless, and they
+// never consult channel feedback (the system declares FeedbackFreeIdle,
+// so the duty-cycle wrapper may fast-forward sleeping stations too).
 func (s *station) SkipIdle(from, to int64) {}
-
-// SkipOff implements mac.OffSkipper: an Off round only resets
-// pendingTx, which is already -1 after every round.
-func (s *station) SkipOff(from, to int64) {}
-
-// FeedbackFreeIdle implements mac.FeedbackFreeIdler: idle rounds never
-// consult channel feedback, so the duty-cycle wrapper may fast-forward
-// sleeping stations too.
-func (s *station) FeedbackFreeIdle() bool { return true }
 
 // New builds the randomized baseline for n stations under energy cap k.
 func New(n, k int) (*core.System, error) {
@@ -259,7 +252,10 @@ func NewSeeded(n, k int, seed uint64) (*core.System, error) {
 		Stations: stations,
 		Schedule: lay.Schedule(),
 		// Idle rounds: the k scheduled stations listen in silence.
-		Idle:  core.ConstIdle{Energy: k},
+		Idle:             core.ConstIdle{Energy: k},
+		FeedbackFreeIdle: true,
+		// An Off round only resets pendingTx, which is already -1 after
+		// every round, so it leaves no state behind.
 		Awake: lay,
 	}, nil
 }

@@ -99,22 +99,29 @@ type System struct {
 	// Constructors set it only when every station implements
 	// mac.Skipper; nil keeps the classic per-round loop.
 	Idle IdleProfiler
+	// FeedbackFreeIdle declares that every station's idle evolution
+	// ignores channel feedback: SkipIdle is exact even over rounds the
+	// station was switched off for, or heard a collision in. A quiescent
+	// sim of such a system ticks a jammed or outaged round in O(1)
+	// instead of waking its listeners to observe the collision, and the
+	// duty-cycle wrapper skips only over such a system.
+	FeedbackFreeIdle bool
 	// Awake, when non-nil, names each round's possibly-on stations for
-	// the sparse sweep (see Awaker). Constructors set it only when every
-	// station implements mac.OffSkipper; nil keeps the full sweep.
+	// the sparse sweep (see Awaker); nil keeps the full sweep.
 	Awake Awaker
 }
 
 // Awaker is the sparse-sweep contract of an energy-oblivious system
 // (DESIGN.md §16). AppendAwake appends to buf, in ascending order,
 // every station that may switch on in round t, and returns the extended
-// slice; every other station's Act(t) returns Off. The simulator passes
-// one scratch buffer, reused every round, with room for all n stations.
+// slice. The simulator passes one scratch buffer, reused every round,
+// with room for all n stations.
 //
-// With no validator attached a sim then visits only those stations and
-// the round's injected ones; every other station catches up over its
-// skipped Off rounds in O(1) (mac.OffSkipper) the next time it is
-// visited, and at every Run boundary.
+// Every other station's Act(t) returns Off and leaves no state behind:
+// an Off round has no input, so calling it or not changes nothing the
+// station does or reports afterwards. With no validator attached a sim
+// therefore visits only the awake stations and the round's injected
+// ones, and skips the rest outright.
 type Awaker interface {
 	AppendAwake(t int64, buf []int) []int
 }

@@ -8,15 +8,9 @@ package core
 // tryEnterQuiescence is called after a completed round whose
 // total queue was zero; s.round is the next unexecuted round. It asks
 // every station whether its idle behavior is fast-forwardable and the
-// profiler for the system's idle cycle, anchoring both at s.round. A
-// sparse sim catches each station up before asking it (duty's answer
-// reads its idle clock), one at a time, so a refusal stops both early.
+// profiler for the system's idle cycle, anchoring both at s.round.
 func (s *Sim) tryEnterQuiescence() {
-	sparse := s.offSkippers != nil
-	for i, sk := range s.skippers {
-		if sparse {
-			s.catchUp(i, s.round)
-		}
+	for _, sk := range s.skippers {
 		if !sk.Quiescent() {
 			return
 		}
@@ -100,16 +94,17 @@ func (s *Sim) quiescentAdvance(end int64) error {
 	// the horizon cannot predict (IdleBreak declines), or a disrupted
 	// round some station would observe (the collision feedback may
 	// alter station state, so it cannot be ticked). With zero idle
-	// energy nobody is listening, and with feedback-free idlers the
-	// collision changes nothing: either way the tick just counts the
-	// jammed/outaged round. An accepted break ticks with the entry
-	// IdleBreak returns, and the horizon moves on to the next break.
+	// energy nobody is listening, and on a system that declares
+	// FeedbackFreeIdle the collision changes nothing: either way the
+	// tick just counts the jammed/outaged round. An accepted break
+	// ticks with the entry IdleBreak returns, and the horizon moves on
+	// to the next break.
 	e, idle := s.idleEntry(t), len(injs) == 0
 	brk := t == s.idleBreakAt
 	if idle && brk {
 		e, idle = s.idleHor.IdleBreak(t)
 	}
-	if !idle || (d != 0 && !s.fbFreeIdle && e.Energy > 0) {
+	if !idle || (d != 0 && !s.sys.FeedbackFreeIdle && e.Energy > 0) {
 		s.wake(t)
 		return s.stepFrom(t, injs, d)
 	}
@@ -136,9 +131,6 @@ func (s *Sim) skipIdle(t int64) {
 	}
 	for _, sk := range s.skippers {
 		sk.SkipIdle(s.qFrom, t)
-	}
-	for i := range s.actedTo {
-		s.actedTo[i] = t
 	}
 	s.qFrom = t
 }
@@ -271,16 +263,12 @@ func (s *Sim) SkipSpan(to int64) {
 }
 
 // Settle replays any pending skipped rounds into the stations without
-// leaving quiescence, and on a busy sparse sim catches every station
-// up over its skipped Off rounds, so externally visible station state
-// (queue snapshots, duty-cycle sleep totals) is exact at Run
-// boundaries. It is idempotent, and cheap when nothing is pending.
+// leaving quiescence, so externally visible station state (queue
+// snapshots, duty-cycle sleep totals) is exact at Run boundaries. A
+// station a sparse sweep skipped in its Off rounds is exact already
+// (Awaker). It is idempotent, and cheap when nothing is pending.
 func (s *Sim) Settle() {
 	if s.quiescent {
 		s.skipIdle(s.round)
-		return
-	}
-	for i := range s.actedTo {
-		s.catchUp(i, s.round)
 	}
 }

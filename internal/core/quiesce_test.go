@@ -12,8 +12,8 @@ import (
 // empty it switches on only at multiples of w (its wake rounds) and
 // listens; a packet is transmitted, to itself, the round it arrives. It
 // counts the rounds it has been through and its listens, and — unless
-// it is a feedback-free idler — the collisions it heard, which SkipIdle
-// cannot replay.
+// ff marks it a feedback-free idler, as its system then declares — the
+// collisions it heard, which SkipIdle cannot replay.
 type sleeper struct {
 	w                           int64
 	ff                          bool
@@ -45,9 +45,8 @@ func (s *sleeper) Observe(t int64, fb mac.Feedback) {
 	}
 }
 
-func (s *sleeper) QueueLen() int          { return len(s.queue) }
-func (s *sleeper) Quiescent() bool        { return len(s.queue) == 0 }
-func (s *sleeper) FeedbackFreeIdle() bool { return s.ff }
+func (s *sleeper) QueueLen() int   { return len(s.queue) }
+func (s *sleeper) Quiescent() bool { return len(s.queue) == 0 }
 
 func (s *sleeper) SkipIdle(from, to int64) {
 	s.rounds += to - from
@@ -115,7 +114,7 @@ func (j jamSet) NextDisrupt(from int64) int64 { return nextIn(j, from) }
 type breakCase struct {
 	w, rounds int64
 	accept    bool // IdleBreak accepts
-	ff        bool // the sleepers are feedback-free idlers
+	ff        bool // the sleepers are feedback-free idlers, and their system says so
 	inject    scheduled
 	jam       jamSet
 }
@@ -131,6 +130,7 @@ func (c breakCase) run(t *testing.T, noSkip bool) ([]*sleeper, metrics.Counters)
 	}
 	sys := sys(n, protos...)
 	sys.Idle = wakeProfile{w: c.w, n: n, accept: c.accept}
+	sys.FeedbackFreeIdle = c.ff
 	opt := Options{NoSkip: noSkip}
 	if c.jam != nil {
 		opt.Disruption = c.jam

@@ -151,14 +151,12 @@ type Sim struct {
 	actions    []Action     // the round's actions, kept for the tracer only
 	delBuf     []mac.Packet // the round's deliveries, kept for the tracer only
 
-	// Sparse sweep state (no validator attached; see Awaker), nil on a
-	// sim that visits every station every round.
-	offSkippers []mac.OffSkipper
-	actedTo     []int64 // per station, the first round it has not executed
+	// The awake set of a sparse sweep (no validator attached; see
+	// Awaker), nil on a sim that visits every station every round.
+	awake Awaker
 
 	// Quiescence fast-forward state (no validator attached; see quiesce.go).
 	skipOK      bool          // engine enabled for this sim
-	fbFreeIdle  bool          // every station is a mac.FeedbackFreeIdler
 	quiescent   bool          // currently inside a quiescent stretch
 	qFrom       int64         // first round the stations have not executed
 	skippers    []mac.Skipper // per-station, populated only when skipOK
@@ -214,24 +212,17 @@ func NewSim(sys *System, adv Adversary, opt Options) *Sim {
 		// the validators need every station's action every round, and
 		// the adaptive-adversary hooks see each round individually.
 		// The engine needs an idle profile and a Skipper at every
-		// station; the sparse sweep an awake set and an OffSkipper at
-		// every station.
+		// station; the sparse sweep only an awake set.
 		if sys.Idle != nil {
 			if skippers, ok := implementAll[mac.Skipper](sys.Stations); ok {
 				s.skippers = skippers
 				s.skipOK = true
-				s.fbFreeIdle = feedbackFreeIdle(sys.Stations)
 				s.idleHor, _ = sys.Idle.(IdleHorizon)
 			}
 		}
-		if sys.Awake != nil {
-			if offs, ok := implementAll[mac.OffSkipper](sys.Stations); ok {
-				s.offSkippers = offs
-				s.actedTo = make([]int64, len(offs))
-			}
-		}
+		s.awake = sys.Awake
 	}
-	if s.offSkippers == nil {
+	if s.awake == nil {
 		// The full sweep visits every station, in index order.
 		s.visit = make([]int, sys.N())
 		for i := range s.visit {
@@ -255,19 +246,6 @@ func implementAll[T any](stations []Protocol) ([]T, bool) {
 	return out, true
 }
 
-// feedbackFreeIdle reports whether every station's idle evolution
-// ignores channel feedback (mac.FeedbackFreeIdler), so a quiescent
-// system may tick through a disrupted round its stations listen to.
-func feedbackFreeIdle(stations []Protocol) bool {
-	for _, st := range stations {
-		f, ok := st.(mac.FeedbackFreeIdler)
-		if !ok || !f.FeedbackFreeIdle() {
-			return false
-		}
-	}
-	return true
-}
-
 // Tracker returns the statistics collector.
 func (s *Sim) Tracker() *metrics.Tracker { return s.tracker }
 
@@ -289,18 +267,9 @@ func (s *Sim) SkipCapable() bool { return s.skipOK }
 
 // Sparse reports whether the sim sweeps sparsely, as decided at
 // construction: no validator is attached, NoSkip is off, no
-// adaptive-adversary hook pins the loop, the system declares an awake
-// set (Awaker) and every station implements mac.OffSkipper.
-func (s *Sim) Sparse() bool { return s.offSkippers != nil }
-
-// catchUp replays station i's skipped Off rounds up to round t into
-// it (sparse sweep only).
-func (s *Sim) catchUp(i int, t int64) {
-	if from := s.actedTo[i]; from < t {
-		s.offSkippers[i].SkipOff(from, t)
-		s.actedTo[i] = t
-	}
-}
+// adaptive-adversary hook pins the loop, and the system declares an
+// awake set (Awaker).
+func (s *Sim) Sparse() bool { return s.awake != nil }
 
 // violate records a model violation. A lenient sim carries on (nil); a
 // strict one stops with the violation as its error.
@@ -382,20 +351,19 @@ func (s *Sim) step() error {
 //
 // The sweep runs over the round's visit list: every station, or on a
 // sparse sim the round's awake set, in ascending order either way. A
-// station outside the awake set would act Off: it spends no energy,
-// transmits nothing, hears nothing and cannot be a delivery's
-// switched-on destination, and its queue moves only on Inject. So a
-// sparse round catches up (mac.OffSkipper) only the stations it
-// touches — its awake and injected ones — refreshes the running queue
-// total and the per-station peaks from their queues alone, and leaves
-// the others behind.
+// station outside the awake set acts Off and keeps no trace of it
+// (Awaker): it spends no energy, transmits nothing, hears nothing and
+// cannot be a delivery's switched-on destination, and its queue moves
+// only on Inject. So a sparse round refreshes the running queue total
+// and the per-station peaks from its awake and injected stations alone
+// and never touches the others.
 //
 //earmac:hotpath
 func (s *Sim) stepFrom(t int64, injs []Injection, disrupted Disrupt) error {
 	n := s.sys.N()
 	tr := s.tracker
 	stations := s.sys.Stations
-	sparse := s.offSkippers != nil
+	sparse := s.awake != nil
 
 	// 1. Injections.
 	for _, in := range injs {
@@ -410,9 +378,6 @@ func (s *Sim) stepFrom(t int64, injs []Injection, disrupted Disrupt) error {
 		if s.ledger != nil {
 			s.ledger.add(p)
 		}
-		if sparse {
-			s.catchUp(in.Station, t)
-		}
 		stations[in.Station].Inject(p)
 		tr.Injected++
 	}
@@ -421,12 +386,8 @@ func (s *Sim) stepFrom(t int64, injs []Injection, disrupted Disrupt) error {
 	// unless a tracer wants the whole action vector.
 	visit := s.visit
 	if sparse {
-		visit = s.sys.Awake.AppendAwake(t, visit[:0])
+		visit = s.awake.AppendAwake(t, visit[:0])
 		s.visit = visit
-		for _, i := range visit {
-			s.catchUp(i, t)
-			s.actedTo[i] = t + 1
-		}
 	}
 	energy := 0
 	transmitters := 0

@@ -44,25 +44,50 @@ func (s napSched) AppendIdleCycle(from int64, buf []IdleRound) []IdleRound {
 	return buf
 }
 
-// napper is a toy station of an energy-oblivious system whose Off
-// rounds change its state: it counts them, and those it spent empty,
-// and it transmits its front packet only after an even number of them,
-// so a miscounted catch-up changes the run. It records every round it
-// went through, by Act, SkipOff or SkipIdle, and flags a round gone
-// through twice, a skipped one, and a SkipOff over a round it is
-// scheduled on.
+// offsBefore returns how many of station i's rounds before t are Off:
+// two of every napPeriod are on.
+func (s napSched) offsBefore(i int, t int64) int64 {
+	q := t / napPeriod
+	offs := q * (napPeriod - 2)
+	for r := q * napPeriod; r < t; r++ {
+		if !s.on(i, r) {
+			offs++
+		}
+	}
+	return offs
+}
+
+// napper is a toy station of an energy-oblivious system. Its Off rounds
+// leave no state behind, as Awaker requires, but its behavior depends
+// on them through the round: it transmits its front packet only after
+// an even number of Off rounds (napSched.offsBefore), so a station
+// asked in the wrong rounds changes the run. It records every round it
+// went through, by Act or SkipIdle, and flags a round gone through
+// twice and an on round passed over; acts counts its Act calls. Both
+// are instruments only, never read by its behavior.
 type napper struct {
 	id    int
 	sched napSched
 	queue []mac.Packet
 	sent  bool
 
-	next                                       int64 // the first round it has not gone through
-	acts, offs, emptyOffs, listens, sends, bad int64
+	next                      int64 // the first round it has not gone through
+	acts, listens, sends, bad int64
+}
+
+// behind reports whether an on round before t has not been gone
+// through.
+func (s *napper) behind(t int64) bool {
+	for r := s.next; r < t; r++ {
+		if s.sched.on(s.id, r) {
+			return true
+		}
+	}
+	return false
 }
 
 func (s *napper) through(from, to int64) {
-	if from != s.next {
+	if from < s.next || s.behind(from) {
 		s.bad++
 	}
 	s.next = to
@@ -75,13 +100,9 @@ func (s *napper) Act(t int64) Action {
 	s.acts++
 	s.sent = false
 	if !s.sched.on(s.id, t) {
-		s.offs++
-		if len(s.queue) == 0 {
-			s.emptyOffs++
-		}
 		return Off()
 	}
-	if len(s.queue) > 0 && s.offs%2 == 0 {
+	if len(s.queue) > 0 && s.sched.offsBefore(s.id, t)%2 == 0 {
 		s.sent = true
 		return Transmit(mac.PacketMsg(s.queue[0]))
 	}
@@ -107,23 +128,7 @@ func (s *napper) SkipIdle(from, to int64) {
 	for t := from; t < to; t++ {
 		if s.sched.on(s.id, t) {
 			s.listens++
-		} else {
-			s.offs++
-			s.emptyOffs++
 		}
-	}
-}
-
-func (s *napper) SkipOff(from, to int64) {
-	s.through(from, to)
-	for t := from; t < to; t++ {
-		if s.sched.on(s.id, t) {
-			s.bad++
-		}
-	}
-	s.offs += to - from
-	if len(s.queue) == 0 {
-		s.emptyOffs += to - from
 	}
 }
 
@@ -172,9 +177,9 @@ func (c napCase) build(opt Options) (*Sim, []*napper) {
 
 // check runs c sparsely and under NoSkip in lockstep chunks, and
 // requires the same counters, per-station peaks and station state at
-// every chunk boundary, every station caught up to the clock there, and
-// no round gone through twice or skipped. It returns the final
-// counters and whether the sparse sim was quiescent at some boundary.
+// every chunk boundary, no on round before it passed over, and no round
+// gone through twice. It returns the final counters and whether the
+// sparse sim was quiescent at some boundary.
 func (c napCase) check(t *testing.T) (ctr metrics.Counters, wentQuiet bool) {
 	t.Helper()
 	sp, spNaps := c.build(Options{})
@@ -199,13 +204,12 @@ func (c napCase) check(t *testing.T) (ctr metrics.Counters, wentQuiet bool) {
 		}
 		for i, a := range spNaps {
 			b := fullNaps[i]
-			if a.next != r || a.bad != 0 || b.bad != 0 {
-				t.Fatalf("round %d: station %d caught up to %d with %d bad rounds (NoSkip: %d)", r, i, a.next, a.bad, b.bad)
+			if a.behind(r) || a.bad != 0 || b.bad != 0 {
+				t.Fatalf("round %d: station %d went through rounds to %d with %d bad rounds (NoSkip: %d)", r, i, a.next, a.bad, b.bad)
 			}
-			if a.offs != b.offs || a.emptyOffs != b.emptyOffs || a.listens != b.listens || a.sends != b.sends ||
-				!slices.Equal(a.queue, b.queue) {
-				t.Fatalf("round %d: station %d offs/empty/listens/sends %d/%d/%d/%d queue %v, NoSkip %d/%d/%d/%d queue %v",
-					r, i, a.offs, a.emptyOffs, a.listens, a.sends, a.queue, b.offs, b.emptyOffs, b.listens, b.sends, b.queue)
+			if a.listens != b.listens || a.sends != b.sends || !slices.Equal(a.queue, b.queue) {
+				t.Fatalf("round %d: station %d listens/sends %d/%d queue %v, NoSkip %d/%d queue %v",
+					r, i, a.listens, a.sends, a.queue, b.listens, b.sends, b.queue)
 			}
 		}
 	}
@@ -233,7 +237,7 @@ var napTraffic = napInjections{
 // varies round to round, without and with the quiescence engine, must
 // leave the counters, the per-station peaks and every station's state
 // exactly as the full sweep does at every Run boundary, Settle mid-run
-// included, and catch every station up over its skipped Off rounds.
+// included, though it never asks a station about its Off rounds.
 func TestSparseMatchesNoSkip(t *testing.T) {
 	chunks := []int64{1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233}
 	t.Run("busy", func(t *testing.T) {
@@ -254,8 +258,8 @@ func TestSparseMatchesNoSkip(t *testing.T) {
 
 // TestSparseSkipsAsleepStations: a sparse round runs Act only on its
 // awake stations, so over 40 rounds each station Acts in its 16
-// scheduled ones (the full sweep in all 40), and every other round
-// reaches it through SkipOff.
+// scheduled ones (the full sweep in all 40), and no other round
+// reaches it at all.
 func TestSparseSkipsAsleepStations(t *testing.T) {
 	c := napCase{n: 6, inj: napTraffic}
 	for _, tc := range []struct {
@@ -267,8 +271,8 @@ func TestSparseSkipsAsleepStations(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, s := range naps {
-			if s.acts != tc.want || s.next != 40 || s.bad != 0 {
-				t.Errorf("NoSkip %v: station %d acted %d times, caught up to %d with %d bad rounds; want %d acts up to 40",
+			if s.acts != tc.want || s.behind(40) || s.bad != 0 {
+				t.Errorf("NoSkip %v: station %d acted %d times, through round %d with %d bad rounds; want %d acts",
 					tc.opt.NoSkip, i, s.acts, s.next, s.bad, tc.want)
 			}
 		}
@@ -277,7 +281,7 @@ func TestSparseSkipsAsleepStations(t *testing.T) {
 
 // TestSparseOnlyWithoutValidators: the sparse sweep engages only where
 // the skip engine could — no validator, NoSkip off, no adaptive hook —
-// and on a system that declares an awake set over OffSkippers.
+// and on a system that declares an awake set.
 func TestSparseOnlyWithoutValidators(t *testing.T) {
 	c := napCase{n: 6}
 	for _, tc := range []struct {
@@ -297,14 +301,13 @@ func TestSparseOnlyWithoutValidators(t *testing.T) {
 		}
 	}
 	sch := napSched{n: 2}
-	pair := func(second Protocol) *System {
-		return &System{Info: AlgorithmInfo{EnergyCap: 2}, Stations: []Protocol{&napper{sched: sch}, second}, Awake: sch}
-	}
-	if NewSim(pair(&napper{id: 1, sched: sch}), roundWatcher{}, Options{}).Sparse() {
+	pair := &System{Info: AlgorithmInfo{EnergyCap: 2}, Stations: []Protocol{&napper{sched: sch}, &napper{id: 1, sched: sch}}, Awake: sch}
+	if NewSim(pair, roundWatcher{}, Options{}).Sparse() {
 		t.Error("a RoundObserver adversary left the sim sparse")
 	}
-	if NewSim(pair(&sleeper{w: 1}), nil, Options{}).Sparse() {
-		t.Error("a station without SkipOff left the sim sparse")
+	pair.Awake = nil
+	if NewSim(pair, nil, Options{}).Sparse() {
+		t.Error("a system without an awake set went sparse")
 	}
 }
 

@@ -24,17 +24,17 @@
 // no longer schedule-conformant and must not advertise one.
 //
 // A wrapped system fast-forwards under the quiescence engine (DESIGN.md
-// §16) when its inner system declares a constant, silent idle profile
-// and feedback-free Skipper stations. With every station asleep, a
+// §16) when its inner system declares a constant, silent idle profile,
+// Skipper stations and FeedbackFreeIdle. With every station asleep, a
 // non-wake round is silent at zero energy, and a WakeEvery round plays
 // the inner idle round awake; both tick in O(1). Under an EnergyBudget a
 // wake round is swept instead, since its listens count against the
 // budget.
 //
-// It is swept sparsely (core.Awaker) when its inner system names each
-// round's awake set over mac.OffSkipper stations: sleeping only
-// suppresses listens, so the inner set still bounds the wrapped one,
-// and a station's skipped Off rounds move only its idle clock.
+// It is swept sparsely (core.Awaker) whenever its inner system is:
+// sleeping only suppresses listens, so the inner awake set bounds the
+// wrapped one, and the idle clock is a round stamp (see station.idle),
+// so an Off round the simulator skips leaves nothing to replay.
 package duty
 
 import (
@@ -123,15 +123,14 @@ func (g *Group) SleepRounds() int64 { return g.sleepRounds }
 type station struct {
 	g     *Group
 	inner core.Protocol
-	sk    mac.Skipper    // inner as a Skipper when duty-level skip is validated, else nil
-	off   mac.OffSkipper // inner as an OffSkipper when Wrap passed the inner awake set through, else nil
-	idle  int64          // consecutive rounds ended with an empty queue
-	spent int64          // switched-on rounds consumed against EnergyBudget (counted only when set)
+	sk    mac.Skipper // inner as a Skipper when duty-level skip is validated, else nil
+	busy  int64       // the last round that ended with a non-empty queue (see idle)
+	spent int64       // switched-on rounds consumed against EnergyBudget (counted only when set)
 }
 
 //earmac:hotpath
 func (s *station) Inject(p mac.Packet) {
-	s.idle = 0 // traffic wakes the station this very round
+	s.busy = p.Injected - 1 // traffic wakes the station this very round
 	s.inner.Inject(p)
 }
 
@@ -150,12 +149,24 @@ func (s *station) Act(round int64) core.Action {
 	if a.On && g.p.EnergyBudget > 0 {
 		s.spent++
 	}
-	if s.inner.QueueLen() == 0 {
-		s.idle++
-	} else {
-		s.idle = 0
+	if s.inner.QueueLen() != 0 {
+		s.busy = round
 	}
 	return a
+}
+
+// idle is the idle clock at round: how many consecutive rounds before
+// it ended with an empty queue. A queue empties only in an Observe,
+// after an Act that stamped busy, and an Inject stamps the round before
+// its own; so the clock is round−1−busy over an empty queue and 0 over
+// a held packet (one an Observe hands over counts from that round on),
+// and neither an Off round the simulator skips nor a quiescent stretch
+// has to move it.
+func (s *station) idle(round int64) int64 {
+	if s.inner.QueueLen() != 0 {
+		return 0
+	}
+	return round - 1 - s.busy
 }
 
 // sleeping decides whether a would-be listen round is suppressed.
@@ -163,10 +174,16 @@ func (s *station) sleeping(round int64) bool {
 	if s.exhausted() {
 		return true // exhausted: no wake schedule brings it back
 	}
-	if s.g.p.SleepAfterIdle > 0 && s.idle >= s.g.p.SleepAfterIdle {
+	if s.asleepIdle(round) {
 		return !(s.g.p.WakeEvery > 0 && round%s.g.p.WakeEvery == 0)
 	}
 	return false
+}
+
+// asleepIdle reports whether the idle clock at round has reached the
+// sleep threshold.
+func (s *station) asleepIdle(round int64) bool {
+	return s.g.p.SleepAfterIdle > 0 && s.idle(round) >= s.g.p.SleepAfterIdle
 }
 
 func (s *station) exhausted() bool {
@@ -177,41 +194,26 @@ func (s *station) exhausted() bool {
 // sleep threshold (or out of budget) stays off every non-wake round, so
 // the system-wide idle round is silent with energy zero. The idle clock
 // only grows while empty, and exhaustion is permanent, so the state
-// persists across the skipped stretch.
+// persists across the skipped stretch. The simulator asks right after
+// a round, so the clock is read at the round after the one the group
+// last stepped; if no station of the group acted in the simulator's
+// last round, that round is stale and the clock reads low, which can
+// only answer false.
 func (s *station) Quiescent() bool {
-	return s.sk != nil && s.sk.Quiescent() &&
-		(s.exhausted() || (s.g.p.SleepAfterIdle > 0 && s.idle >= s.g.p.SleepAfterIdle))
+	return s.sk != nil && s.sk.Quiescent() && (s.exhausted() || s.asleepIdle(s.g.curRound+1))
 }
 
 // SkipIdle implements mac.Skipper for a stretch the station slept
 // through, waking only at WakeEvery rounds: the inner protocol's idle
-// evolution is feedback-free (Wrap validated mac.FeedbackFreeIdler),
-// the idle clock advances one per round, no budget is spent (a wake
-// round inside a stretch implies no EnergyBudget, see IdleBreak), and
-// the group accrues the suppressed listens once.
+// evolution is feedback-free (Wrap required the inner system's
+// FeedbackFreeIdle), the idle clock runs on by itself over the empty
+// queue, no budget is spent (a wake round inside a stretch implies no
+// EnergyBudget, see IdleBreak), and the group accrues the suppressed
+// listens once.
 func (s *station) SkipIdle(from, to int64) {
 	s.sk.SkipIdle(from, to)
-	s.idle += to - from
 	s.g.skipIdle(from, to)
 }
-
-// SkipOff implements mac.OffSkipper for rounds the inner protocol is
-// scheduled off: an Off action is never suppressed and spends no
-// budget, so only the idle clock moves, and the queue it reads cannot
-// change without an Inject or an Observe.
-func (s *station) SkipOff(from, to int64) {
-	s.off.SkipOff(from, to)
-	if s.inner.QueueLen() == 0 {
-		s.idle += to - from
-	} else {
-		s.idle = 0
-	}
-}
-
-// FeedbackFreeIdle implements mac.FeedbackFreeIdler: the idle clock and
-// the budget never read feedback, and Wrap validated the inner station
-// whenever sk is set.
-func (s *station) FeedbackFreeIdle() bool { return s.sk != nil }
 
 //earmac:hotpath
 func (s *station) Observe(round int64, fb mac.Feedback) { s.inner.Observe(round, fb) }
@@ -240,51 +242,37 @@ func Wrap(sys *core.System, p Params) (*core.System, *Group) {
 	stations := make([]core.Protocol, len(sys.Stations))
 	wrapped := make([]*station, len(sys.Stations))
 	for i, st := range sys.Stations {
-		ws := &station{g: g, inner: st}
+		ws := &station{g: g, inner: st, busy: -1}
 		wrapped[i], stations[i] = ws, ws
 	}
 	info := sys.Info
 	info.Oblivious = false
-	out := &core.System{Info: info, Stations: stations}
-	// Sleeping only suppresses listens, so the inner awake set still
-	// bounds the wrapped one.
-	if sys.Awake != nil && allOffSkippers(sys.Stations) {
-		for i, st := range sys.Stations {
-			wrapped[i].off = st.(mac.OffSkipper)
-		}
-		out.Awake = sys.Awake
-	}
+	// Sleeping only suppresses listens, so the inner awake set bounds
+	// the wrapped one, and a wrapped station acting Off leaves no state
+	// behind when its inner station does not (see station.idle).
+	out := &core.System{Info: info, Stations: stations, Awake: sys.Awake}
 	if inner, ok := skipProfile(sys); ok {
 		g.innerOn = inner.Energy
 		for i, st := range sys.Stations {
 			wrapped[i].sk = st.(mac.Skipper)
 		}
 		out.Idle = dutyIdle{g: g}
+		// The idle clock and the budget never read feedback.
+		out.FeedbackFreeIdle = true
 	}
 	return out, g
-}
-
-// allOffSkippers reports whether every station implements
-// mac.OffSkipper, so the wrapped stations can skip their Off rounds.
-func allOffSkippers(stations []core.Protocol) bool {
-	for _, st := range stations {
-		if _, ok := st.(mac.OffSkipper); !ok {
-			return false
-		}
-	}
-	return true
 }
 
 // skipProfile decides whether the wrapped system supports quiescence
 // fast-forward, returning the inner idle round. It requires the inner
 // system to declare a constant silent idle profile (a light profile
-// means idle transmissions, which sleeping never suppresses) and every
-// inner station to be a mac.Skipper whose idle evolution is
-// feedback-free — duty-slept stations act every round but never
-// observe, so an inner SkipIdle that replays feedback effects would
-// diverge from the slept execution.
+// means idle transmissions, which sleeping never suppresses) and
+// FeedbackFreeIdle, and every inner station to be a mac.Skipper —
+// duty-slept stations act every round but never observe, so an inner
+// SkipIdle that replays feedback effects would diverge from the slept
+// execution.
 func skipProfile(sys *core.System) (core.IdleRound, bool) {
-	if sys.Idle == nil {
+	if sys.Idle == nil || !sys.FeedbackFreeIdle {
 		return core.IdleRound{}, false
 	}
 	e, ok := core.IdleConstOf(sys.Idle)
@@ -293,10 +281,6 @@ func skipProfile(sys *core.System) (core.IdleRound, bool) {
 	}
 	for _, st := range sys.Stations {
 		if _, ok := st.(mac.Skipper); !ok {
-			return core.IdleRound{}, false
-		}
-		f, ok := st.(mac.FeedbackFreeIdler)
-		if !ok || !f.FeedbackFreeIdle() {
 			return core.IdleRound{}, false
 		}
 	}

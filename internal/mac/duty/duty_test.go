@@ -54,17 +54,17 @@ func TestWrapDisabledIsIdentity(t *testing.T) {
 // group counters see each suppression.
 func TestSleepAfterIdle(t *testing.T) {
 	s, g := wrapOne(t, Params{SleepAfterIdle: 3, WakeEvery: 5})
-	for round := int64(1); round <= 20; round++ {
+	for round := int64(0); round < 20; round++ {
 		a := s.Act(round)
-		// idle hits 3 at the end of round 3, so round 4 is the first
+		// idle hits 3 at the end of round 2, so round 3 is the first
 		// suppressed listen; multiples of 5 stay awake.
-		wantOn := round <= 3 || round%5 == 0
+		wantOn := round < 3 || round%5 == 0
 		if a.On != wantOn {
 			t.Errorf("round %d: On = %v, want %v", round, a.On, wantOn)
 		}
 	}
-	if g.SleepRounds() != 13 {
-		t.Errorf("SleepRounds = %d, want 13 (rounds 4..20 minus the four wake peeks)", g.SleepRounds())
+	if g.SleepRounds() != 14 {
+		t.Errorf("SleepRounds = %d, want 14 (rounds 3..19 minus the three wake peeks)", g.SleepRounds())
 	}
 }
 
@@ -72,20 +72,44 @@ func TestSleepAfterIdle(t *testing.T) {
 // round, and the idle clock restarts from its queue going empty again.
 func TestInjectResetsIdle(t *testing.T) {
 	s, _ := wrapOne(t, Params{SleepAfterIdle: 2})
-	for round := int64(1); round <= 4; round++ {
-		if a := s.Act(round); a.On != (round <= 2) {
+	for round := int64(0); round < 4; round++ {
+		if a := s.Act(round); a.On != (round < 2) {
 			t.Fatalf("round %d: On = %v during warm-up", round, a.On)
 		}
 	}
-	s.Inject(mac.Packet{ID: 1})
-	if a := s.Act(5); !a.On {
-		t.Error("round 5: injection did not wake the station")
+	s.Inject(mac.Packet{ID: 1, Injected: 4})
+	if a := s.Act(4); !a.On {
+		t.Error("round 4: injection did not wake the station")
 	}
 	// The queue never drains (the listener keeps its packets), so the
 	// station stays awake indefinitely.
-	for round := int64(6); round <= 12; round++ {
+	for round := int64(5); round <= 12; round++ {
 		if a := s.Act(round); !a.On {
 			t.Errorf("round %d: loaded station went to sleep", round)
+		}
+	}
+}
+
+// sink is a listener that consumes every packet on arrival, so its
+// queue never holds one.
+type sink struct{ listener }
+
+func (s *sink) Inject(mac.Packet) {}
+
+// TestInjectStampsIdleClock: an injection restarts the idle clock by
+// itself, even into an inner protocol that queues nothing: a sleeping
+// station listens in the injection's round and sleeps again only after
+// SleepAfterIdle more empty rounds.
+func TestInjectStampsIdleClock(t *testing.T) {
+	sys := &core.System{Stations: []core.Protocol{&sink{}}}
+	wrapped, _ := Wrap(sys, Params{SleepAfterIdle: 2})
+	s := wrapped.Stations[0]
+	for round := int64(0); round < 10; round++ {
+		if round == 5 {
+			s.Inject(mac.Packet{ID: 1, Injected: round})
+		}
+		if a, want := s.Act(round), round < 2 || round == 5 || round == 6; a.On != want {
+			t.Errorf("round %d: On = %v, want %v", round, a.On, want)
 		}
 	}
 }
@@ -143,12 +167,12 @@ func TestGroupAsleepPerRound(t *testing.T) {
 			s.Act(round)
 		}
 	}
+	act(0)
 	act(1)
-	act(2)
 	if g.Asleep() != 0 {
 		t.Fatalf("Asleep = %d before the idle threshold", g.Asleep())
 	}
-	act(3)
+	act(2)
 	if g.Asleep() != 2 {
 		t.Errorf("Asleep = %d, want the two idle listeners", g.Asleep())
 	}
@@ -157,9 +181,9 @@ func TestGroupAsleepPerRound(t *testing.T) {
 	}
 }
 
-// skipListener is listener with the fast-forward contract: a
-// feedback-free Skipper whose idle round is one listen. It counts the
-// rounds it has been through, acted or skipped.
+// skipListener is listener with the fast-forward contract: a Skipper
+// whose idle round is one listen. It counts the rounds it has been
+// through, acted or skipped.
 type skipListener struct {
 	listener
 	rounds int64
@@ -168,16 +192,17 @@ type skipListener struct {
 func (l *skipListener) Act(round int64) core.Action { l.rounds++; return core.Listen() }
 func (l *skipListener) Quiescent() bool             { return len(l.queue) == 0 }
 func (l *skipListener) SkipIdle(from, to int64)     { l.rounds += to - from }
-func (l *skipListener) FeedbackFreeIdle() bool      { return true }
 
 // wrapSkippers wraps three skipListeners, whose constant idle round is
-// three listens, so Wrap enables duty-level skipping.
+// three listens in a system declaring FeedbackFreeIdle, so Wrap enables
+// duty-level skipping.
 func wrapSkippers(t *testing.T, p Params) (*core.System, []*station, *Group) {
 	t.Helper()
 	const n = 3
 	inner := &core.System{
-		Info: core.AlgorithmInfo{Name: "skip-listener", EnergyCap: n},
-		Idle: core.ConstIdle{Energy: n},
+		Info:             core.AlgorithmInfo{Name: "skip-listener", EnergyCap: n},
+		Idle:             core.ConstIdle{Energy: n},
+		FeedbackFreeIdle: true,
 	}
 	for range n {
 		inner.Stations = append(inner.Stations, &skipListener{})
@@ -216,7 +241,8 @@ func TestSkipIdleMatchesStepping(t *testing.T) {
 			// Both sets start past their sleep threshold, as every
 			// station of a quiescent system is.
 			for i := range stepped {
-				stepped[i].idle, skipped[i].idle = p.SleepAfterIdle, p.SleepAfterIdle
+				stepped[i].busy = c.from - 1 - p.SleepAfterIdle
+				skipped[i].busy = stepped[i].busy
 			}
 			for r := c.from; r < c.to; r++ {
 				var on []*station
@@ -239,20 +265,24 @@ func TestSkipIdleMatchesStepping(t *testing.T) {
 			for i := range stepped {
 				a, b := stepped[i], skipped[i]
 				ar, br := a.inner.(*skipListener).rounds, b.inner.(*skipListener).rounds
-				if a.idle != b.idle || a.spent != b.spent || ar != br {
+				if a.idle(c.to) != b.idle(c.to) || a.spent != b.spent || ar != br {
 					t.Errorf("station %d idle/spent/inner rounds: stepped %d/%d/%d, skipped %d/%d/%d",
-						i, a.idle, a.spent, ar, b.idle, b.spent, br)
+						i, a.idle(c.to), a.spent, ar, b.idle(c.to), b.spent, br)
 				}
+			}
+			if !stepped[0].Quiescent() || !skipped[0].Quiescent() {
+				t.Error("a station left its quiescent stretch non-quiescent")
 			}
 		})
 	}
 }
 
 // TestWakeBreaks: the wrapped profile lets a wake round tick as the
-// inner idle round unless an EnergyBudget is set, and the stations
-// declare feedback-free idling exactly when duty-level skipping is on.
+// inner idle round unless an EnergyBudget is set, and the wrapped
+// system declares FeedbackFreeIdle exactly when duty-level skipping is
+// on, which needs the inner system to declare it.
 func TestWakeBreaks(t *testing.T) {
-	sys, stations, _ := wrapSkippers(t, Params{SleepAfterIdle: 4, WakeEvery: 8})
+	sys, _, _ := wrapSkippers(t, Params{SleepAfterIdle: 4, WakeEvery: 8})
 	h := sys.Idle.(core.IdleHorizon)
 	if got := h.NextIdleBreak(9); got != 16 {
 		t.Errorf("NextIdleBreak(9) = %d, want 16", got)
@@ -260,142 +290,262 @@ func TestWakeBreaks(t *testing.T) {
 	if e, ok := h.IdleBreak(16); !ok || e != (core.IdleRound{Energy: 3}) {
 		t.Errorf("IdleBreak(16) = %+v, %v; want the inner idle round, accepted", e, ok)
 	}
-	if !stations[0].FeedbackFreeIdle() {
-		t.Error("a skip-capable duty station does not declare FeedbackFreeIdle")
+	if !sys.FeedbackFreeIdle {
+		t.Error("a skip-capable duty system does not declare FeedbackFreeIdle")
 	}
 	sys, _, _ = wrapSkippers(t, Params{SleepAfterIdle: 4, WakeEvery: 8, EnergyBudget: 100})
 	if _, ok := sys.Idle.(core.IdleHorizon).IdleBreak(16); ok {
 		t.Error("IdleBreak accepted a wake round under an EnergyBudget")
 	}
-	s, _ := wrapOne(t, Params{SleepAfterIdle: 4})
-	if s.FeedbackFreeIdle() {
-		t.Error("a duty station over a non-Skipper declares FeedbackFreeIdle")
+	plain, _ := Wrap(&core.System{Stations: []core.Protocol{&listener{}}}, Params{SleepAfterIdle: 4})
+	if plain.FeedbackFreeIdle || plain.Idle != nil {
+		t.Error("a duty system over a non-Skipper declares FeedbackFreeIdle or an idle profile")
+	}
+	feedbackBound := &core.System{Stations: []core.Protocol{&skipListener{}}, Idle: core.ConstIdle{Energy: 1}}
+	if sys, _ := Wrap(feedbackBound, Params{SleepAfterIdle: 4}); sys.FeedbackFreeIdle || sys.Idle != nil {
+		t.Error("Wrap enabled duty-level skipping over an inner system without FeedbackFreeIdle")
 	}
 }
 
-// offListener is skipListener in an energy-oblivious system: it is
-// scheduled on only in the rounds ≡ 9 mod 10, where it listens, and
-// counts its Off rounds, stepped or skipped (mac.OffSkipper).
-type offListener struct {
-	skipListener
-	offs int64
+// scripted is the inner station of an energy-oblivious system that a
+// script drives: in the rounds the script switches it on it transmits
+// its front packet if it holds one and listens otherwise, and every
+// other round it acts Off and keeps no trace of it. A transmission the
+// script marks heard delivers the packet; any other is a collision.
+type scripted struct {
+	on     func(round int64) bool
+	queue  []mac.Packet
+	rounds int64 // rounds acted on or skipped idle
 }
 
-func offListenerOn(round int64) bool { return round%10 == 9 }
+func (s *scripted) Inject(p mac.Packet) { s.queue = append(s.queue, p) }
 
-func (l *offListener) Act(round int64) core.Action {
-	if !offListenerOn(round) {
-		l.offs++
+func (s *scripted) Act(round int64) core.Action {
+	if !s.on(round) {
 		return core.Off()
 	}
-	return l.skipListener.Act(round)
+	s.rounds++
+	if len(s.queue) > 0 {
+		return core.Transmit(mac.PacketMsg(s.queue[0]))
+	}
+	return core.Listen()
 }
 
-func (l *offListener) SkipOff(from, to int64) { l.offs += to - from }
+func (s *scripted) Observe(round int64, fb mac.Feedback) {
+	if fb.Kind == mac.FbHeard && fb.Msg.HasPacket {
+		s.queue = s.queue[1:]
+	}
+}
 
-// offAwake is the offListeners' awake set.
-type offAwake struct{ n int }
+func (s *scripted) QueueLen() int           { return len(s.queue) }
+func (s *scripted) Quiescent() bool         { return len(s.queue) == 0 }
+func (s *scripted) SkipIdle(from, to int64) { s.rounds += to - from }
 
-func (a offAwake) AppendAwake(t int64, buf []int) []int {
-	if offListenerOn(t) {
-		for i := range a.n {
-			buf = append(buf, i)
+// scriptRound is one round of an idle-clock script.
+type scriptRound struct {
+	on, inject, heard bool
+}
+
+// idleScript decodes a fuzz input: three bytes of small duty Params,
+// then one round per byte (bit 0 on, bit 1 an injection, bit 2 the
+// round's transmission heard). A Params that enables nothing sleeps
+// after one idle round instead.
+func idleScript(data []byte) (Params, []scriptRound) {
+	var p Params
+	if len(data) >= 3 {
+		p = Params{SleepAfterIdle: int64(data[0] % 16), WakeEvery: int64(data[1] % 8), EnergyBudget: int64(data[2] % 32)}
+		data = data[3:]
+	}
+	if !p.Enabled() {
+		p.SleepAfterIdle = 1
+	}
+	script := make([]scriptRound, len(data))
+	for i, b := range data {
+		script[i] = scriptRound{on: b&1 != 0, inject: b&2 != 0, heard: b&4 != 0}
+	}
+	return p, script
+}
+
+// encodeScript is idleScript's inverse, for seeding the fuzzer.
+func encodeScript(p Params, script []scriptRound) []byte {
+	data := []byte{byte(p.SleepAfterIdle), byte(p.WakeEvery), byte(p.EnergyBudget)}
+	for _, r := range script {
+		var b byte
+		if r.on {
+			b |= 1
 		}
+		if r.inject {
+			b |= 2
+		}
+		if r.heard {
+			b |= 4
+		}
+		data = append(data, b)
 	}
-	return buf
+	return data
 }
 
-// wrapOffListener wraps one offListener under p. The inner system
-// declares a constant silent idle profile only so that Wrap enables
-// duty-level skipping, which Quiescent needs; nothing runs it.
-func wrapOffListener(t *testing.T, p Params) (*station, *Group) {
+// wrapScripted wraps one scripted station in a skip-capable system
+// whose awake set is the script's on rounds.
+func wrapScripted(t *testing.T, p Params, script []scriptRound) (*station, *Group) {
 	t.Helper()
-	inner := &core.System{
-		Info:     core.AlgorithmInfo{Name: "off-listener", EnergyCap: 1},
-		Stations: []core.Protocol{&offListener{}},
-		Idle:     core.ConstIdle{},
-		Awake:    offAwake{n: 1},
-	}
-	sys, g := Wrap(inner, p)
-	if sys.Awake != inner.Awake {
-		t.Fatal("Wrap did not pass the inner awake set through")
-	}
+	inner := &scripted{on: func(r int64) bool { return r < int64(len(script)) && script[r].on }}
+	sys, g := Wrap(&core.System{
+		Info:             core.AlgorithmInfo{Name: "scripted", EnergyCap: 1},
+		Stations:         []core.Protocol{inner},
+		Idle:             core.ConstIdle{},
+		FeedbackFreeIdle: true,
+	}, p)
 	s := sys.Stations[0].(*station)
-	if s.sk == nil || s.off == nil {
-		t.Fatal("Wrap did not enable duty-level skipping and Off skipping")
+	if s.sk == nil {
+		t.Fatal("Wrap did not enable duty-level skipping")
 	}
 	return s, g
 }
 
-// TestSkipOffMatchesStepping: SkipOff over rounds the inner protocol is
-// scheduled off leaves the idle clock, Quiescent and the inner state
-// exactly as stepping Act over them does, and so the same listens are
-// suppressed afterwards — with an empty queue, a held packet, a range
-// crossing the sleep threshold, and one starting at round 0.
-func TestSkipOffMatchesStepping(t *testing.T) {
+// runScript plays script on a wrapped station stepped through every
+// round and on one the simulator skips in its Off rounds, as a sparse
+// sweep does, and requires the same action every round, the same idle
+// clock after it, and the same Quiescent answer wherever the simulator
+// would ask (after a round ending with an empty queue). A skipped
+// station whose group sat that round out reads a stale round and may
+// answer false, never a wrong true. It returns both SleepRounds totals.
+func runScript(t *testing.T, p Params, script []scriptRound) (stepped, skipped int64) {
+	t.Helper()
+	a, ag := wrapScripted(t, p, script)
+	b, bg := wrapScripted(t, p, script)
+	for i, sr := range script {
+		r := int64(i)
+		if sr.inject {
+			for _, s := range []*station{a, b} {
+				s.Inject(mac.Packet{ID: r, Injected: r})
+			}
+		}
+		x := a.Act(r)
+		var y core.Action
+		if sr.on {
+			y = b.Act(r)
+		}
+		if x.On != y.On || x.Transmit != y.Transmit {
+			t.Fatalf("round %d: stepped %+v, skipped %+v", r, x, y)
+		}
+		if x.On {
+			fb := mac.Feedback{Kind: mac.FbSilence}
+			if x.Transmit {
+				fb.Kind = mac.FbCollision
+				if sr.heard {
+					fb = mac.Feedback{Kind: mac.FbHeard, Msg: x.Msg}
+				}
+			}
+			a.Observe(r, fb)
+			b.Observe(r, fb)
+		}
+		if ai, bi := a.idle(r+1), b.idle(r+1); ai != bi {
+			t.Fatalf("round %d: idle clock stepped %d, skipped %d", r+1, ai, bi)
+		}
+		if a.QueueLen() == 0 {
+			aq, bq := a.Quiescent(), b.Quiescent()
+			if (sr.on && aq != bq) || (bq && !aq) {
+				t.Fatalf("after round %d (on %v): Quiescent stepped %v, skipped %v", r, sr.on, aq, bq)
+			}
+		}
+	}
+	if ag.SleepRounds() != bg.SleepRounds() {
+		t.Fatalf("SleepRounds: stepped %d, skipped %d", ag.SleepRounds(), bg.SleepRounds())
+	}
+	return ag.SleepRounds(), bg.SleepRounds()
+}
+
+// offStretchCases are the Off-round skips the stamp clock must survive,
+// each a script under one Params: a stretch of Off rounds after an
+// empty start, below the sleep threshold, crossing it, deep asleep,
+// and with a packet held through it, each followed by rounds on every
+// tenth round in which the suppressed listens show any clock error.
+func offStretchCases() []struct {
+	name   string
+	p      Params
+	script []scriptRound
+} {
 	p := Params{SleepAfterIdle: 4, WakeEvery: 3}
-	for _, c := range []struct {
-		name     string
-		from, to int64 // rounds the inner protocol is scheduled off
-		idle     int64 // the idle clock at from
-		queued   bool  // the inner queue holds a packet through the range
+	// build returns a script of n rounds, on every tenth round (≡ 9) and
+	// in the listed ones, with the listed injections and every
+	// transmission heard except in the rounds listed as collisions.
+	build := func(n int, on, inject, collide []int) []scriptRound {
+		s := make([]scriptRound, n)
+		for i := range s {
+			s[i] = scriptRound{on: i%10 == 9, heard: true}
+		}
+		for _, r := range on {
+			s[r].on = true
+		}
+		for _, r := range inject {
+			s[r].inject = true
+		}
+		for _, r := range collide {
+			s[r].heard = false
+		}
+		return s
+	}
+	return []struct {
+		name   string
+		p      Params
+		script []scriptRound
 	}{
-		{"from-zero", 0, 9, 0, false},
-		{"below-threshold", 10, 12, 0, false},
-		{"crosses-threshold", 10, 19, 2, false},
-		{"asleep", 20, 29, 30, false},
-		{"queued", 10, 19, 7, true},
-	} {
+		{"from-zero", p, build(80, nil, nil, nil)},
+		{"below-threshold", p, build(80, []int{8, 12}, []int{8}, nil)},
+		{"crosses-threshold", p, build(80, []int{7, 8}, []int{7}, nil)},
+		{"asleep", p, build(90, []int{13, 14}, nil, nil)},
+		{"queued", p, build(80, []int{2, 3}, []int{2}, []int{2, 3, 9})},
+	}
+}
+
+// TestSkipOffMatchesStepping: a wrapped station the simulator skips in
+// its Off rounds acts, sleeps and answers Quiescent as one stepped
+// through them does: the idle clock is a round stamp, so an Off stretch
+// leaves nothing to replay — with an empty queue, a held packet, the
+// sleep threshold crossed inside the stretch, and from round 0.
+func TestSkipOffMatchesStepping(t *testing.T) {
+	for _, c := range offStretchCases() {
 		t.Run(c.name, func(t *testing.T) {
-			stepped, sg := wrapOffListener(t, p)
-			skipped, kg := wrapOffListener(t, p)
-			for _, s := range []*station{stepped, skipped} {
-				s.idle = c.idle
-				if c.queued {
-					s.inner.Inject(mac.Packet{ID: 1})
-				}
-			}
-			for r := c.from; r < c.to; r++ {
-				if stepped.Act(r).On {
-					t.Fatalf("round %d: the inner protocol is scheduled on", r)
-				}
-			}
-			skipped.SkipOff(c.from, c.to)
-			a, b := stepped, skipped
-			ao, bo := a.inner.(*offListener).offs, b.inner.(*offListener).offs
-			if a.idle != b.idle || a.Quiescent() != b.Quiescent() || ao != bo {
-				t.Fatalf("idle/quiescent/inner offs: stepped %d/%v/%d, skipped %d/%v/%d",
-					a.idle, a.Quiescent(), ao, b.idle, b.Quiescent(), bo)
-			}
-			// The packet leaves; both go on with the same actions.
-			for _, s := range []*station{stepped, skipped} {
-				s.inner.(*offListener).queue = nil
-			}
-			for r := c.to; r < c.to+60; r++ {
-				if x, y := stepped.Act(r).On, skipped.Act(r).On; x != y {
-					t.Fatalf("round %d: On stepped %v, skipped %v", r, x, y)
-				}
-			}
-			if sg.SleepRounds() != kg.SleepRounds() || sg.SleepRounds() == 0 {
-				t.Errorf("SleepRounds: stepped %d, skipped %d, want equal and nonzero", sg.SleepRounds(), kg.SleepRounds())
+			if stepped, _ := runScript(t, c.p, c.script); stepped == 0 {
+				t.Error("the script never suppressed a listen")
 			}
 		})
 	}
 }
 
+// FuzzIdleClock: TestSkipOffMatchesStepping over any script and small
+// Params, seeded with its cases.
+func FuzzIdleClock(f *testing.F) {
+	for _, c := range offStretchCases() {
+		f.Add(encodeScript(c.p, c.script))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// Three Params bytes and at most 128 rounds, several times any
+		// threshold the Params can set. Longer inputs make minimizing
+		// each new one take seconds: its cost grows with the square of
+		// the input's length.
+		data = data[:min(len(data), 3+128)]
+		p, script := idleScript(data)
+		runScript(t, p, script)
+	})
+}
+
+// firstAwake is an awake set naming station 0 every round.
+type firstAwake struct{}
+
+func (firstAwake) AppendAwake(t int64, buf []int) []int { return append(buf, 0) }
+
 // TestWrapPassesAwakeThrough: the wrapped system names the inner awake
-// set only when every inner station can skip its Off rounds.
+// set whatever its stations, and none when the inner system has none.
 func TestWrapPassesAwakeThrough(t *testing.T) {
 	p := Params{SleepAfterIdle: 4}
-	inner := &core.System{
-		Stations: []core.Protocol{&offListener{}, &listener{}},
-		Awake:    offAwake{n: 2},
-	}
-	if sys, _ := Wrap(inner, p); sys.Awake != nil {
-		t.Error("Wrap passed the awake set through over a station without SkipOff")
-	}
-	inner.Stations[1] = &offListener{}
+	inner := &core.System{Stations: []core.Protocol{&listener{}, &skipListener{}}, Awake: firstAwake{}}
 	if sys, _ := Wrap(inner, p); sys.Awake != inner.Awake {
-		t.Error("Wrap dropped the awake set of OffSkipper stations")
+		t.Error("Wrap dropped the inner awake set")
+	}
+	inner.Awake = nil
+	if sys, _ := Wrap(inner, p); sys.Awake != nil {
+		t.Error("Wrap named an awake set the inner system lacks")
 	}
 }
