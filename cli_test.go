@@ -305,7 +305,9 @@ func TestCLITraceDiffGolden(t *testing.T) {
 // run at some other rate, and so is a (ρ, β) whose bucket does not fit
 // int64 arithmetic, which used to panic, a β above MaxBeta, whose
 // round-0 burst used to exhaust memory, and a malformed or negative
-// earmac-sweep list entry, which used to run as zero. So is an
+// earmac-sweep list entry, which used to run as zero, and a negative
+// earmac-sim -trace or -trace-from, whose window used to cover the whole
+// run. So is an
 // earmac-sweep flag that makes any cell invalid, or names no mode: the
 // sweep used to print the CSV header (and any valid cells' rows) and
 // exit 1. No usage error prints anything on stdout. The binaries are
@@ -338,6 +340,9 @@ func TestCLIRejectsBadRates(t *testing.T) {
 		{"earmac-sim", []string{"-rho", "1/3", "-beta", "3000000000000000000"}, "bad burstiness"},
 		{"earmac-sim", []string{"-alg", "aloha", "-n", "6", "-rounds", "200", "-outages", "0@10+9223372036854775807"},
 			"bad topology"},
+		{"earmac-sim", []string{"-trace", "-1"}, "bad -trace -1: negative round count"},
+		{"earmac-sim", []string{"-alg", "orchestra", "-n", "4", "-rounds", "20", "-trace", "3", "-trace-from", "-5"},
+			"bad -trace-from -5: negative round"},
 		{"earmac-sweep", []string{"-mode", "frontier", "-jam-rhos", "0,-1/4"}, `bad -jam-rhos: negative rate "-1/4"`},
 		{"earmac-sweep", []string{"-mode", "frontier", "-sleep-idles", "0,-5"}, "bad -sleep-idles: negative threshold -5"},
 		{"earmac-sweep", []string{"-mode", "seed", "-seeds", "1,x"}, `bad seed list "1,x"`},

@@ -81,6 +81,14 @@ func main() {
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
+	// A trace window ends at -trace-from + -trace, and a window end ≤ 0
+	// reads as unbounded: a negative flag would trace the whole run.
+	if *traceN < 0 {
+		usage(fmt.Errorf("bad -trace %d: negative round count", *traceN))
+	}
+	if *traceAt < 0 {
+		usage(fmt.Errorf("bad -trace-from %d: negative round", *traceAt))
+	}
 
 	var cfg earmac.Config
 	if *replay != "" {

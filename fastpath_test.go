@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"earmac/internal/adversary"
+	"earmac/internal/algorithms/kclique"
 	"earmac/internal/algorithms/kcycle"
 	"earmac/internal/algorithms/ksubsets"
 	"earmac/internal/algorithms/orchestra"
@@ -230,6 +231,8 @@ func TestCheckedConservationZeroAllocs(t *testing.T) {
 	}{
 		{"orchestra-n6-rho1", func() (*core.System, error) { return orchestra.New(6) }, adversary.T(1, 1, 2), 102},
 		{"3-cycle-n7-rho1/4", func() (*core.System, error) { return kcycle.New(7, 3) }, adversary.T(1, 4, 2), 108},
+		{"4-clique-n8-rho1/12", func() (*core.System, error) { return kclique.New(8, 4) }, adversary.T(1, 12, 2), 109},
+		{"3-subsets-rrw-n6-rho1/10", func() (*core.System, error) { return ksubsets.NewRRW(6, 3) }, adversary.T(1, 10, 2), 110},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

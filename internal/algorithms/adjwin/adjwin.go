@@ -228,19 +228,12 @@ func (s *station) beginWindow(round int64) {
 	if !s.small {
 		s.large[s.id] = true
 		s.gtL[s.id] = s.snapSize > s.sh.L
-		s.sizes[s.id] = min64(s.snapSize, s.sh.L)
-		s.cntToMe[s.id] = min64(s.snapCnt[s.id], s.sh.L)
-		s.cntLessMe[s.id] = min64(s.snapCntLess[s.id], s.sh.L)
+		s.sizes[s.id] = min(s.snapSize, s.sh.L)
+		s.cntToMe[s.id] = min(s.snapCnt[s.id], s.sh.L)
+		s.cntLessMe[s.id] = min(s.snapCntLess[s.id], s.sh.L)
 	}
 	s.mainReady = false
 	s.slicePtr = 0
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // drainStaging queues this round's injections, in injection order. The
@@ -319,11 +312,11 @@ func (s *station) actGossip(off int64) core.Action {
 		var v int64
 		switch field {
 		case 0:
-			v = min64(s.snapSize, s.sh.L)
+			v = min(s.snapSize, s.sh.L)
 		case 1:
-			v = min64(s.snapCnt[j], s.sh.L)
+			v = min(s.snapCnt[j], s.sh.L)
 		default:
-			v = min64(s.snapCntLess[j], s.sh.L)
+			v = min(s.snapCntLess[j], s.sh.L)
 		}
 		send = v>>(uint(s.sh.lgL-1-bit))&1 == 1
 	}
@@ -361,7 +354,7 @@ func (s *station) prepareMain() {
 		if m > s.sh.LM {
 			s.nextL = 2 * s.sh.L
 		}
-		s.schedLen = min64(s.sh.LM, m)
+		s.schedLen = min(s.sh.LM, m)
 	}
 
 	// Sender plan: the full snapshot sorted by (dest, arrival); gossip-
@@ -392,7 +385,7 @@ func (s *station) prepareMain() {
 		if cnt <= 0 {
 			return
 		}
-		end := min64(start+cnt, s.schedLen)
+		end := min(start+cnt, s.schedLen)
 		if start < end {
 			s.slices = append(s.slices, slice{start, end})
 		}

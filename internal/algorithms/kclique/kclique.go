@@ -6,10 +6,11 @@
 // every unordered pair of half-sets forms a clique of k stations. The
 // pairs are arranged in a fixed cycle and take turns being active for one
 // round each — all k members on, a fixed schedule, hence oblivious.
-// Within a pair, OF-RRW runs: the token holder transmits its old packets
-// assigned to this pair; the destination of an assigned packet always
-// belongs to the pair, so every heard packet is consumed immediately —
-// routing is direct, no relays.
+// Within a pair, OF-RRW runs, each member keeping a broadcast.Replica of
+// it: the token holder transmits its old packets assigned to this pair;
+// the destination of an assigned packet always belongs to the pair, so
+// every heard packet is consumed immediately — routing is direct, no
+// relays.
 //
 // Per the paper, k is assumed even and dividing 2n with k ≤ 2n/3; the
 // constructor clamps a requested cap down to the largest feasible k.
@@ -22,7 +23,6 @@ import (
 	"earmac/internal/broadcast"
 	"earmac/internal/core"
 	"earmac/internal/mac"
-	"earmac/internal/pktq"
 	"earmac/internal/sched"
 )
 
@@ -135,13 +135,6 @@ func (l *Layout) Schedule() sched.Schedule {
 	}
 }
 
-// pairQueue is one station's packet queue for one of its pairs, with
-// the pair ring's phase tail implementing OF-RRW's old/new distinction.
-type pairQueue struct {
-	q    *pktq.Queue
-	tail broadcast.PhaseTail
-}
-
 type station struct {
 	id  int
 	lay *Layout
@@ -150,26 +143,16 @@ type station struct {
 	// sorted ascending). Pairs activate in index order, so a cursor into
 	// the sorted membership list replaces a per-round map lookup.
 	pairs  []int
-	rings  []*broadcast.Ring
-	subs   []*pairQueue
+	reps   []broadcast.Replica // one OF-RRW replica per pair membership
 	cursor int
 	cycle  int64
-
-	pendingTx int64
 }
 
 func newStation(id int, lay *Layout) *station {
 	pairs := lay.pairsOf[id]
-	s := &station{
-		id: id, lay: lay,
-		pairs: pairs,
-		rings: make([]*broadcast.Ring, len(pairs)),
-		subs:  make([]*pairQueue, len(pairs)),
-		cycle: -1, pendingTx: -1,
-	}
+	s := &station{id: id, lay: lay, pairs: pairs, reps: make([]broadcast.Replica, len(pairs)), cycle: -1}
 	for i, p := range pairs {
-		s.rings[i] = broadcast.NewRing(lay.members[p])
-		s.subs[i] = &pairQueue{q: pktq.New(lay.N)}
+		s.reps[i] = broadcast.NewReplica(broadcast.OFRRW, id, lay.members[p], lay.N)
 	}
 	return s
 }
@@ -182,14 +165,10 @@ func (s *station) local(p int) int {
 }
 
 func (s *station) Inject(p mac.Packet) {
-	i := s.local(s.lay.PairFor(s.id, p.Dest))
-	sub := s.subs[i]
-	sub.q.Push(p)
-	sub.tail.Pushed(s.rings[i].Phase())
+	s.reps[s.local(s.lay.PairFor(s.id, p.Dest))].Inject(p)
 }
 
 func (s *station) Act(round int64) core.Action {
-	s.pendingTx = -1
 	cycle := round / int64(s.lay.NumPairs)
 	if cycle != s.cycle {
 		s.cycle = cycle
@@ -202,85 +181,48 @@ func (s *station) Act(round int64) core.Action {
 	if s.cursor >= len(s.pairs) || s.pairs[s.cursor] != pair {
 		return core.Off()
 	}
-	ring := s.rings[s.cursor]
-	if ring.Holder() != s.id {
-		return core.Listen()
-	}
-	sub := s.subs[s.cursor]
-	front, ok := sub.q.Front()
-	if !ok || sub.tail.FrontIsNew(ring.Phase(), sub.q.Len()) {
-		return core.Listen() // silence advances the token
-	}
-	s.pendingTx = front.ID
-	return core.Transmit(mac.PacketMsg(front))
+	return s.reps[s.cursor].Act(round)
 }
 
 func (s *station) Observe(round int64, fb mac.Feedback) {
 	// Only called for switched-on rounds: Act left the cursor on the
 	// active pair.
-	ring := s.rings[s.cursor]
-	switch fb.Kind {
-	case mac.FbHeard:
-		ring.ObserveHeard()
-		if s.pendingTx >= 0 {
-			s.subs[s.cursor].q.Remove(s.pendingTx)
-			s.pendingTx = -1
-		}
-	case mac.FbSilence:
-		ring.ObserveSilence()
-	}
+	s.reps[s.cursor].Observe(round, fb)
 }
 
 func (s *station) QueueLen() int {
 	total := 0
-	for _, sub := range s.subs {
-		total += sub.q.Len()
+	for i := range s.reps {
+		total += s.reps[i].QueueLen()
 	}
 	return total
 }
 
-// Quiescent implements mac.Skipper: with every pair-queue empty, each
-// on-duty round ends in silence and the only transition is an
-// ObserveSilence on the active pair's ring.
+// Quiescent implements mac.Skipper: with every pair's replica idle, each
+// on-duty round ends in silence and the only transition is a token pass
+// in the active pair.
 func (s *station) Quiescent() bool {
-	if s.pendingTx >= 0 {
-		return false
-	}
-	for _, sub := range s.subs {
-		if sub.q.Len() != 0 {
+	for i := range s.reps {
+		if !s.reps[i].Idle() {
 			return false
 		}
 	}
 	return true
 }
 
-// countCongruent counts rounds r in [from, to) with r % mod == res.
-func countCongruent(from, to, mod, res int64) int64 {
-	f := func(x int64) int64 {
-		if x <= res {
-			return 0
-		}
-		return (x-res-1)/mod + 1
-	}
-	return f(to) - f(from)
-}
-
-// SkipIdle implements mac.Skipper: each membership's ring saw one silence
+// SkipIdle implements mac.Skipper: each pair's replica saw one silence
 // per round its pair was active. cycle and the cursor are left stale —
 // Act self-corrects exactly as after a long off stretch: a cycle change
 // resets the cursor, a same-cycle wake-up resumes the monotone scan.
 func (s *station) SkipIdle(from, to int64) {
-	np := int64(s.lay.NumPairs)
 	for i, p := range s.pairs {
-		if m := countCongruent(from, to, np, int64(p)); m > 0 {
-			s.rings[i].SkipSilences(m)
-		}
+		s.reps[i].SkipIdle(from, to, 1, int64(s.lay.NumPairs), int64(p))
 	}
 }
 
 func (s *station) AppendHeld(dst []mac.Packet) []mac.Packet {
-	for _, sub := range s.subs {
-		dst = sub.q.AppendTo(dst)
+	for i := range s.reps {
+		dst = s.reps[i].AppendHeld(dst)
 	}
 	return dst
 }

@@ -206,11 +206,11 @@ func TestReplicaRingsConsistent(t *testing.T) {
 		}
 		for p := 0; p < lay.NumPairs; p++ {
 			first := sys.Stations[lay.members[p][0]].(*station)
-			ref := first.rings[first.local(p)]
+			holder, phase := first.reps[first.local(p)].Token()
 			for _, m := range lay.members[p][1:] {
 				st := sys.Stations[m].(*station)
-				if !st.rings[st.local(p)].Equal(ref) {
-					t.Fatalf("round %d: ring replicas for pair %d diverged", r, p)
+				if h, ph := st.reps[st.local(p)].Token(); h != holder || ph != phase {
+					t.Fatalf("round %d: replicas for pair %d diverged", r, p)
 				}
 			}
 		}

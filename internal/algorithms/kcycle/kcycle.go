@@ -8,12 +8,13 @@
 // first. Groups take turns being active for δ = ⌈4(n−1)k/(n−k)⌉ rounds
 // each, in round-robin order, with all member stations switched on — a
 // fixed schedule, hence energy-oblivious. Within its activity rounds a
-// group runs OF-RRW: a token cycles through the members; the holder
-// transmits its old packets associated with this group; a silent round
-// advances the token; a full token cycle ends the group's phase. A heard
-// packet is consumed if its destination belongs to the active group and
-// otherwise adopted by the group's connector, hopping group to group
-// around the cycle until it reaches its destination's group.
+// group runs OF-RRW, each member keeping a broadcast.Replica of it: a
+// token cycles through the members; the holder transmits its old packets
+// associated with this group; a silent round advances the token; a full
+// token cycle ends the group's phase. A heard packet is consumed if its
+// destination belongs to the active group and otherwise adopted by the
+// group's connector, hopping group to group around the cycle until it
+// reaches its destination's group.
 //
 // Packets carry a group association (see DESIGN.md §4): injected packets
 // belong to a group containing both endpoints when one exists, otherwise
@@ -28,7 +29,6 @@ import (
 	"earmac/internal/broadcast"
 	"earmac/internal/core"
 	"earmac/internal/mac"
-	"earmac/internal/pktq"
 	"earmac/internal/sched"
 )
 
@@ -145,33 +145,6 @@ func (l *Layout) HomeGroup(src, dest int) int {
 // NextGroup returns the group after g in the forwarding cycle.
 func (l *Layout) NextGroup(g int) int { return (g + 1) % l.L }
 
-// grpQueue is one station's packet queue for one of its groups, with
-// the group ring's phase tail implementing OF-RRW's old/new distinction.
-type grpQueue struct {
-	q    *pktq.Queue
-	tail broadcast.PhaseTail
-}
-
-func newGrpQueue(n int) *grpQueue {
-	return &grpQueue{q: pktq.New(n)}
-}
-
-func (gq *grpQueue) push(p mac.Packet, phase int64) {
-	gq.q.Push(p)
-	gq.tail.Pushed(phase)
-}
-
-// oldFront returns the oldest packet if it is old for the given phase.
-// Phases are non-decreasing in arrival order, so a new front means the
-// whole queue is new.
-func (gq *grpQueue) oldFront(phase int64) (mac.Packet, bool) {
-	p, ok := gq.q.Front()
-	if !ok || gq.tail.FrontIsNew(phase, gq.q.Len()) {
-		return mac.Packet{}, false
-	}
-	return p, true
-}
-
 type station struct {
 	id  int
 	lay *Layout
@@ -180,24 +153,14 @@ type station struct {
 	// at most two entries), found by linear scan — cheaper than a map on
 	// the per-round hot path.
 	groups []int
-	rings  []*broadcast.Ring // one replica per group membership
-	subs   []*grpQueue
-
-	pendingTx int64
+	reps   []broadcast.Replica // one OF-RRW replica per group membership
 }
 
 func newStation(id int, lay *Layout) *station {
 	groups := lay.groupsOf[id]
-	s := &station{
-		id: id, lay: lay,
-		groups:    groups,
-		rings:     make([]*broadcast.Ring, len(groups)),
-		subs:      make([]*grpQueue, len(groups)),
-		pendingTx: -1,
-	}
+	s := &station{id: id, lay: lay, groups: groups, reps: make([]broadcast.Replica, len(groups))}
 	for i, g := range groups {
-		s.rings[i] = broadcast.NewRing(lay.members[g])
-		s.subs[i] = newGrpQueue(lay.N)
+		s.reps[i] = broadcast.NewReplica(broadcast.OFRRW, id, lay.members[g], lay.N)
 	}
 	return s
 }
@@ -213,104 +176,61 @@ func (s *station) local(g int) int {
 }
 
 func (s *station) Inject(p mac.Packet) {
-	i := s.local(s.lay.HomeGroup(s.id, p.Dest))
-	s.subs[i].push(p, s.rings[i].Phase())
+	s.reps[s.local(s.lay.HomeGroup(s.id, p.Dest))].Inject(p)
 }
 
 func (s *station) Act(round int64) core.Action {
-	s.pendingTx = -1
 	i := s.local(s.lay.ActiveGroup(round))
 	if i < 0 {
 		return core.Off()
 	}
-	ring := s.rings[i]
-	if ring.Holder() != s.id {
-		return core.Listen()
-	}
-	p, ok := s.subs[i].oldFront(ring.Phase())
-	if !ok {
-		return core.Listen() // silent round: token will advance
-	}
-	s.pendingTx = p.ID
-	return core.Transmit(mac.PacketMsg(p))
+	return s.reps[i].Act(round)
 }
 
 func (s *station) Observe(round int64, fb mac.Feedback) {
 	// Only called for switched-on rounds, i.e. active-group members.
 	g := s.lay.ActiveGroup(round)
-	i := s.local(g)
-	ring := s.rings[i]
-	switch fb.Kind {
-	case mac.FbHeard:
-		ring.ObserveHeard()
-		if s.pendingTx >= 0 {
-			s.subs[i].q.Remove(s.pendingTx)
-			s.pendingTx = -1
-		}
-		p := fb.Msg.Packet
-		if !s.lay.inGroup(g, p.Dest) && s.id == s.lay.connector[g] {
-			// Adopt and advance the packet to the next group.
-			ni := s.local(s.lay.NextGroup(g))
-			s.subs[ni].push(p, s.rings[ni].Phase())
-		}
-	case mac.FbSilence:
-		ring.ObserveSilence()
+	s.reps[s.local(g)].Observe(round, fb)
+	if fb.Kind != mac.FbHeard {
+		return
+	}
+	if p := fb.Msg.Packet; !s.lay.inGroup(g, p.Dest) && s.id == s.lay.connector[g] {
+		// Adopt and advance the packet to the next group.
+		s.reps[s.local(s.lay.NextGroup(g))].Inject(p)
 	}
 }
 
 func (s *station) QueueLen() int {
 	total := 0
-	for _, gq := range s.subs {
-		total += gq.q.Len()
+	for i := range s.reps {
+		total += s.reps[i].QueueLen()
 	}
 	return total
 }
 
-// Quiescent implements mac.Skipper: with every group-queue empty, each
-// on-duty round ends in silence and the only transition is an
-// ObserveSilence on the active group's ring.
+// Quiescent implements mac.Skipper: with every group's replica idle,
+// each on-duty round ends in silence and the only transition is a token
+// pass in the active group.
 func (s *station) Quiescent() bool {
-	if s.pendingTx >= 0 {
-		return false
-	}
-	for _, gq := range s.subs {
-		if gq.q.Len() != 0 {
+	for i := range s.reps {
+		if !s.reps[i].Idle() {
 			return false
 		}
 	}
 	return true
 }
 
-// countActive counts rounds r in [from, to) with (r/delta) % l == g —
-// the rounds group g is active for a station fast-forwarding past them.
-func countActive(from, to, delta, l, g int64) int64 {
-	f := func(x int64) int64 {
-		p := delta * l
-		q, rem := x/p, x%p
-		in := rem - g*delta
-		if in < 0 {
-			in = 0
-		} else if in > delta {
-			in = delta
-		}
-		return q*delta + in
-	}
-	return f(to) - f(from)
-}
-
-// SkipIdle implements mac.Skipper: each membership's ring saw one silence
-// per round its group was active.
+// SkipIdle implements mac.Skipper: each group's replica saw one silence
+// per round of the group's δ-round activations.
 func (s *station) SkipIdle(from, to int64) {
 	for i, g := range s.groups {
-		if m := countActive(from, to, s.lay.Delta, int64(s.lay.L), int64(g)); m > 0 {
-			s.rings[i].SkipSilences(m)
-		}
+		s.reps[i].SkipIdle(from, to, s.lay.Delta, int64(s.lay.L), int64(g))
 	}
 }
 
 func (s *station) AppendHeld(dst []mac.Packet) []mac.Packet {
-	for _, gq := range s.subs {
-		dst = gq.q.AppendTo(dst)
+	for i := range s.reps {
+		dst = s.reps[i].AppendHeld(dst)
 	}
 	return dst
 }

@@ -308,14 +308,14 @@ func TestReplicaRingsConsistent(t *testing.T) {
 		if err := sim.Step(); err != nil {
 			t.Fatal(err)
 		}
-		// All members of each group agree on that group's ring.
+		// All members of each group agree on that group's token.
 		for g := 0; g < lay.L; g++ {
 			first := sys.Stations[lay.members[g][0]].(*station)
-			ref := first.rings[first.local(g)]
+			holder, phase := first.reps[first.local(g)].Token()
 			for _, m := range lay.members[g][1:] {
 				st := sys.Stations[m].(*station)
-				if !st.rings[st.local(g)].Equal(ref) {
-					t.Fatalf("round %d: ring replicas for group %d diverged", r, g)
+				if h, ph := st.reps[st.local(g)].Token(); h != holder || ph != phase {
+					t.Fatalf("round %d: replicas for group %d diverged", r, g)
 				}
 			}
 		}

@@ -7,12 +7,13 @@
 // Fix the lexicographic enumeration A_0, …, A_{γ−1} of all γ = C(n,k)
 // k-element subsets of the stations. Rounds i + jγ form thread i; during
 // thread i's rounds exactly the stations of A_i are on — a fixed schedule,
-// hence oblivious. Each thread runs an independent replica-consistent
-// instance of Move-Big-To-Front [17] over its k members with per-thread
-// queues. Time is grouped into phases of γ rounds; at each phase start a
-// station allocates the packets injected during the previous phase to
-// threads: per destination w, as balanced as possible (counts differing
-// by at most 1) across the C(n−2,k−2) threads containing both endpoints.
+// hence oblivious. Each thread runs an independent instance of
+// Move-Big-To-Front [17] over its k members, each member keeping a
+// broadcast.Replica of it with its queue for the thread. Time is grouped
+// into phases of γ rounds; at each phase start a station allocates the
+// packets injected during the previous phase to threads: per
+// destination w, as balanced as possible (counts differing by at most 1)
+// across the C(n−2,k−2) threads containing both endpoints.
 //
 // With MBTF inside, packets can starve (Table 1: latency ∞); the paper
 // notes that substituting Round-Robin-Withholding [18] yields bounded
@@ -28,7 +29,6 @@ import (
 	"earmac/internal/broadcast"
 	"earmac/internal/core"
 	"earmac/internal/mac"
-	"earmac/internal/pktq"
 	"earmac/internal/sched"
 )
 
@@ -143,50 +143,6 @@ func (l *Layout) Schedule() sched.Schedule {
 	}
 }
 
-// threadEngine abstracts the per-thread token machinery so the MBTF and
-// RRW variants share the station logic.
-type threadEngine interface {
-	Holder() int
-	ObserveHeard(ctrl mac.Control)
-	ObserveSilence()
-	// BigBit returns the control bits to attach given the holder's queue
-	// length, or nil for the plain-packet variant.
-	BigBit(queueLen int) mac.Control
-	// SkipSilences batch-applies m ObserveSilence transitions — the
-	// quiescence engine's closed form for idle stretches, where every
-	// holder is empty and every thread round is silent.
-	SkipSilences(m int64)
-}
-
-// mbtfEngine reuses one control buffer across rounds: receivers read the
-// big bit synchronously from the feedback and never retain it (see
-// DESIGN.md on pooling invariants).
-type mbtfEngine struct {
-	m    *broadcast.MBTF
-	ctrl mac.Control
-}
-
-func newMBTFEngine(members []int) *mbtfEngine {
-	return &mbtfEngine{m: broadcast.NewMBTF(members), ctrl: mac.MakeControl(1)}
-}
-
-func (e *mbtfEngine) Holder() int                   { return e.m.Holder() }
-func (e *mbtfEngine) ObserveHeard(ctrl mac.Control) { e.m.ObserveHeard(ctrl.Bit(0)) }
-func (e *mbtfEngine) ObserveSilence()               { e.m.ObserveSilence() }
-func (e *mbtfEngine) BigBit(queueLen int) mac.Control {
-	e.ctrl.SetBit(0, queueLen >= e.m.Threshold())
-	return e.ctrl
-}
-func (e *mbtfEngine) SkipSilences(m int64) { e.m.SkipSilences(m) }
-
-type rrwEngine struct{ r *broadcast.Ring }
-
-func (e rrwEngine) Holder() int              { return e.r.Holder() }
-func (e rrwEngine) ObserveHeard(mac.Control) { e.r.ObserveHeard() }
-func (e rrwEngine) ObserveSilence()          { e.r.ObserveSilence() }
-func (e rrwEngine) BigBit(int) mac.Control   { return nil }
-func (e rrwEngine) SkipSilences(m int64)     { e.r.SkipSilences(m) }
-
 type station struct {
 	id  int
 	lay *Layout
@@ -197,35 +153,26 @@ type station struct {
 	// membership list replaces a per-round map lookup: the station is on
 	// duty exactly when the active thread equals threads[cursor].
 	threads []int32
-	engines []threadEngine
-	queues  []*pktq.Queue
+	reps    []broadcast.Replica // one MBTF (or RRW) replica per thread membership
 	cursor  int
 
 	staging  []mac.Packet // injected this phase, allocated at next boundary
 	counters [][]int64    // dest → per-eligible-thread allocation counts, nil before its first packet
 
-	curPhase  int64
-	pendingTx int64
+	curPhase int64
 }
 
-func newStation(id int, lay *Layout, rrw bool) *station {
+func newStation(id int, lay *Layout, kind broadcast.Kind) *station {
 	threads := lay.threadsOf[id]
 	s := &station{
 		id: id, lay: lay,
-		threads:   threads,
-		engines:   make([]threadEngine, len(threads)),
-		queues:    make([]*pktq.Queue, len(threads)),
-		counters:  make([][]int64, lay.N),
-		curPhase:  -1,
-		pendingTx: -1,
+		threads:  threads,
+		reps:     make([]broadcast.Replica, len(threads)),
+		counters: make([][]int64, lay.N),
+		curPhase: -1,
 	}
 	for i, t := range threads {
-		if rrw {
-			s.engines[i] = rrwEngine{broadcast.NewRing(lay.members[t])}
-		} else {
-			s.engines[i] = newMBTFEngine(lay.members[t])
-		}
-		s.queues[i] = pktq.New(lay.N)
+		s.reps[i] = broadcast.NewReplica(kind, id, lay.members[t], lay.N)
 	}
 	return s
 }
@@ -256,7 +203,7 @@ func (s *station) allocate() {
 			}
 		}
 		cnt[best]++
-		s.queues[s.local(el[best])].Push(p)
+		s.reps[s.local(el[best])].Inject(p)
 	}
 	s.staging = s.staging[:0]
 }
@@ -268,7 +215,6 @@ func (s *station) Act(round int64) core.Action {
 		s.cursor = 0
 		s.allocate()
 	}
-	s.pendingTx = -1
 	t := s.lay.ActiveThread(round)
 	for s.cursor < len(s.threads) && s.threads[s.cursor] < t {
 		s.cursor++
@@ -276,70 +222,39 @@ func (s *station) Act(round int64) core.Action {
 	if s.cursor >= len(s.threads) || s.threads[s.cursor] != t {
 		return core.Off()
 	}
-	eng := s.engines[s.cursor]
-	if eng.Holder() != s.id {
-		return core.Listen()
-	}
-	q := s.queues[s.cursor]
-	front, ok := q.Front()
-	if !ok {
-		return core.Listen()
-	}
-	s.pendingTx = front.ID
-	return core.Transmit(mac.Message{HasPacket: true, Packet: front, Ctrl: eng.BigBit(q.Len())})
+	return s.reps[s.cursor].Act(round)
 }
 
 func (s *station) Observe(round int64, fb mac.Feedback) {
 	// Observe is only called for switched-on rounds, when Act left the
 	// cursor on the active thread.
-	eng := s.engines[s.cursor]
-	switch fb.Kind {
-	case mac.FbHeard:
-		if s.pendingTx >= 0 {
-			s.queues[s.cursor].Remove(s.pendingTx)
-			s.pendingTx = -1
-		}
-		eng.ObserveHeard(fb.Msg.Ctrl)
-	case mac.FbSilence:
-		eng.ObserveSilence()
-	}
+	s.reps[s.cursor].Observe(round, fb)
 }
 
 func (s *station) QueueLen() int {
 	total := len(s.staging)
-	for _, q := range s.queues {
-		total += q.Len()
+	for i := range s.reps {
+		total += s.reps[i].QueueLen()
 	}
 	return total
 }
 
-// Quiescent implements mac.Skipper: with nothing staged or queued, every
-// on-duty round finds an empty holder — the station listens and the only
-// engine transition is ObserveSilence.
+// Quiescent implements mac.Skipper: with nothing staged and every
+// thread's replica idle, every on-duty round finds an empty holder — the
+// station listens and the only transition is a token pass.
 func (s *station) Quiescent() bool {
-	if len(s.staging) != 0 || s.pendingTx >= 0 {
+	if len(s.staging) != 0 {
 		return false
 	}
-	for _, q := range s.queues {
-		if q.Len() != 0 {
+	for i := range s.reps {
+		if !s.reps[i].Idle() {
 			return false
 		}
 	}
 	return true
 }
 
-// countCongruent counts rounds r in [from, to) with r % mod == res.
-func countCongruent(from, to, mod, res int64) int64 {
-	f := func(x int64) int64 {
-		if x <= res {
-			return 0
-		}
-		return (x-res-1)/mod + 1
-	}
-	return f(to) - f(from)
-}
-
-// SkipIdle implements mac.Skipper: each membership's engine saw one
+// SkipIdle implements mac.Skipper: each thread's replica saw one
 // silence per round its thread was on duty, and curPhase/cursor take
 // their exact post-Act(to−1) values. The phase must NOT be left stale:
 // a wake-up round injects before it acts, and a stale phase would make
@@ -348,9 +263,7 @@ func countCongruent(from, to, mod, res int64) int64 {
 func (s *station) SkipIdle(from, to int64) {
 	g := int64(s.lay.Gamma)
 	for i, t := range s.threads {
-		if m := countCongruent(from, to, g, int64(t)); m > 0 {
-			s.engines[i].SkipSilences(m)
-		}
+		s.reps[i].SkipIdle(from, to, 1, g, int64(t))
 	}
 	s.curPhase = (to - 1) / g
 	t := int32((to - 1) % g)
@@ -362,21 +275,22 @@ func (s *station) SkipIdle(from, to int64) {
 
 func (s *station) AppendHeld(dst []mac.Packet) []mac.Packet {
 	dst = append(dst, s.staging...)
-	for _, q := range s.queues {
-		dst = q.AppendTo(dst)
+	for i := range s.reps {
+		dst = s.reps[i].AppendHeld(dst)
 	}
 	return dst
 }
 
-func build(n, k int, rrw bool) (*core.System, error) {
+func build(n, k int, kind broadcast.Kind) (*core.System, error) {
 	lay, err := NewLayout(n, k)
 	if err != nil {
 		return nil, err
 	}
 	stations := make([]core.Protocol, n)
 	for i := 0; i < n; i++ {
-		stations[i] = newStation(i, lay, rrw)
+		stations[i] = newStation(i, lay, kind)
 	}
+	rrw := kind == broadcast.RRW
 	name := fmt.Sprintf("%d-subsets", k)
 	if rrw {
 		name += "-rrw"
@@ -399,8 +313,8 @@ func build(n, k int, rrw bool) (*core.System, error) {
 
 // New builds the k-Subsets system with MBTF inside each thread — maximum
 // throughput k(k−1)/(n(n−1)), latency possibly unbounded.
-func New(n, k int) (*core.System, error) { return build(n, k, false) }
+func New(n, k int) (*core.System, error) { return build(n, k, broadcast.MBTF) }
 
 // NewRRW builds the plain-packet RRW variant — bounded latency for rates
 // strictly below k(k−1)/(n(n−1)).
-func NewRRW(n, k int) (*core.System, error) { return build(n, k, true) }
+func NewRRW(n, k int) (*core.System, error) { return build(n, k, broadcast.RRW) }

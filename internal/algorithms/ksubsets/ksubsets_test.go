@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"earmac/internal/adversary"
+	"earmac/internal/broadcast"
 	"earmac/internal/core"
 	"earmac/internal/mac"
 	"earmac/internal/metrics"
@@ -200,7 +201,7 @@ func TestBalancedAllocation(t *testing.T) {
 	// that (src, dest) pair differ by at most 1 (the paper's balance
 	// property).
 	lay, _ := NewLayout(6, 3)
-	s := newStation(0, lay, false)
+	s := newStation(0, lay, broadcast.MBTF)
 	for i := 0; i < 101; i++ {
 		s.Inject(pktFor(int64(i), 0, 4))
 	}
@@ -272,7 +273,7 @@ func TestLocalMatchesMembers(t *testing.T) {
 				t.Fatal(err)
 			}
 			for id := 0; id < n; id++ {
-				s := newStation(id, lay, false)
+				s := newStation(id, lay, broadcast.MBTF)
 				for i, th := range s.threads {
 					if got := s.local(th); got != i {
 						t.Errorf("n=%d k=%d station %d: local(%d) = %d, want %d", n, k, id, th, got, i)

@@ -36,7 +36,11 @@ func (lc *lightCounter) TraceRound(round int64, actions []core.Action, fb mac.Fe
 	seasonLen := int64(lc.n - 1)
 	if round%seasonLen == 0 {
 		// Season boundary: classify the season that starts now.
-		dense := lc.sys.TotalQueue() > lc.threshold
+		var queued int64
+		for _, st := range lc.sys.Stations {
+			queued += int64(st.QueueLen())
+		}
+		dense := queued > lc.threshold
 		if dense {
 			if !lc.inDense {
 				lc.currentLights = 0

@@ -6,68 +6,80 @@ import (
 
 	"earmac/internal/adversary"
 	"earmac/internal/core"
+	"earmac/internal/mac"
 	"earmac/internal/metrics"
 )
 
+var (
+	silence = mac.Feedback{Kind: mac.FbSilence}
+	heard   = mac.Feedback{Kind: mac.FbHeard, Msg: mac.PacketMsg(mac.Packet{})}
+)
+
+// heardBig is the feedback of an MBTF packet carrying the given big bit.
+func heardBig(big bool) mac.Feedback {
+	ctrl := mac.MakeControl(1)
+	ctrl.SetBit(0, big)
+	return mac.Feedback{Kind: mac.FbHeard, Msg: mac.Message{HasPacket: true, Ctrl: ctrl}}
+}
+
+func sameToken(a, b *Replica) bool {
+	ah, ap := a.Token()
+	bh, bp := b.Token()
+	return ah == bh && ap == bp
+}
+
 func TestRingTokenCycle(t *testing.T) {
-	r := NewRing([]int{4, 7, 9})
-	if r.Holder() != 4 || r.Phase() != 0 {
-		t.Fatalf("fresh ring: holder=%d phase=%d", r.Holder(), r.Phase())
+	r := newRing([]int{4, 7, 9})
+	if r.holder() != 4 || r.phase != 0 {
+		t.Fatalf("fresh ring: holder=%d phase=%d", r.holder(), r.phase)
 	}
-	// Heard keeps the token.
-	r.ObserveHeard()
-	if r.Holder() != 4 {
-		t.Error("heard moved the token")
+	// Three passes complete a phase.
+	for i, want := range []int{7, 9} {
+		r.pass()
+		if r.holder() != want || r.phase != 0 {
+			t.Errorf("after %d passes: holder=%d phase=%d, want %d in phase 0", i+1, r.holder(), r.phase, want)
+		}
 	}
-	// Three silences complete a phase.
-	if r.ObserveSilence() {
-		t.Error("phase ended after 1 silence")
-	}
-	if r.Holder() != 7 {
-		t.Errorf("holder = %d, want 7", r.Holder())
-	}
-	if r.ObserveSilence() {
-		t.Error("phase ended after 2 silences")
-	}
-	if !r.ObserveSilence() {
-		t.Error("phase did not end after full cycle")
-	}
-	if r.Phase() != 1 || r.Holder() != 4 {
-		t.Errorf("after cycle: phase=%d holder=%d", r.Phase(), r.Holder())
+	r.pass()
+	if r.phase != 1 || r.holder() != 4 {
+		t.Errorf("after cycle: phase=%d holder=%d", r.phase, r.holder())
 	}
 }
 
 func TestRingHeardDoesNotCountTowardPhase(t *testing.T) {
-	r := NewRing([]int{0, 1})
-	r.ObserveSilence()
-	r.ObserveHeard()
-	r.ObserveHeard()
-	if r.Phase() != 0 {
-		t.Error("heard rounds advanced the phase")
-	}
-	if !r.ObserveSilence() {
-		t.Error("second silence should end the phase")
+	for _, kind := range []Kind{RRW, OFRRW} {
+		r := NewReplica(kind, 0, []int{0, 1}, 2)
+		r.Observe(0, silence)
+		r.Observe(1, heard)
+		r.Observe(2, heard)
+		if h, ph := r.Token(); h != 1 || ph != 0 {
+			t.Errorf("kind %d: heard rounds moved the token: holder=%d phase=%d", kind, h, ph)
+		}
+		r.Observe(3, silence)
+		if _, ph := r.Token(); ph != 1 {
+			t.Errorf("kind %d: second silence should end the phase", kind)
+		}
 	}
 }
 
 func TestRingReplicaEquality(t *testing.T) {
-	a, b := NewRing([]int{0, 1, 2}), NewRing([]int{0, 1, 2})
+	members := []int{0, 1, 2}
+	a, b := NewReplica(OFRRW, 0, members, 3), NewReplica(OFRRW, 1, members, 3)
 	ops := []bool{true, false, true, true, false, true, true, true}
-	for _, silence := range ops {
-		if silence {
-			a.ObserveSilence()
-			b.ObserveSilence()
-		} else {
-			a.ObserveHeard()
-			b.ObserveHeard()
+	for r, quiet := range ops {
+		fb := heard
+		if quiet {
+			fb = silence
 		}
-		if !a.Equal(b) {
+		a.Observe(int64(r), fb)
+		b.Observe(int64(r), fb)
+		if !sameToken(&a, &b) {
 			t.Fatal("replicas diverged")
 		}
 	}
-	b.ObserveSilence()
-	if a.Equal(b) {
-		t.Error("Equal missed divergence")
+	b.Observe(int64(len(ops)), silence)
+	if sameToken(&a, &b) {
+		t.Error("token comparison missed divergence")
 	}
 }
 
@@ -77,23 +89,23 @@ func TestEmptyRingPanics(t *testing.T) {
 			t.Error("empty ring did not panic")
 		}
 	}()
-	NewRing(nil)
+	newRing(nil)
 }
 
-// TestPhaseTailMatchesTags drives PhaseTail through random pushes,
+// TestPhaseTailMatchesTags drives phaseTail through random pushes,
 // phase advances (single and skipped), front checks and old-front pops
-// (which PhaseTail is not told about), against a queue of per-packet
+// (which phaseTail is not told about), against a queue of per-packet
 // phase tags — the representation it replaces.
 func TestPhaseTailMatchesTags(t *testing.T) {
 	for seed := int64(0); seed < 2000; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		var tail PhaseTail
+		var tail phaseTail
 		var tags []int64 // the queue, front first: each packet's push phase
 		phase := int64(0)
 		for op := 0; op < 400; op++ {
 			switch rng.Intn(4) {
 			case 0:
-				tail.Pushed(phase)
+				tail.pushed(phase)
 				tags = append(tags, phase)
 			case 1:
 				if rng.Intn(4) == 0 {
@@ -106,8 +118,8 @@ func TestPhaseTailMatchesTags(t *testing.T) {
 					continue
 				}
 				want := tags[0] >= phase
-				if got := tail.FrontIsNew(phase, len(tags)); got != want {
-					t.Fatalf("seed %d op %d: FrontIsNew = %v, tags %v at phase %d", seed, op, got, tags, phase)
+				if got := tail.frontIsNew(phase, len(tags)); got != want {
+					t.Fatalf("seed %d op %d: frontIsNew = %v, tags %v at phase %d", seed, op, got, tags, phase)
 				}
 				if !want {
 					tags = tags[1:]
@@ -117,42 +129,112 @@ func TestPhaseTailMatchesTags(t *testing.T) {
 	}
 }
 
+// TestSkipIdleMatchesSilences: SkipIdle over [from, to) leaves every
+// protocol's replica with the token of one given a silence in each of
+// its on-duty rounds there, for one-round activations (k-Clique,
+// k-Subsets: every = 1) and δ-round ones (k-Cycle: every > 1), over
+// ranges from 0, inside one activation, across whole cycles, empty, and
+// drawn at random, from a fresh token and a moved one.
+func TestSkipIdleMatchesSilences(t *testing.T) {
+	members := []int{3, 1, 4, 6, 8}
+	const period = 4
+	rng := rand.New(rand.NewSource(1))
+	for _, kind := range []Kind{RRW, OFRRW, MBTF} {
+		for _, every := range []int64{1, 7} {
+			cycle := every * period
+			for slot := int64(0); slot < period; slot++ {
+				on := slot * every // the slot's first on-duty round
+				ranges := [][2]int64{
+					{0, 0}, {0, 1}, {0, on + 1}, {0, cycle}, {0, 3*cycle + 2},
+					{on, on + every}, {on + every/2, on + every}, {on + 1, on + 1},
+					{cycle, 4 * cycle}, {2*cycle - 1, 7*cycle + 3}, {on + 1, 5*cycle + on},
+				}
+				for range 20 {
+					from := rng.Int63n(10 * cycle)
+					ranges = append(ranges, [2]int64{from, from + rng.Int63n(10*cycle)})
+				}
+				for _, rg := range ranges {
+					for _, moved := range []int{0, 3} {
+						skip := NewReplica(kind, 3, members, 9)
+						step := NewReplica(kind, 3, members, 9)
+						for range moved {
+							skip.Observe(0, silence)
+							step.Observe(0, silence)
+						}
+						from, to := rg[0], rg[1]
+						skip.SkipIdle(from, to, every, period, slot)
+						for r := from; r < to; r++ {
+							if (r/every)%period == slot {
+								step.Observe(r, silence)
+							}
+						}
+						if !sameToken(&skip, &step) {
+							sh, sp := skip.Token()
+							wh, wp := step.Token()
+							t.Fatalf("kind %d every %d slot %d [%d, %d) moved %d: SkipIdle token (%d, %d), stepped (%d, %d)",
+								kind, every, slot, from, to, moved, sh, sp, wh, wp)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestMBTFRetainWhileBig(t *testing.T) {
-	m := NewMBTF([]int{0, 1, 2, 3})
-	if m.Threshold() != 4 {
-		t.Errorf("threshold = %d", m.Threshold())
+	m := NewReplica(MBTF, 0, []int{0, 1, 2, 3}, 4)
+	holder := func() int { h, _ := m.Token(); return h }
+	m.Observe(0, silence) // token → 1
+	m.Observe(1, silence) // token → 2
+	if holder() != 2 {
+		t.Fatalf("holder = %d", holder())
 	}
-	m.ObserveSilence() // token → 1
-	m.ObserveSilence() // token → 2
-	if m.Holder() != 2 {
-		t.Fatalf("holder = %d", m.Holder())
-	}
-	m.ObserveHeard(true) // 2 announces big: retains the token
-	if m.Holder() != 2 {
+	m.Observe(2, heardBig(true)) // 2 announces big: retains the token
+	if holder() != 2 {
 		t.Error("big holder lost the token")
 	}
-	m.ObserveHeard(true)
-	if m.Holder() != 2 {
+	m.Observe(3, heardBig(true))
+	if holder() != 2 {
 		t.Error("big holder lost the token on second big round")
 	}
-	m.ObserveHeard(false) // no longer big: token passes with the message
-	if m.Holder() != 3 {
-		t.Errorf("after big drained, holder = %d, want 3", m.Holder())
+	m.Observe(4, heardBig(false)) // no longer big: token passes with the message
+	if holder() != 3 {
+		t.Errorf("after big drained, holder = %d, want 3", holder())
 	}
-	m.ObserveSilence() // wraps
-	if m.Holder() != 0 {
-		t.Errorf("holder = %d, want 0", m.Holder())
+	m.Observe(5, silence) // wraps
+	if holder() != 0 {
+		t.Errorf("holder = %d, want 0", holder())
+	}
+}
+
+// TestMBTFBigBitAtThreshold: a holder's big bit is set exactly when its
+// queue holds at least as many packets as the instance has members.
+func TestMBTFBigBitAtThreshold(t *testing.T) {
+	m := NewReplica(MBTF, 0, []int{0, 1, 2}, 3)
+	for i := 0; i < 4; i++ {
+		m.Inject(mac.Packet{ID: int64(i), Dest: 1})
+	}
+	for i, want := range []bool{true, true, false} {
+		a := m.Act(int64(i))
+		if !a.Transmit || a.Msg.Packet.ID != int64(i) || a.Msg.Ctrl.Bit(0) != want {
+			t.Fatalf("round %d: action %+v, want packet %d with big=%v", i, a, i, want)
+		}
+		m.Observe(int64(i), heardBig(want))
+	}
+	if h, _ := m.Token(); h != 1 || m.QueueLen() != 1 {
+		t.Errorf("holder %d with %d queued, want the token passed on with the first small packet", h, m.QueueLen())
 	}
 }
 
 func TestMBTFNonBigHeardPassesToken(t *testing.T) {
-	a, b := NewMBTF([]int{0, 1, 2}), NewMBTF([]int{0, 1, 2})
-	a.ObserveHeard(false)
-	b.ObserveHeard(false)
-	if !a.Equal(b) {
+	members := []int{0, 1, 2}
+	a, b := NewReplica(MBTF, 0, members, 3), NewReplica(MBTF, 2, members, 3)
+	a.Observe(0, heardBig(false))
+	b.Observe(0, heardBig(false))
+	if !sameToken(&a, &b) {
 		t.Error("replicas diverged")
 	}
-	if a.Holder() != 1 {
+	if h, _ := a.Token(); h != 1 {
 		t.Error("non-big transmission should pass the token")
 	}
 }
@@ -163,7 +245,7 @@ func TestMBTFEmptyPanics(t *testing.T) {
 			t.Error("empty MBTF did not panic")
 		}
 	}()
-	NewMBTF(nil)
+	NewReplica(MBTF, 0, nil, 0)
 }
 
 // run drives a standalone system with the given adversary for rounds,
@@ -301,8 +383,8 @@ func TestMaxQueueAdversaryVsMBTF(t *testing.T) {
 }
 
 func TestBroadcastReplicasStayConsistent(t *testing.T) {
-	// White-box: drive an MBTF system and check all stations' machines
-	// agree after every round.
+	// White-box: drive an MBTF system and check all stations' replicas
+	// agree on the token after every round.
 	n := 5
 	sys := NewMBTFSystem(n)
 	adv := adversary.New(adversary.T(1, 1, 3), adversary.Uniform(n, 9))
@@ -311,9 +393,9 @@ func TestBroadcastReplicasStayConsistent(t *testing.T) {
 		if err := sim.Step(); err != nil {
 			t.Fatal(err)
 		}
-		ref := sys.Stations[0].(*mbtfStation).m
+		ref := sys.Stations[0].(*Replica)
 		for i := 1; i < n; i++ {
-			if !sys.Stations[i].(*mbtfStation).m.Equal(ref) {
+			if !sameToken(sys.Stations[i].(*Replica), ref) {
 				t.Fatalf("round %d: MBTF replica %d diverged", r, i)
 			}
 		}
@@ -329,9 +411,9 @@ func TestOFRRWReplicasStayConsistent(t *testing.T) {
 		if err := sim.Step(); err != nil {
 			t.Fatal(err)
 		}
-		ref := sys.Stations[0].(*rrwStation).ring
+		ref := sys.Stations[0].(*Replica)
 		for i := 1; i < n; i++ {
-			if !sys.Stations[i].(*rrwStation).ring.Equal(ref) {
+			if !sameToken(sys.Stations[i].(*Replica), ref) {
 				t.Fatalf("round %d: ring replica %d diverged", r, i)
 			}
 		}

@@ -129,15 +129,6 @@ type Awaker interface {
 // N returns the number of stations.
 func (s *System) N() int { return len(s.Stations) }
 
-// TotalQueue sums the stations' queue lengths.
-func (s *System) TotalQueue() int64 {
-	var total int64
-	for _, st := range s.Stations {
-		total += int64(st.QueueLen())
-	}
-	return total
-}
-
 // Injection is an adversary's decision to inject one packet into Station
 // addressed to Dest.
 type Injection struct {

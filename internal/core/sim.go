@@ -612,12 +612,3 @@ func (s *Sim) CheckConservation() error {
 	}
 	return nil
 }
-
-// LivePackets returns the number of injected-but-undelivered packets
-// (available only with conservation tracking).
-func (s *Sim) LivePackets() int {
-	if s.ledger == nil {
-		return 0
-	}
-	return s.ledger.ring.Live()
-}

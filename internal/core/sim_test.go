@@ -346,8 +346,8 @@ func TestConservationCleanRun(t *testing.T) {
 	if err := s.Run(2); err != nil {
 		t.Fatal(err)
 	}
-	if s.LivePackets() != 0 {
-		t.Errorf("LivePackets = %d after delivery", s.LivePackets())
+	if live := s.ledger.ring.Live(); live != 0 {
+		t.Errorf("%d packets live after delivery", live)
 	}
 }
 

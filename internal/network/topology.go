@@ -30,6 +30,7 @@ package network
 
 import (
 	"fmt"
+	"slices"
 
 	"earmac/internal/registry"
 )
@@ -250,7 +251,7 @@ func Compile(s Spec) (*Topology, error) {
 	for c := range t.adj {
 		// Edge lists are generated (or validated) duplicate-free; sort
 		// ascending so routing ties break toward lower channel ids.
-		sortInts(t.adj[c])
+		slices.Sort(t.adj[c])
 		t.gw[c] = gwFlat[c*C : (c+1)*C : (c+1)*C]
 		for i, d := range t.adj[c] {
 			t.gw[c][d] = int32(i % s.N)
@@ -291,14 +292,6 @@ func Compile(s Spec) (*Topology, error) {
 		t.next[src] = nh
 	}
 	return t, nil
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }
 
 // Channels returns the number of channels.
