@@ -371,6 +371,38 @@ func TestCLIRejectsBadRates(t *testing.T) {
 	}
 }
 
+// TestCLISimRejectedRunKeepsRecord: an earmac-sim invocation rejected
+// before it runs (a bad rate, an unknown algorithm, a profile it cannot
+// write) exits 2 and leaves an existing -record file as it was; the
+// file used to be truncated before the checks.
+func TestCLISimRejectedRunKeepsRecord(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the CLI binary")
+	}
+	dir := t.TempDir()
+	runCLI(t, "build", "-o", dir, "./cmd/earmac-sim")
+	rec := filepath.Join(dir, "run.trace.jsonl")
+	want := []byte(`{"earmac_trace":3}` + "\n")
+	for _, args := range [][]string{
+		{"-rho", "5/2"},
+		{"-alg", "wat"},
+		{"-rounds", "10", "-cpuprofile", filepath.Join(dir, "no", "such", "dir", "cpu.prof")},
+	} {
+		if err := os.WriteFile(rec, want, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cmd := exec.Command(filepath.Join(dir, "earmac-sim"), append(args, "-record", rec)...)
+		err := cmd.Run()
+		var exitErr *exec.ExitError
+		if !errors.As(err, &exitErr) || exitErr.ExitCode() != 2 {
+			t.Errorf("%v: err %v, want exit status 2", args, err)
+		}
+		if got, err := os.ReadFile(rec); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%v: record file now %q (%v), want it unchanged", args, got, err)
+		}
+	}
+}
+
 // TestCLIAuditRejectsMalformedHeader: earmac-trace audit reads a
 // trace's header config as earmac-sim -replay does, so a header config
 // that does not validate (a bucket overflowing int64 among them), or

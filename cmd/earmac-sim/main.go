@@ -168,15 +168,6 @@ func main() {
 	if *checked {
 		cfg.ForceChecked = true
 	}
-	var recordFile *os.File
-	if *record != "" {
-		f, err := os.Create(*record)
-		if err != nil {
-			usage(err)
-		}
-		recordFile = f
-		cfg.RecordTo = f
-	}
 	if *traceN > 0 {
 		cfg.Trace = os.Stderr
 		cfg.TraceFrom = *traceAt
@@ -195,6 +186,16 @@ func main() {
 	ps, err := prof.Start(*cpuProf, *memProf)
 	if err != nil {
 		usage(err)
+	}
+	// The record file is created only once the run will start, so a
+	// rejected invocation leaves an existing trace as it was.
+	var recordFile *os.File
+	if *record != "" {
+		if recordFile, err = os.Create(*record); err != nil {
+			ps.Stop()
+			usage(err)
+		}
+		cfg.RecordTo = recordFile
 	}
 
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)

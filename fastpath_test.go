@@ -216,8 +216,9 @@ func TestFastPathZeroAllocsReplay(t *testing.T) {
 // strict, conservation-checked loop that expt.Run and earmac.Run use:
 // the per-round ledger bookkeeping and the periodic CheckConservation
 // (AppendHeld into one reused buffer, holder counts in the ledger's
-// ring) must not touch the allocator once warm. The window spans 20
-// checks.
+// ring) and the schedule scan (each round's on-set, from a roster or
+// from aloha's cached shuffle, into one reused buffer) must not touch
+// the allocator once warm. The window spans 20 checks.
 func TestCheckedConservationZeroAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("steady-state warmup is long")
@@ -233,6 +234,8 @@ func TestCheckedConservationZeroAllocs(t *testing.T) {
 		{"3-cycle-n7-rho1/4", func() (*core.System, error) { return kcycle.New(7, 3) }, adversary.T(1, 4, 2), 108},
 		{"4-clique-n8-rho1/12", func() (*core.System, error) { return kclique.New(8, 4) }, adversary.T(1, 12, 2), 109},
 		{"3-subsets-rrw-n6-rho1/10", func() (*core.System, error) { return ksubsets.NewRRW(6, 3) }, adversary.T(1, 10, 2), 110},
+		{"3-subsets-n6-rho1/10", func() (*core.System, error) { return ksubsets.New(6, 3) }, adversary.T(1, 10, 2), 111},
+		{"4-aloha-n8-rho1/40", func() (*core.System, error) { return randmac.New(8, 4) }, adversary.T(1, 40, 2), 112},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -3,6 +3,7 @@ package adversary
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -273,12 +274,30 @@ func TestLeastPairTargetsMinPair(t *testing.T) {
 	}
 }
 
+// TestCriticalRates: the lower-bound adversaries aim at the rates of
+// Theorems 6 and 9. Over a schedule in which every k-subset of the n
+// stations takes one round in turn, double counting puts the least-on
+// station (LeastOn's target) on in exactly k/n of the rounds and the
+// least co-scheduled pair (LeastPair's) on together in exactly
+// k(k−1)/(n(n−1)) of them.
 func TestCriticalRates(t *testing.T) {
-	if got := CriticalObliviousRate(3, 12); got.Cmp(ratio.New(1, 4)) != 0 {
-		t.Errorf("CriticalObliviousRate(3,12) = %v", got)
+	const n, k = 6, 3
+	var subsets [][]int
+	for a := 0; a < n; a++ {
+		for b := a + 1; b < n; b++ {
+			for c := b + 1; c < n; c++ {
+				subsets = append(subsets, []int{a, b, c})
+			}
+		}
 	}
-	if got := CriticalDirectRate(3, 6); got.Cmp(ratio.New(6, 30)) != 0 {
-		t.Errorf("CriticalDirectRate(3,6) = %v", got)
+	s := sched.Func{N: n, P: int64(len(subsets)), F: func(st int, round int64) bool {
+		return slices.Contains(subsets[round], st)
+	}}
+	if _, on := sched.MinOnStation(s); ratio.New(on, s.P).Cmp(ratio.New(k, n)) != 0 {
+		t.Errorf("least-on station on in %d of %d rounds, want k/n = %d/%d", on, s.P, k, n)
+	}
+	if _, _, co := sched.MinOnPair(s); ratio.New(co, s.P).Cmp(ratio.New(k*(k-1), n*(n-1))) != 0 {
+		t.Errorf("least pair on together in %d of %d rounds, want k(k−1)/(n(n−1)) = %d/%d", co, s.P, k*(k-1), n*(n-1))
 	}
 }
 

@@ -2,7 +2,6 @@ package adversary
 
 import (
 	"earmac/internal/core"
-	"earmac/internal/ratio"
 	"earmac/internal/sched"
 )
 
@@ -26,10 +25,6 @@ func LeastOn(s sched.Schedule, typ Type) *Adv {
 	}))
 }
 
-// CriticalObliviousRate returns k/n — the throughput ceiling for
-// k-energy-oblivious algorithms (Theorem 6).
-func CriticalObliviousRate(k, n int) ratio.Rat { return ratio.New(int64(k), int64(n)) }
-
 // LeastPair is the Theorem 9 adversary for direct-routing k-oblivious
 // algorithms: some ordered pair (w, z) is on together for at most
 // k(k−1)/(n(n−1))·t rounds per window of t; direct delivery of a w→z
@@ -38,12 +33,6 @@ func CriticalObliviousRate(k, n int) ratio.Rat { return ratio.New(int64(k), int6
 func LeastPair(s sched.Schedule, typ Type) *Adv {
 	w, z, _ := sched.MinOnPair(s)
 	return New(typ, SingleTarget(w, z))
-}
-
-// CriticalDirectRate returns k(k−1)/(n(n−1)) — the throughput ceiling for
-// direct-routing k-oblivious algorithms (Theorems 8 and 9).
-func CriticalDirectRate(k, n int) ratio.Rat {
-	return ratio.New(int64(k)*int64(k-1), int64(n)*int64(n-1))
 }
 
 // Lemma1 is an adaptive realization of the Theorem 2 construction: no

@@ -5,10 +5,11 @@
 // The stations are partitioned into 2n/k disjoint half-sets of size k/2;
 // every unordered pair of half-sets forms a clique of k stations. The
 // pairs are arranged in a fixed cycle and take turns being active for one
-// round each — all k members on, a fixed schedule, hence oblivious.
-// Within a pair, OF-RRW runs, each member keeping a broadcast.Replica of
-// it: the token holder transmits its old packets assigned to this pair;
-// the destination of an assigned packet always belongs to the pair, so
+// round each — all k members on, a fixed schedule (a broadcast.Roster of
+// the pairs), hence oblivious. Within a pair, OF-RRW runs, each member
+// keeping a broadcast.Replica of it in its broadcast.Seat: the token
+// holder transmits its old packets assigned to this pair; the
+// destination of an assigned packet always belongs to the pair, so
 // every heard packet is consumed immediately — routing is direct, no
 // relays.
 //
@@ -18,12 +19,10 @@ package kclique
 
 import (
 	"fmt"
-	"slices"
 
 	"earmac/internal/broadcast"
 	"earmac/internal/core"
 	"earmac/internal/mac"
-	"earmac/internal/sched"
 )
 
 // Layout is the static half-set / pair structure.
@@ -33,10 +32,8 @@ type Layout struct {
 	Sets     int // 2n/k half-sets
 	NumPairs int
 
-	pairIndex [][]int // set a, set b → pair index (a < b)
-	pairs     [][2]int
-	members   [][]int // pair → sorted stations
-	pairsOf   [][]int // station → pair indices containing it
+	pairIndex [][]int           // set a, set b → pair index (a < b)
+	roster    *broadcast.Roster // the pairs, each on duty one round per turn
 }
 
 // FeasibleK returns the largest k' ≤ k that is even, divides 2n, and
@@ -66,7 +63,6 @@ func NewLayout(n, k int) (*Layout, error) {
 	lay := &Layout{
 		N: n, K: ek, Sets: c,
 		pairIndex: make([][]int, c),
-		pairsOf:   make([][]int, n),
 	}
 	for a := 0; a < c; a++ {
 		lay.pairIndex[a] = make([]int, c)
@@ -75,12 +71,11 @@ func NewLayout(n, k int) (*Layout, error) {
 		}
 	}
 	half := ek / 2
+	var pairs [][]int
 	for a := 0; a < c; a++ {
 		for b := a + 1; b < c; b++ {
-			idx := len(lay.pairs)
-			lay.pairIndex[a][b] = idx
-			lay.pairIndex[b][a] = idx
-			lay.pairs = append(lay.pairs, [2]int{a, b})
+			lay.pairIndex[a][b] = len(pairs)
+			lay.pairIndex[b][a] = len(pairs)
 			m := make([]int, 0, ek)
 			for s := a * half; s < (a+1)*half; s++ {
 				m = append(m, s)
@@ -88,30 +83,16 @@ func NewLayout(n, k int) (*Layout, error) {
 			for s := b * half; s < (b+1)*half; s++ {
 				m = append(m, s)
 			}
-			lay.members = append(lay.members, m)
-			for _, s := range m {
-				lay.pairsOf[s] = append(lay.pairsOf[s], idx)
-			}
+			pairs = append(pairs, m)
 		}
 	}
-	lay.NumPairs = len(lay.pairs)
+	lay.NumPairs = len(pairs)
+	lay.roster = broadcast.NewRoster(n, 1, pairs)
 	return lay, nil
 }
 
 // SetOf returns the half-set of a station.
 func (l *Layout) SetOf(s int) int { return s / (l.K / 2) }
-
-// inPair reports whether station st belongs to pair p: its half-set is
-// one of the pair's two.
-func (l *Layout) inPair(p, st int) bool {
-	set := l.SetOf(st)
-	return set == l.pairs[p][0] || set == l.pairs[p][1]
-}
-
-// ActivePair returns the pair switched on in the given round.
-func (l *Layout) ActivePair(round int64) int {
-	return int(round % int64(l.NumPairs))
-}
 
 // PairFor returns the pair a packet src→dest is assigned to: the unique
 // pair of both endpoints' half-sets, or — when the endpoints share a
@@ -124,107 +105,21 @@ func (l *Layout) PairFor(src, dest int) int {
 	return l.pairIndex[a][b]
 }
 
-// Schedule returns the oblivious on/off schedule (period = #pairs).
-func (l *Layout) Schedule() sched.Schedule {
-	return sched.Func{
-		N: l.N,
-		P: int64(l.NumPairs),
-		F: func(st int, round int64) bool {
-			return l.inPair(l.ActivePair(round), st)
-		},
-	}
-}
-
+// station is one k-Clique station: its seat holds an OF-RRW replica per
+// pair it belongs to, and the station assigns each injection its pair.
 type station struct {
+	broadcast.Seat
 	id  int
 	lay *Layout
-
-	// Pair-local state in membership order (pairs = lay.pairsOf[id],
-	// sorted ascending). Pairs activate in index order, so a cursor into
-	// the sorted membership list replaces a per-round map lookup.
-	pairs  []int
-	reps   []broadcast.Replica // one OF-RRW replica per pair membership
-	cursor int
-	cycle  int64
 }
 
-func newStation(id int, lay *Layout) *station {
-	pairs := lay.pairsOf[id]
-	s := &station{id: id, lay: lay, pairs: pairs, reps: make([]broadcast.Replica, len(pairs)), cycle: -1}
-	for i, p := range pairs {
-		s.reps[i] = broadcast.NewReplica(broadcast.OFRRW, id, lay.members[p], lay.N)
-	}
-	return s
-}
-
-// local returns the membership index of pair p, which must contain the
-// station: a binary search of the sorted membership list.
-func (s *station) local(p int) int {
-	i, _ := slices.BinarySearch(s.pairs, p)
-	return i
-}
-
-func (s *station) Inject(p mac.Packet) {
-	s.reps[s.local(s.lay.PairFor(s.id, p.Dest))].Inject(p)
-}
+func (s *station) Inject(p mac.Packet) { s.Replica(s.lay.PairFor(s.id, p.Dest)).Inject(p) }
 
 func (s *station) Act(round int64) core.Action {
-	cycle := round / int64(s.lay.NumPairs)
-	if cycle != s.cycle {
-		s.cycle = cycle
-		s.cursor = 0
+	if r := s.Duty(round); r != nil {
+		return r.Act(round)
 	}
-	pair := s.lay.ActivePair(round)
-	for s.cursor < len(s.pairs) && s.pairs[s.cursor] < pair {
-		s.cursor++
-	}
-	if s.cursor >= len(s.pairs) || s.pairs[s.cursor] != pair {
-		return core.Off()
-	}
-	return s.reps[s.cursor].Act(round)
-}
-
-func (s *station) Observe(round int64, fb mac.Feedback) {
-	// Only called for switched-on rounds: Act left the cursor on the
-	// active pair.
-	s.reps[s.cursor].Observe(round, fb)
-}
-
-func (s *station) QueueLen() int {
-	total := 0
-	for i := range s.reps {
-		total += s.reps[i].QueueLen()
-	}
-	return total
-}
-
-// Quiescent implements mac.Skipper: with every pair's replica idle, each
-// on-duty round ends in silence and the only transition is a token pass
-// in the active pair.
-func (s *station) Quiescent() bool {
-	for i := range s.reps {
-		if !s.reps[i].Idle() {
-			return false
-		}
-	}
-	return true
-}
-
-// SkipIdle implements mac.Skipper: each pair's replica saw one silence
-// per round its pair was active. cycle and the cursor are left stale —
-// Act self-corrects exactly as after a long off stretch: a cycle change
-// resets the cursor, a same-cycle wake-up resumes the monotone scan.
-func (s *station) SkipIdle(from, to int64) {
-	for i, p := range s.pairs {
-		s.reps[i].SkipIdle(from, to, 1, int64(s.lay.NumPairs), int64(p))
-	}
-}
-
-func (s *station) AppendHeld(dst []mac.Packet) []mac.Packet {
-	for i := range s.reps {
-		dst = s.reps[i].AppendHeld(dst)
-	}
-	return dst
+	return core.Off()
 }
 
 // New builds a k-Clique system for n ≥ 3 stations under energy cap k.
@@ -235,9 +130,10 @@ func New(n, k int) (*core.System, error) {
 	if err != nil {
 		return nil, err
 	}
+	seats := lay.roster.Seats(broadcast.OFRRW)
 	stations := make([]core.Protocol, n)
-	for i := 0; i < n; i++ {
-		stations[i] = newStation(i, lay)
+	for i := range stations {
+		stations[i] = &station{Seat: seats[i], id: i, lay: lay}
 	}
 	return &core.System{
 		Info: core.AlgorithmInfo{
@@ -248,8 +144,8 @@ func New(n, k int) (*core.System, error) {
 			Oblivious:   true,
 		},
 		Stations: stations,
-		Schedule: lay.Schedule(),
+		Schedule: lay.roster,
 		// Idle rounds: the k members of the active pair listen in silence.
-		Idle: core.ConstIdle{Energy: lay.K},
+		Idle: lay.roster.Idle(),
 	}, nil
 }

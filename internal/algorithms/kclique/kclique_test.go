@@ -41,14 +41,15 @@ func TestLayoutStructure(t *testing.T) {
 		t.Errorf("SetOf(5) = %d", lay.SetOf(5))
 	}
 	// Every pair has exactly k members and every station is in Sets−1 pairs.
-	for p, m := range lay.members {
-		if len(m) != 4 {
+	counts := sched.OnCounts(lay.roster)
+	for p := 0; p < lay.NumPairs; p++ {
+		if m := lay.roster.Members(p); len(m) != 4 {
 			t.Errorf("pair %d has %d members", p, len(m))
 		}
 	}
-	for s := 0; s < 8; s++ {
-		if len(lay.pairsOf[s]) != 3 {
-			t.Errorf("station %d in %d pairs, want 3", s, len(lay.pairsOf[s]))
+	for s, c := range counts {
+		if c != 3 {
+			t.Errorf("station %d in %d pairs, want 3", s, c)
 		}
 	}
 }
@@ -58,7 +59,7 @@ func TestPairForAssignsBothEndpoints(t *testing.T) {
 	for src := 0; src < 8; src++ {
 		for dest := 0; dest < 8; dest++ {
 			p := lay.PairFor(src, dest)
-			if !lay.inPair(p, src) || !lay.inPair(p, dest) {
+			if m := lay.roster.Members(p); !slices.Contains(m, src) || !slices.Contains(m, dest) {
 				t.Errorf("pair %d for %d→%d misses an endpoint", p, src, dest)
 			}
 		}
@@ -71,10 +72,10 @@ func TestScheduleRespectsCap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sched.Validate(lay.Schedule(), lay.K); err != nil {
+		if err := sched.Validate(lay.roster, lay.K); err != nil {
 			t.Errorf("n=%d k=%d: %v", tc.n, tc.k, err)
 		}
-		if got := sched.MaxSimultaneous(lay.Schedule()); got != lay.K {
+		if got := sched.MaxSimultaneous(lay.roster); got != lay.K {
 			t.Errorf("n=%d k=%d: max on %d, want %d", tc.n, tc.k, got, lay.K)
 		}
 	}
@@ -205,11 +206,12 @@ func TestReplicaRingsConsistent(t *testing.T) {
 			t.Fatal(err)
 		}
 		for p := 0; p < lay.NumPairs; p++ {
-			first := sys.Stations[lay.members[p][0]].(*station)
-			holder, phase := first.reps[first.local(p)].Token()
-			for _, m := range lay.members[p][1:] {
+			members := lay.roster.Members(p)
+			first := sys.Stations[members[0]].(*station)
+			holder, phase := first.Replica(p).Token()
+			for _, m := range members[1:] {
 				st := sys.Stations[m].(*station)
-				if h, ph := st.reps[st.local(p)].Token(); h != holder || ph != phase {
+				if h, ph := st.Replica(p).Token(); h != holder || ph != phase {
 					t.Fatalf("round %d: replicas for pair %d diverged", r, p)
 				}
 			}
@@ -226,47 +228,21 @@ func TestInfeasibleConfigRejected(t *testing.T) {
 	}
 }
 
-// TestInPairMatchesMembers: the half-set test agrees with the member
-// lists for every pair and station.
-func TestInPairMatchesMembers(t *testing.T) {
+// TestRoutesStayInsideSeat: the pair PairFor assigns holds both
+// endpoints, for every feasible layout up to n = 24, so the source's
+// Seat.Replica always finds the pair's replica.
+func TestRoutesStayInsideSeat(t *testing.T) {
 	for n := 3; n <= 24; n++ {
 		for k := 2; k <= n; k++ {
 			lay, err := NewLayout(n, k)
 			if err != nil {
 				continue // no feasible k
 			}
-			for p := 0; p < lay.NumPairs; p++ {
-				for st := 0; st < n; st++ {
-					if got, want := lay.inPair(p, st), slices.Contains(lay.members[p], st); got != want {
-						t.Errorf("n=%d k=%d: inPair(%d, %d) = %v, members %v", n, k, p, st, got, lay.members[p])
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestLocalMatchesMembers: a station's binary-search lookup of a pair
-// finds that pair's slot in its membership list, for every pair it
-// belongs to and every destination Inject routes through.
-func TestLocalMatchesMembers(t *testing.T) {
-	for n := 3; n <= 24; n++ {
-		for k := 2; k <= n; k++ {
-			lay, err := NewLayout(n, k)
-			if err != nil {
-				continue // no feasible k
-			}
-			for id := 0; id < n; id++ {
-				s := newStation(id, lay)
-				for i, p := range s.pairs {
-					if got := s.local(p); got != i {
-						t.Errorf("n=%d k=%d station %d: local(%d) = %d, want %d", n, k, id, p, got, i)
-					}
-				}
+			for src := 0; src < n; src++ {
 				for dest := 0; dest < n; dest++ {
-					p := lay.PairFor(id, dest)
-					if got := s.local(p); got >= len(s.pairs) || s.pairs[got] != p {
-						t.Errorf("n=%d k=%d station %d: local(%d) = %d for dest %d, pairs %v", n, k, id, p, got, dest, s.pairs)
+					p := lay.PairFor(src, dest)
+					if m := lay.roster.Members(p); !slices.Contains(m, src) || !slices.Contains(m, dest) {
+						t.Errorf("n=%d k=%d: PairFor(%d, %d) = %d, members %v", n, k, src, dest, p, m)
 					}
 				}
 			}

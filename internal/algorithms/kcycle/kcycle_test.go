@@ -39,7 +39,7 @@ func TestLayoutSmall(t *testing.T) {
 	}
 	wantMembers := [][]int{{0, 1, 2}, {2, 3, 4}, {4, 5, 6}, {0, 6}}
 	for g, want := range wantMembers {
-		got := lay.members[g]
+		got := lay.roster.Members(g)
 		if len(got) != len(want) {
 			t.Fatalf("group %d = %v, want %v", g, got, want)
 		}
@@ -70,10 +70,11 @@ func TestLayoutCoversAllStationsEveryK(t *testing.T) {
 			}
 			covered := make([]bool, n)
 			for g := 0; g < lay.L; g++ {
-				if len(lay.members[g]) > lay.K {
-					t.Errorf("n=%d k=%d: group %d has %d members > effective k %d", n, k, g, len(lay.members[g]), lay.K)
+				members := lay.roster.Members(g)
+				if len(members) > lay.K {
+					t.Errorf("n=%d k=%d: group %d has %d members > effective k %d", n, k, g, len(members), lay.K)
 				}
-				for _, s := range lay.members[g] {
+				for _, s := range members {
 					covered[s] = true
 				}
 				// Consecutive groups share their connector.
@@ -98,10 +99,10 @@ func TestScheduleRespectsCap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sched.Validate(lay.Schedule(), lay.K); err != nil {
+		if err := sched.Validate(lay.roster, lay.K); err != nil {
 			t.Errorf("n=%d k=%d: %v", tc.n, tc.k, err)
 		}
-		if got := sched.MaxSimultaneous(lay.Schedule()); got != lay.K {
+		if got := sched.MaxSimultaneous(lay.roster); got != lay.K {
 			t.Errorf("n=%d k=%d: max simultaneous %d, want %d", tc.n, tc.k, got, lay.K)
 		}
 	}
@@ -310,11 +311,12 @@ func TestReplicaRingsConsistent(t *testing.T) {
 		}
 		// All members of each group agree on that group's token.
 		for g := 0; g < lay.L; g++ {
-			first := sys.Stations[lay.members[g][0]].(*station)
-			holder, phase := first.reps[first.local(g)].Token()
-			for _, m := range lay.members[g][1:] {
+			members := lay.roster.Members(g)
+			first := sys.Stations[members[0]].(*station)
+			holder, phase := first.Replica(g).Token()
+			for _, m := range members[1:] {
 				st := sys.Stations[m].(*station)
-				if h, ph := st.reps[st.local(g)].Token(); h != holder || ph != phase {
+				if h, ph := st.Replica(g).Token(); h != holder || ph != phase {
 					t.Fatalf("round %d: replicas for group %d diverged", r, g)
 				}
 			}
@@ -333,9 +335,93 @@ func TestInGroupMatchesMembers(t *testing.T) {
 			}
 			for g := 0; g < lay.L; g++ {
 				for st := 0; st < n; st++ {
-					if got, want := lay.inGroup(g, st), slices.Contains(lay.members[g], st); got != want {
-						t.Errorf("n=%d k=%d: inGroup(%d, %d) = %v, members %v", n, k, g, st, got, lay.members[g])
+					if got, want := lay.inGroup(g, st), slices.Contains(lay.roster.Members(g), st); got != want {
+						t.Errorf("n=%d k=%d: inGroup(%d, %d) = %v, members %v", n, k, g, st, got, lay.roster.Members(g))
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestIdleProfile: the roster's idle profile is constant exactly when
+// every group has one size (n=6, k=3: three groups of three), and
+// otherwise lists, for one rotation of δ·ℓ rounds from any round, the
+// size of the group on duty (n=7, k=3: the wrapping fourth group has
+// two members).
+func TestIdleProfile(t *testing.T) {
+	even, err := NewLayout(6, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e, ok := core.IdleConstOf(even.roster.Idle()); !ok || e != (core.IdleRound{Energy: 3}) {
+		t.Errorf("n=6 k=3: idle profile %v (constant %v), want constant energy 3", e, ok)
+	}
+	lay, err := NewLayout(7, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof := lay.roster.Idle()
+	if _, ok := core.IdleConstOf(prof); ok {
+		t.Fatal("n=7 k=3: groups of sizes 3, 3, 3, 2 declared a constant profile")
+	}
+	sizes := []int{3, 3, 3, 2}
+	for _, from := range []int64{0, 1, 17, 18, 53, 54, 71, 72, 1000} {
+		got := prof.AppendIdleCycle(from, nil)
+		if int64(len(got)) != lay.Delta*int64(lay.L) {
+			t.Fatalf("from %d: %d entries, want δ·ℓ = %d", from, len(got), lay.Delta*int64(lay.L))
+		}
+		for j, e := range got {
+			want := core.IdleRound{Energy: sizes[(from+int64(j))/lay.Delta%int64(lay.L)]}
+			if e != want {
+				t.Fatalf("from %d: entry %d = %+v, want %+v", from, j, e, want)
+			}
+		}
+	}
+}
+
+// TestRoutesStayInsideSeat: every group a station routes a packet into
+// contains it, so Seat.Replica always finds the replica: HomeGroup for
+// each destination, and the next group for a connector's adoption.
+// HomeGroup is the first group, in index order, that holds both
+// endpoints, or else the group the source starts or lies inside.
+func TestRoutesStayInsideSeat(t *testing.T) {
+	for n := 3; n <= 20; n++ {
+		for k := 2; k <= n; k++ {
+			lay, err := NewLayout(n, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for src := 0; src < n; src++ {
+				// src's forward group: the one starting at src, at
+				// g(k−1), or else the first one holding it.
+				forward := -1
+				for g := 0; g < lay.L && forward < 0; g++ {
+					if g*(lay.K-1) == src {
+						forward = g
+					}
+				}
+				for g := 0; g < lay.L && forward < 0; g++ {
+					if slices.Contains(lay.roster.Members(g), src) {
+						forward = g
+					}
+				}
+				for dest := 0; dest < n; dest++ {
+					want := forward
+					for g := 0; g < lay.L; g++ {
+						if m := lay.roster.Members(g); slices.Contains(m, src) && slices.Contains(m, dest) {
+							want = g
+							break
+						}
+					}
+					if got := lay.HomeGroup(src, dest); got != want || !slices.Contains(lay.roster.Members(got), src) {
+						t.Errorf("n=%d k=%d: HomeGroup(%d, %d) = %d, want %d", n, k, src, dest, got, want)
+					}
+				}
+			}
+			for g := 0; g < lay.L; g++ {
+				if c := lay.connector[g]; !slices.Contains(lay.roster.Members(lay.NextGroup(g)), c) {
+					t.Errorf("n=%d k=%d: connector %d of group %d adopts into group %d, which lacks it", n, k, c, g, lay.NextGroup(g))
 				}
 			}
 		}

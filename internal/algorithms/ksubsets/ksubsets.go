@@ -6,14 +6,15 @@
 //
 // Fix the lexicographic enumeration A_0, …, A_{γ−1} of all γ = C(n,k)
 // k-element subsets of the stations. Rounds i + jγ form thread i; during
-// thread i's rounds exactly the stations of A_i are on — a fixed schedule,
-// hence oblivious. Each thread runs an independent instance of
-// Move-Big-To-Front [17] over its k members, each member keeping a
-// broadcast.Replica of it with its queue for the thread. Time is grouped
-// into phases of γ rounds; at each phase start a station allocates the
-// packets injected during the previous phase to threads: per
-// destination w, as balanced as possible (counts differing by at most 1)
-// across the C(n−2,k−2) threads containing both endpoints.
+// thread i's rounds exactly the stations of A_i are on — a fixed schedule
+// (a broadcast.Roster of the threads), hence oblivious. Each thread runs
+// an independent instance of Move-Big-To-Front [17] over its k members,
+// each member keeping a broadcast.Replica of it, with its queue for the
+// thread, in its broadcast.Seat. Time is grouped into phases of γ
+// rounds; at each phase start a station allocates the packets injected
+// during the previous phase to threads: per destination w, as balanced
+// as possible (counts differing by at most 1) across the C(n−2,k−2)
+// threads containing both endpoints.
 //
 // With MBTF inside, packets can starve (Table 1: latency ∞); the paper
 // notes that substituting Round-Robin-Withholding [18] yields bounded
@@ -24,12 +25,10 @@ package ksubsets
 import (
 	"fmt"
 	"math/big"
-	"slices"
 
 	"earmac/internal/broadcast"
 	"earmac/internal/core"
 	"earmac/internal/mac"
-	"earmac/internal/sched"
 )
 
 // MaxThreads caps γ = C(n,k); configurations beyond it are rejected
@@ -38,13 +37,10 @@ const MaxThreads = 1 << 17
 
 // Layout is the static thread structure.
 type Layout struct {
-	N, K    int
-	Gamma   int
-	members [][]int  // thread → sorted member stations
-	mask    []uint64 // thread → membership bitmask (n ≤ 64)
-
-	threadsOf [][]int32 // station → thread indices containing it
-	eligible  [][]int32 // v*n+w → threads containing both v and w
+	N, K     int
+	Gamma    int
+	roster   *broadcast.Roster // the threads, each on duty one round per turn
+	eligible [][]int           // v*n+w → threads containing both v and w, ascending
 }
 
 // Binomial returns C(n, k) or MaxThreads+1 if it overflows the cap.
@@ -69,13 +65,8 @@ func NewLayout(n, k int) (*Layout, error) {
 	if gamma > MaxThreads {
 		return nil, fmt.Errorf("ksubsets: C(%d,%d) exceeds the %d-thread cap", n, k, MaxThreads)
 	}
-	lay := &Layout{
-		N: n, K: k, Gamma: gamma,
-		members:   make([][]int, 0, gamma),
-		mask:      make([]uint64, 0, gamma),
-		threadsOf: make([][]int32, n),
-		eligible:  make([][]int32, n*n),
-	}
+	lay := &Layout{N: n, K: k, Gamma: gamma, eligible: make([][]int, n*n)}
+	threads := make([][]int, 0, gamma)
 	// Lexicographic enumeration.
 	comb := make([]int, k)
 	for i := range comb {
@@ -84,16 +75,12 @@ func NewLayout(n, k int) (*Layout, error) {
 	for {
 		m := make([]int, k)
 		copy(m, comb)
-		var bits uint64
-		for _, s := range m {
-			bits |= 1 << uint(s)
+		for _, v := range m {
+			for _, w := range m {
+				lay.eligible[v*n+w] = append(lay.eligible[v*n+w], len(threads))
+			}
 		}
-		idx := int32(len(lay.members))
-		lay.members = append(lay.members, m)
-		lay.mask = append(lay.mask, bits)
-		for _, s := range m {
-			lay.threadsOf[s] = append(lay.threadsOf[s], idx)
-		}
+		threads = append(threads, m)
 		// Advance to the next combination.
 		i := k - 1
 		for i >= 0 && comb[i] == n-k+i {
@@ -107,81 +94,27 @@ func NewLayout(n, k int) (*Layout, error) {
 			comb[j] = comb[j-1] + 1
 		}
 	}
-	if len(lay.members) != gamma {
+	if len(threads) != gamma {
 		panic("ksubsets: enumeration mismatch")
 	}
-	for v := 0; v < n; v++ {
-		for w := 0; w < n; w++ {
-			var el []int32
-			for _, t := range lay.threadsOf[v] {
-				if lay.mask[t]&(1<<uint(w)) != 0 {
-					el = append(el, t)
-				}
-			}
-			lay.eligible[v*n+w] = el
-		}
-	}
+	lay.roster = broadcast.NewRoster(n, 1, threads)
 	return lay, nil
 }
 
 // Eligible returns the threads containing both v and w.
-func (l *Layout) Eligible(v, w int) []int32 { return l.eligible[v*l.N+w] }
+func (l *Layout) Eligible(v, w int) []int { return l.eligible[v*l.N+w] }
 
-// ActiveThread returns the thread on duty in the given round.
-func (l *Layout) ActiveThread(round int64) int32 {
-	return int32(round % int64(l.Gamma))
-}
-
-// Schedule returns the oblivious on/off schedule (period γ).
-func (l *Layout) Schedule() sched.Schedule {
-	return sched.Func{
-		N: l.N,
-		P: int64(l.Gamma),
-		F: func(st int, round int64) bool {
-			return l.mask[l.ActiveThread(round)]&(1<<uint(st)) != 0
-		},
-	}
-}
-
+// station is one k-Subsets station: its seat holds an MBTF (or RRW)
+// replica per thread it belongs to, and the station stages each phase's
+// injections and allocates them to threads when the next phase begins.
 type station struct {
+	broadcast.Seat
 	id  int
 	lay *Layout
 
-	// The station's thread-local state is laid out densely in membership
-	// order (threads = lay.threadsOf[id], sorted ascending). The active
-	// thread visits 0..γ−1 in round order, so a cursor into the sorted
-	// membership list replaces a per-round map lookup: the station is on
-	// duty exactly when the active thread equals threads[cursor].
-	threads []int32
-	reps    []broadcast.Replica // one MBTF (or RRW) replica per thread membership
-	cursor  int
-
 	staging  []mac.Packet // injected this phase, allocated at next boundary
 	counters [][]int64    // dest → per-eligible-thread allocation counts, nil before its first packet
-
-	curPhase int64
-}
-
-func newStation(id int, lay *Layout, kind broadcast.Kind) *station {
-	threads := lay.threadsOf[id]
-	s := &station{
-		id: id, lay: lay,
-		threads:  threads,
-		reps:     make([]broadcast.Replica, len(threads)),
-		counters: make([][]int64, lay.N),
-		curPhase: -1,
-	}
-	for i, t := range threads {
-		s.reps[i] = broadcast.NewReplica(kind, id, lay.members[t], lay.N)
-	}
-	return s
-}
-
-// local returns the membership index of thread t, which must contain
-// the station: a binary search of the sorted membership list.
-func (s *station) local(t int32) int {
-	i, _ := slices.BinarySearch(s.threads, t)
-	return i
+	phaseEnd int64        // first round after the phase of the station's last Act
 }
 
 func (s *station) Inject(p mac.Packet) { s.staging = append(s.staging, p) }
@@ -203,82 +136,45 @@ func (s *station) allocate() {
 			}
 		}
 		cnt[best]++
-		s.reps[s.local(el[best])].Inject(p)
+		s.Replica(el[best]).Inject(p)
 	}
 	s.staging = s.staging[:0]
 }
 
 func (s *station) Act(round int64) core.Action {
-	phase := round / int64(s.lay.Gamma)
-	if phase != s.curPhase {
-		s.curPhase = phase
-		s.cursor = 0
+	if round >= s.phaseEnd {
+		// A new phase: the packets staged before it go to their threads.
+		g := int64(s.lay.Gamma)
+		s.phaseEnd = round/g*g + g
 		s.allocate()
 	}
-	t := s.lay.ActiveThread(round)
-	for s.cursor < len(s.threads) && s.threads[s.cursor] < t {
-		s.cursor++
+	if r := s.Duty(round); r != nil {
+		return r.Act(round)
 	}
-	if s.cursor >= len(s.threads) || s.threads[s.cursor] != t {
-		return core.Off()
-	}
-	return s.reps[s.cursor].Act(round)
+	return core.Off()
 }
 
-func (s *station) Observe(round int64, fb mac.Feedback) {
-	// Observe is only called for switched-on rounds, when Act left the
-	// cursor on the active thread.
-	s.reps[s.cursor].Observe(round, fb)
-}
-
-func (s *station) QueueLen() int {
-	total := len(s.staging)
-	for i := range s.reps {
-		total += s.reps[i].QueueLen()
-	}
-	return total
-}
+func (s *station) QueueLen() int { return len(s.staging) + s.Seat.QueueLen() }
 
 // Quiescent implements mac.Skipper: with nothing staged and every
 // thread's replica idle, every on-duty round finds an empty holder — the
 // station listens and the only transition is a token pass.
-func (s *station) Quiescent() bool {
-	if len(s.staging) != 0 {
-		return false
-	}
-	for i := range s.reps {
-		if !s.reps[i].Idle() {
-			return false
-		}
-	}
-	return true
-}
+func (s *station) Quiescent() bool { return len(s.staging) == 0 && s.Seat.Quiescent() }
 
 // SkipIdle implements mac.Skipper: each thread's replica saw one
-// silence per round its thread was on duty, and curPhase/cursor take
-// their exact post-Act(to−1) values. The phase must NOT be left stale:
-// a wake-up round injects before it acts, and a stale phase would make
-// Act allocate the fresh packet a phase early instead of staging it
-// until the next real boundary.
+// silence per round its thread was on duty, and the phase moves on as
+// if Act(to−1) had run, with nothing staged to allocate. The phase must
+// NOT be left stale: a wake-up round injects before it acts, and a
+// stale phase would make Act allocate the fresh packet a phase early
+// instead of staging it until the next real boundary.
 func (s *station) SkipIdle(from, to int64) {
+	s.Seat.SkipIdle(from, to)
 	g := int64(s.lay.Gamma)
-	for i, t := range s.threads {
-		s.reps[i].SkipIdle(from, to, 1, g, int64(t))
-	}
-	s.curPhase = (to - 1) / g
-	t := int32((to - 1) % g)
-	s.cursor = 0
-	for s.cursor < len(s.threads) && s.threads[s.cursor] < t {
-		s.cursor++
-	}
+	s.phaseEnd = (to-1)/g*g + g
 }
 
 func (s *station) AppendHeld(dst []mac.Packet) []mac.Packet {
-	dst = append(dst, s.staging...)
-	for i := range s.reps {
-		dst = s.reps[i].AppendHeld(dst)
-	}
-	return dst
+	return s.Seat.AppendHeld(append(dst, s.staging...))
 }
 
 func build(n, k int, kind broadcast.Kind) (*core.System, error) {
@@ -286,9 +182,10 @@ func build(n, k int, kind broadcast.Kind) (*core.System, error) {
 	if err != nil {
 		return nil, err
 	}
+	seats := lay.roster.Seats(kind)
 	stations := make([]core.Protocol, n)
-	for i := 0; i < n; i++ {
-		stations[i] = newStation(i, lay, kind)
+	for i := range stations {
+		stations[i] = &station{Seat: seats[i], id: i, lay: lay, counters: make([][]int64, n)}
 	}
 	rrw := kind == broadcast.RRW
 	name := fmt.Sprintf("%d-subsets", k)
@@ -304,10 +201,10 @@ func build(n, k int, kind broadcast.Kind) (*core.System, error) {
 			Oblivious:   true,
 		},
 		Stations: stations,
-		Schedule: lay.Schedule(),
+		Schedule: lay.roster,
 		// Idle rounds: the k members of the active thread listen in
 		// silence (empty holders never transmit).
-		Idle: core.ConstIdle{Energy: k},
+		Idle: lay.roster.Idle(),
 	}, nil
 }
 

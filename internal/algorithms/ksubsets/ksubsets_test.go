@@ -1,10 +1,10 @@
 package ksubsets
 
 import (
+	"slices"
 	"testing"
 
 	"earmac/internal/adversary"
-	"earmac/internal/broadcast"
 	"earmac/internal/core"
 	"earmac/internal/mac"
 	"earmac/internal/metrics"
@@ -47,15 +47,15 @@ func TestLayoutEnumeration(t *testing.T) {
 	}
 	want := [][]int{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}}
 	for i, w := range want {
-		got := lay.members[i]
+		got := lay.roster.Members(i)
 		if len(got) != 2 || got[0] != w[0] || got[1] != w[1] {
 			t.Errorf("A_%d = %v, want %v", i, got, w)
 		}
 	}
 	// Each station is in C(3,1) = 3 threads.
-	for v := 0; v < 4; v++ {
-		if len(lay.threadsOf[v]) != 3 {
-			t.Errorf("station %d in %d threads", v, len(lay.threadsOf[v]))
+	for v, c := range sched.OnCounts(lay.roster) {
+		if c != 3 {
+			t.Errorf("station %d in %d threads", v, c)
 		}
 	}
 }
@@ -75,7 +75,7 @@ func TestEligibleThreads(t *testing.T) {
 				t.Errorf("Eligible(%d,%d) has %d threads, want %d", v, w, len(el), wantLen)
 			}
 			for _, th := range el {
-				if lay.mask[th]&(1<<uint(v)) == 0 || lay.mask[th]&(1<<uint(w)) == 0 {
+				if m := lay.roster.Members(th); !slices.Contains(m, v) || !slices.Contains(m, w) {
 					t.Errorf("thread %d in Eligible(%d,%d) misses an endpoint", th, v, w)
 				}
 			}
@@ -85,15 +85,15 @@ func TestEligibleThreads(t *testing.T) {
 
 func TestScheduleRespectsCap(t *testing.T) {
 	lay, _ := NewLayout(6, 3)
-	if err := sched.Validate(lay.Schedule(), 3); err != nil {
+	if err := sched.Validate(lay.roster, 3); err != nil {
 		t.Error(err)
 	}
-	if got := sched.MaxSimultaneous(lay.Schedule()); got != 3 {
+	if got := sched.MaxSimultaneous(lay.roster); got != 3 {
 		t.Errorf("max on = %d, want 3", got)
 	}
 	// Double counting: every station is on in exactly C(n−1,k−1)/γ of the
 	// rounds = k/n.
-	counts := sched.OnCounts(lay.Schedule())
+	counts := sched.OnCounts(lay.roster)
 	for v, c := range counts {
 		if c != 10 { // C(5,2)
 			t.Errorf("station %d on %d rounds per period, want 10", v, c)
@@ -200,12 +200,11 @@ func TestBalancedAllocation(t *testing.T) {
 	// After many injections to one destination, the per-thread counters of
 	// that (src, dest) pair differ by at most 1 (the paper's balance
 	// property).
-	lay, _ := NewLayout(6, 3)
-	s := newStation(0, lay, broadcast.MBTF)
+	sys, _ := New(6, 3)
+	s := sys.Stations[0].(*station)
 	for i := 0; i < 101; i++ {
 		s.Inject(pktFor(int64(i), 0, 4))
 	}
-	s.curPhase = 0
 	s.allocate()
 	cnt := s.counters[4]
 	min, max := cnt[0], cnt[0]
@@ -262,28 +261,27 @@ func pktFor(id int64, src, dest int) mac.Packet {
 	return mac.Packet{ID: id, Src: src, Dest: dest}
 }
 
-// TestLocalMatchesMembers: a station's binary-search lookup of a
-// thread finds that thread's slot in its membership list, for every
-// thread it belongs to and every thread allocate may pick.
-func TestLocalMatchesMembers(t *testing.T) {
+// TestRoutesStayInsideSeat: every thread allocate may pick for a
+// packet, Eligible(src, dest), holds both endpoints, so the source's
+// Seat.Replica always finds the thread's replica; the list is every
+// such thread, ascending.
+func TestRoutesStayInsideSeat(t *testing.T) {
 	for n := 3; n <= 9; n++ {
 		for k := 2; k <= n; k++ {
 			lay, err := NewLayout(n, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for id := 0; id < n; id++ {
-				s := newStation(id, lay, broadcast.MBTF)
-				for i, th := range s.threads {
-					if got := s.local(th); got != i {
-						t.Errorf("n=%d k=%d station %d: local(%d) = %d, want %d", n, k, id, th, got, i)
-					}
-				}
+			for src := 0; src < n; src++ {
 				for dest := 0; dest < n; dest++ {
-					for _, th := range lay.Eligible(id, dest) {
-						if got := s.local(th); got >= len(s.threads) || s.threads[got] != th {
-							t.Errorf("n=%d k=%d station %d: local(%d) = %d for dest %d, threads %v", n, k, id, th, got, dest, s.threads)
+					var want []int
+					for th := 0; th < lay.Gamma; th++ {
+						if m := lay.roster.Members(th); slices.Contains(m, src) && slices.Contains(m, dest) {
+							want = append(want, th)
 						}
+					}
+					if got := lay.Eligible(src, dest); !slices.Equal(got, want) {
+						t.Errorf("n=%d k=%d: Eligible(%d, %d) = %v, want %v", n, k, src, dest, got, want)
 					}
 				}
 			}

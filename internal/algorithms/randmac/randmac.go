@@ -32,7 +32,6 @@ import (
 	"earmac/internal/core"
 	"earmac/internal/mac"
 	"earmac/internal/pktq"
-	"earmac/internal/sched"
 )
 
 // period makes the pseudorandom schedule formally periodic (and thus a
@@ -83,16 +82,11 @@ func NewLayout(n, k int, seed uint64) (*Layout, error) {
 	return l, nil
 }
 
-// OnSet returns a copy of the k stations switched on in the given
-// round, identical across all replicas: the first k entries of a seeded
-// Fisher-Yates shuffle of [0, n).
-func (l *Layout) OnSet(round int64) []int {
-	return append([]int(nil), l.onSet(round)...)
-}
-
-// onSet returns the given round's on-set from the cache, recomputing it
-// only when the round differs from the cached one. The result aliases
-// the cache and is valid until the next call for another round.
+// onSet returns the k stations switched on in the given round,
+// identical across all replicas: the first k entries of a seeded
+// Fisher-Yates shuffle of [0, n). It reads the cache, recomputing it
+// only when the round differs from the cached one, so the result
+// aliases the cache and is valid until the next call for another round.
 func (l *Layout) onSet(round int64) []int {
 	if round != l.stamp {
 		l.fill(round)
@@ -119,31 +113,21 @@ func (l *Layout) fill(round int64) {
 	l.stamp = round
 }
 
-// AppendAwake implements core.Awaker: it appends the round's on-set to
-// buf and sorts the appended entries there, leaving the cache (which
-// OnSet returns in shuffle order) as it is.
-func (l *Layout) AppendAwake(round int64, buf []int) []int {
+// NumStations implements sched.Schedule.
+func (l *Layout) NumStations() int { return l.N }
+
+// Period implements sched.Schedule.
+func (l *Layout) Period() int64 { return period }
+
+// AppendOn implements sched.Schedule and core.Awaker: it appends the
+// round's on-set to buf and sorts the appended entries there, leaving
+// the cache in shuffle order. It reads the cache, so it is called on
+// the goroutine that steps the system.
+func (l *Layout) AppendOn(round int64, buf []int) []int {
 	n := len(buf)
 	buf = append(buf, l.onSet(round)...)
 	slices.Sort(buf[n:])
 	return buf
-}
-
-// Schedule returns the oblivious on/off schedule. It reads the Layout's
-// cache, so it is queried on the goroutine that steps the system.
-func (l *Layout) Schedule() sched.Schedule {
-	return sched.Func{
-		N: l.N,
-		P: period,
-		F: func(st int, round int64) bool {
-			for _, s := range l.onSet(round) {
-				if s == st {
-					return true
-				}
-			}
-			return false
-		},
-	}
 }
 
 type station struct {
@@ -250,7 +234,7 @@ func NewSeeded(n, k int, seed uint64) (*core.System, error) {
 			Oblivious:   true,
 		},
 		Stations: stations,
-		Schedule: lay.Schedule(),
+		Schedule: lay,
 		// Idle rounds: the k scheduled stations listen in silence.
 		Idle:             core.ConstIdle{Energy: k},
 		FeedbackFreeIdle: true,

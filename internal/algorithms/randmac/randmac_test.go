@@ -29,7 +29,7 @@ func TestOnSetProperties(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r := int64(0); r < 500; r++ {
-		set := lay.OnSet(r)
+		set := lay.onSet(r)
 		if len(set) != 4 {
 			t.Fatalf("round %d: on-set size %d", r, len(set))
 		}
@@ -50,13 +50,14 @@ func TestOnSetDeterministicAndPeriodic(t *testing.T) {
 	a, _ := NewLayout(8, 3, 7)
 	b, _ := NewLayout(8, 3, 7)
 	for r := int64(0); r < 100; r++ {
-		x, y := a.OnSet(r), b.OnSet(r)
+		// x is a copy: a's next call refills the cache it aliases.
+		x, y := slices.Clone(a.onSet(r)), b.onSet(r)
 		for i := range x {
 			if x[i] != y[i] {
 				t.Fatal("on-set not deterministic")
 			}
 		}
-		z := a.OnSet(r + period)
+		z := a.onSet(r + period)
 		for i := range x {
 			if x[i] != z[i] {
 				t.Fatal("on-set not periodic")
@@ -66,7 +67,7 @@ func TestOnSetDeterministicAndPeriodic(t *testing.T) {
 	c, _ := NewLayout(8, 3, 8)
 	diff := false
 	for r := int64(0); r < 20; r++ {
-		x, y := a.OnSet(r), c.OnSet(r)
+		x, y := a.onSet(r), c.onSet(r)
 		for i := range x {
 			if x[i] != y[i] {
 				diff = true
@@ -124,7 +125,7 @@ func TestOnSetMatchesReference(t *testing.T) {
 		}
 		for _, r := range cacheRounds(int64(c.n*64 + c.k)) {
 			want := referenceOnSet(c.n, c.k, c.seed, r)
-			if got := lay.OnSet(r); !slices.Equal(got, want) {
+			if got := lay.onSet(r); !slices.Equal(got, want) {
 				t.Fatalf("n=%d k=%d round %d: on-set %v, want %v", c.n, c.k, r, got, want)
 			}
 		}
@@ -137,30 +138,31 @@ func TestScheduleMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := lay.Schedule()
 		rounds := cacheRounds(int64(c.n*64 + c.k + 1))
 		for i := 1; i < len(rounds); i++ {
-			// Alternate two rounds station by station: a cache that kept
-			// either round's set answers the other one wrongly.
+			// Alternate two rounds: a cache that kept either round's set
+			// answers the other one wrongly. The on-set is appended
+			// after what buf holds, ascending.
 			a, b := rounds[i-1], rounds[i]
-			onA, onB := referenceOnSet(c.n, c.k, c.seed, a), referenceOnSet(c.n, c.k, c.seed, b)
-			for st := 0; st < c.n; st++ {
-				if got, want := s.On(st, a), slices.Contains(onA, st); got != want {
-					t.Fatalf("n=%d k=%d: On(%d, %d) = %v, want %v", c.n, c.k, st, a, got, want)
-				}
-				if got, want := s.On(st, b), slices.Contains(onB, st); got != want {
-					t.Fatalf("n=%d k=%d: On(%d, %d) = %v, want %v", c.n, c.k, st, b, got, want)
+			for _, r := range []int64{a, b, a} {
+				want := append([]int{-1}, slices.Sorted(slices.Values(referenceOnSet(c.n, c.k, c.seed, r)))...)
+				if got := lay.AppendOn(r, []int{-1}); !slices.Equal(got, want) {
+					t.Fatalf("n=%d k=%d: AppendOn(%d) = %v, want %v", c.n, c.k, r, got, want)
 				}
 			}
 		}
 	}
 }
 
+// prefix is a Layout's schedule cut to its first 2048 rounds:
+// validating the full 2^14 period is slow-ish.
+type prefix struct{ *Layout }
+
+func (prefix) Period() int64 { return 2048 }
+
 func TestScheduleRespectsCap(t *testing.T) {
 	lay, _ := NewLayout(8, 3, 1)
-	s := lay.Schedule()
-	// Validating the full 2^14 period is slow-ish; sample a prefix.
-	probe := sched.Func{N: 8, P: 2048, F: s.On}
+	probe := prefix{lay}
 	if err := sched.Validate(probe, 3); err != nil {
 		t.Error(err)
 	}

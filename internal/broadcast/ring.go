@@ -3,12 +3,18 @@
 // (RRW, [18]), Old-First Round-Robin-Withholding (OF-RRW, [3]), and
 // Move-Big-To-Front (MBTF, [17]). One form serves every use: a Replica
 // is one station's copy of a protocol over a member list, with the
-// station's queue for it. The energy-capped algorithms hold one replica
-// per member set they join — k-Cycle an OF-RRW replica per group,
-// k-Clique one per pair, k-Subsets an MBTF (or RRW) replica per thread —
-// and the standalone core.Systems here make each replica a station, all
-// n of them always on (energy cap n): the setting of the original
-// papers, used as baselines and to validate the quoted bounds.
+// station's queue for it.
+//
+// The energy-capped algorithms run the protocols in member sets that
+// take turns on duty — k-Cycle OF-RRW in groups, k-Clique OF-RRW in
+// pairs, k-Subsets MBTF (or RRW) in threads — and a Roster is that
+// rotation: which set is on duty in which round. It is the system's
+// schedule and idle profile, and each station's Seat in it holds one
+// replica per set the station joins and finds the one on duty in a
+// round. The standalone core.Systems here make each replica a station,
+// all n of them always on (energy cap n, a roster of one set): the
+// setting of the original papers, used as baselines and to validate
+// the quoted bounds.
 package broadcast
 
 // ring is the replicated token state all three protocols share over a

@@ -1,9 +1,6 @@
 package broadcast
 
-import (
-	"earmac/internal/core"
-	"earmac/internal/sched"
-)
+import "earmac/internal/core"
 
 // newSystem builds a standalone baseline: n always-on stations (energy
 // cap n), each a replica of the protocol over all n, direct delivery.
@@ -25,8 +22,8 @@ func newSystem(name string, kind Kind, n int) *core.System {
 		},
 		Stations: stations,
 		// The trivial oblivious schedule of the original broadcast
-		// setting: every station on in every round.
-		Schedule: sched.Func{N: n, P: 1, F: func(int, int64) bool { return true }},
+		// setting, one set always on duty: every station on in every round.
+		Schedule: NewRoster(n, 1, [][]int{ids}),
 	}
 }
 

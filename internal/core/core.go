@@ -112,10 +112,12 @@ type System struct {
 }
 
 // Awaker is the sparse-sweep contract of an energy-oblivious system
-// (DESIGN.md §16). AppendAwake appends to buf, in ascending order,
-// every station that may switch on in round t, and returns the extended
+// (DESIGN.md §16). AppendOn appends to buf, in ascending order, every
+// station that may switch on in round t, and returns the extended
 // slice. The simulator passes one scratch buffer, reused every round,
-// with room for all n stations.
+// with room for all n stations. It is sched.Schedule's method, so a
+// schedule that names its on-sets cheaply can serve as the awake set
+// too.
 //
 // Every other station's Act(t) returns Off and leaves no state behind:
 // an Off round has no input, so calling it or not changes nothing the
@@ -123,7 +125,7 @@ type System struct {
 // therefore visits only the awake stations and the round's injected
 // ones, and skips the rest outright.
 type Awaker interface {
-	AppendAwake(t int64, buf []int) []int
+	AppendOn(t int64, buf []int) []int
 }
 
 // N returns the number of stations.

@@ -105,9 +105,10 @@ const (
 // disciplines, injection ranges — and three validators that NewSim
 // attaches as state, each costing the loop one nil check when absent:
 //
-//   - the schedule-conformance scan, O(n) a round on oblivious systems,
-//     attached in strict mode, with conservation checking, with a
-//     Tracer, or with Options.ForceChecked;
+//   - the schedule-conformance scan, O(n) a round on oblivious systems
+//     (one Schedule.AppendOn, walked against the on flags), attached in
+//     strict mode, with conservation checking, with a Tracer, or with
+//     Options.ForceChecked;
 //   - the conservation ledger (Options.CheckEvery), O(1) per injection
 //     and delivery plus a CheckConservation every CheckEvery rounds;
 //   - the Tracer, for which the loop keeps each round's action vector
@@ -138,6 +139,7 @@ type Sim struct {
 
 	// Validators (see the type comment); each is nil when not attached.
 	sched  sched.Schedule
+	onSet  []int // the schedule scan's scratch: the round's on-set
 	ledger *ledger
 	tracer Tracer
 
@@ -206,7 +208,9 @@ func NewSim(sys *System, adv Adversary, opt Options) *Sim {
 		s.actions = make([]Action, sys.N())
 	}
 	if !s.FastPath() {
-		s.sched = sys.Schedule
+		if s.sched = sys.Schedule; s.sched != nil {
+			s.onSet = make([]int, 0, sys.N())
+		}
 	} else if !opt.NoSkip && s.roundObs == nil && s.queueObs == nil && s.fbObs == nil {
 		// The fast-forward engine and the sparse sweep run only here:
 		// the validators need every station's action every round, and
@@ -386,7 +390,7 @@ func (s *Sim) stepFrom(t int64, injs []Injection, disrupted Disrupt) error {
 	// unless a tracer wants the whole action vector.
 	visit := s.visit
 	if sparse {
-		visit = s.awake.AppendAwake(t, visit[:0])
+		visit = s.awake.AppendOn(t, visit[:0])
 		s.visit = visit
 	}
 	energy := 0
@@ -423,8 +427,15 @@ func (s *Sim) stepFrom(t int64, injs []Injection, disrupted Disrupt) error {
 		}
 	}
 	if s.sched != nil {
+		// Walk the stations against the round's ascending on-set.
+		s.onSet = s.sched.AppendOn(t, s.onSet[:0])
+		next := 0
 		for i, on := range s.on {
-			if on != s.sched.On(i, t) {
+			scheduled := next < len(s.onSet) && s.onSet[next] == i
+			if scheduled {
+				next++
+			}
+			if on != scheduled {
 				if err := s.violate("station %d violates oblivious schedule: on=%v", i, on); err != nil {
 					return err
 				}

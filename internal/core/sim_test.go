@@ -228,6 +228,23 @@ func TestViolations(t *testing.T) {
 		bare:   []string{},
 		strict: "round 0: station 0 violates oblivious schedule: on=true",
 	}, {
+		name:   "oblivious schedule, several stations",
+		rounds: 1,
+		system: func() *System {
+			// Every station but 3 is scheduled in round 0: 1 stays off
+			// and the unscheduled 3 listens. The scan reports both in
+			// station order, and none for the scheduled 2 between them.
+			system := sys(5, listen(1), &scriptProto{acts: []Action{Off()}}, listen(1), listen(1), listen(1))
+			system.Schedule = sched.Func{N: 5, P: 1, F: func(st int, _ int64) bool { return st != 3 }}
+			return system
+		},
+		want: []string{
+			"station 1 violates oblivious schedule: on=false",
+			"station 3 violates oblivious schedule: on=true",
+		},
+		bare:   []string{},
+		strict: "round 0: station 1 violates oblivious schedule: on=false",
+	}, {
 		name:   "injection out of range",
 		rounds: 1,
 		injs:   scriptAdv{0: {{Station: 5, Dest: 0}}},

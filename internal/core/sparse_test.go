@@ -20,7 +20,7 @@ func (s napSched) on(i int, t int64) bool {
 	return r == 0 || r == 2
 }
 
-func (s napSched) AppendAwake(t int64, buf []int) []int {
+func (s napSched) AppendOn(t int64, buf []int) []int {
 	for i := 0; i < s.n; i++ {
 		if s.on(i, t) {
 			buf = append(buf, i)

@@ -534,7 +534,7 @@ func FuzzIdleClock(f *testing.F) {
 // firstAwake is an awake set naming station 0 every round.
 type firstAwake struct{}
 
-func (firstAwake) AppendAwake(t int64, buf []int) []int { return append(buf, 0) }
+func (firstAwake) AppendOn(t int64, buf []int) []int { return append(buf, 0) }
 
 // TestWrapPassesAwakeThrough: the wrapped system names the inner awake
 // set whatever its stations, and none when the inner system has none.

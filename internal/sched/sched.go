@@ -2,8 +2,10 @@
 // algorithms. Per the paper (§2), an algorithm is energy-oblivious when it
 // determines in advance, for each station and round, whether the station
 // is on; it is k-energy-oblivious when at most k stations are on per
-// round. The impossibility adversaries of Theorems 6 and 9 are constructed
-// directly from these schedules (by double counting station-rounds and
+// round. A Schedule names each round's on-set, which the simulator's
+// schedule scan compares with the stations' actions round by round. The
+// impossibility adversaries of Theorems 6 and 9 are constructed directly
+// from these schedules (by double counting station-rounds and
 // station-pair-rounds), so the package also provides that analysis.
 package sched
 
@@ -15,31 +17,40 @@ type Schedule interface {
 	NumStations() int
 	// Period returns the period after which the schedule repeats.
 	Period() int64
-	// On reports whether the station is switched on in the given round.
-	On(station int, round int64) bool
+	// AppendOn appends to buf, in ascending order, the stations switched
+	// on in the given round, and returns the extended slice.
+	AppendOn(round int64, buf []int) []int
 }
 
-// Func adapts a function to a Schedule.
+// Func adapts a per-station predicate to a Schedule.
 type Func struct {
 	N int
 	P int64
 	F func(station int, round int64) bool
 }
 
-func (f Func) NumStations() int            { return f.N }
-func (f Func) Period() int64               { return f.P }
-func (f Func) On(st int, round int64) bool { return f.F(st, round%f.P) }
+func (f Func) NumStations() int { return f.N }
+func (f Func) Period() int64    { return f.P }
+
+// AppendOn implements Schedule.
+func (f Func) AppendOn(round int64, buf []int) []int {
+	for st := 0; st < f.N; st++ {
+		if f.F(st, round%f.P) {
+			buf = append(buf, st)
+		}
+	}
+	return buf
+}
 
 // OnCounts returns, for each station, the number of rounds per period in
 // which it is switched on.
 func OnCounts(s Schedule) []int64 {
-	n := s.NumStations()
-	counts := make([]int64, n)
+	counts := make([]int64, s.NumStations())
+	var on []int
 	for t := int64(0); t < s.Period(); t++ {
-		for i := 0; i < n; i++ {
-			if s.On(i, t) {
-				counts[i]++
-			}
+		on = s.AppendOn(t, on[:0])
+		for _, i := range on {
+			counts[i]++
 		}
 	}
 	return counts
@@ -54,14 +65,9 @@ func PairCounts(s Schedule) [][]int64 {
 	for i := range counts {
 		counts[i] = make([]int64, n)
 	}
-	on := make([]int, 0, n)
+	var on []int
 	for t := int64(0); t < s.Period(); t++ {
-		on = on[:0]
-		for i := 0; i < n; i++ {
-			if s.On(i, t) {
-				on = append(on, i)
-			}
-		}
+		on = s.AppendOn(t, on[:0])
 		for _, w := range on {
 			for _, z := range on {
 				counts[w][z]++
@@ -74,34 +80,21 @@ func PairCounts(s Schedule) [][]int64 {
 // MaxSimultaneous returns the maximum number of stations switched on in
 // any round of a period — the energy the schedule actually needs.
 func MaxSimultaneous(s Schedule) int {
-	max := 0
-	n := s.NumStations()
+	most := 0
+	var on []int
 	for t := int64(0); t < s.Period(); t++ {
-		c := 0
-		for i := 0; i < n; i++ {
-			if s.On(i, t) {
-				c++
-			}
-		}
-		if c > max {
-			max = c
-		}
+		on = s.AppendOn(t, on[:0])
+		most = max(most, len(on))
 	}
-	return max
+	return most
 }
 
 // Validate checks that the schedule never exceeds the energy cap.
 func Validate(s Schedule, cap int) error {
-	n := s.NumStations()
+	var on []int
 	for t := int64(0); t < s.Period(); t++ {
-		c := 0
-		for i := 0; i < n; i++ {
-			if s.On(i, t) {
-				c++
-			}
-		}
-		if c > cap {
-			return fmt.Errorf("sched: %d stations on in round %d exceeds cap %d", c, t, cap)
+		if on = s.AppendOn(t, on[:0]); len(on) > cap {
+			return fmt.Errorf("sched: %d stations on in round %d exceeds cap %d", len(on), t, cap)
 		}
 	}
 	return nil

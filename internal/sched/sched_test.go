@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -140,11 +141,18 @@ func TestDoubleCountingProperties(t *testing.T) {
 
 func TestFuncWrapsPeriod(t *testing.T) {
 	s := roundRobinPairs(3)
-	for st := 0; st < 3; st++ {
-		for r := int64(0); r < 3; r++ {
-			if s.On(st, r) != s.On(st, r+3*7) {
-				t.Errorf("schedule not periodic at (%d, %d)", st, r)
-			}
+	for r := int64(0); r < 3; r++ {
+		if a, b := s.AppendOn(r, nil), s.AppendOn(r+3*7, nil); !slices.Equal(a, b) {
+			t.Errorf("schedule not periodic at round %d: %v, then %v", r, a, b)
 		}
+	}
+}
+
+// TestFuncAppendsAscending: the adapter appends a round's on-set after
+// what buf holds, in station order.
+func TestFuncAppendsAscending(t *testing.T) {
+	s := roundRobinPairs(4)
+	if got, want := s.AppendOn(3, []int{9}), []int{9, 0, 3}; !slices.Equal(got, want) {
+		t.Errorf("AppendOn(3) = %v, want %v", got, want)
 	}
 }

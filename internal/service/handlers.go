@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -118,11 +119,24 @@ func recordParam(r *http.Request) (bool, error) {
 
 // decodeBody decodes a JSON request body of at most maxBodyBytes into
 // v. Unknown fields are rejected so a typo'd field name fails loudly
-// instead of silently running the default experiment.
+// instead of silently running the default experiment, and so is
+// anything but white space after the value, which would otherwise be
+// ignored (a second config, say).
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	_, err := dec.Token()
+	switch {
+	case err == io.EOF:
+		return nil
+	case errors.As(err, new(*http.MaxBytesError)):
+		return err
+	default:
+		return errors.New("unexpected data after the JSON value")
+	}
 }
 
 // decodeCode maps a request-decoding or validation error to its status

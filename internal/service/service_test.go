@@ -286,31 +286,54 @@ func TestTraceForCachedRunRequiresRecording(t *testing.T) {
 
 func TestSubmitValidationErrors(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
+	grid := `{"algorithms":["count-hop"],"ns":[4],"base":{"rounds":50}}`
 	cases := []struct {
-		name, body string
-		wantStatus int
-		wantSub    string
+		name, path, body string
+		wantStatus       int
+		wantSub          string
 	}{
-		{"unknown-algorithm", `{"algorithm":"nope"}`, http.StatusBadRequest, "unknown algorithm"},
-		{"bad-rate", `{"rho_num":3,"rho_den":2}`, http.StatusBadRequest, "bad injection rate"},
+		{"unknown-algorithm", "", `{"algorithm":"nope"}`, http.StatusBadRequest, "unknown algorithm"},
+		{"bad-rate", "", `{"rho_num":3,"rho_den":2}`, http.StatusBadRequest, "bad injection rate"},
 		// A bucket that overflows int64 is rejected up front; it used to
 		// panic in the job goroutine and take the process down.
-		{"overflowing-bucket", `{"algorithm":"orchestra","n":8,"rho_num":1,"rho_den":10,"beta":1000000000000000000,"rounds":10}`,
+		{"overflowing-bucket", "", `{"algorithm":"orchestra","n":8,"rho_num":1,"rho_den":10,"beta":1000000000000000000,"rounds":10}`,
 			http.StatusBadRequest, "bad burstiness"},
 		// A β above earmac.MaxBeta is rejected before round 0 injects
 		// the burst. One past the bound keeps a regression cheap: it
 		// would run a 2^20-packet burst and answer 200, not exhaust
 		// the test's memory.
-		{"burst-above-bound", fmt.Sprintf(`{"algorithm":"orchestra","n":8,"rho_num":1,"rho_den":3,"beta":%d,"rounds":10}`, earmac.MaxBeta+1),
+		{"burst-above-bound", "", fmt.Sprintf(`{"algorithm":"orchestra","n":8,"rho_num":1,"rho_den":3,"beta":%d,"rounds":10}`, earmac.MaxBeta+1),
 			http.StatusBadRequest, "bad burstiness"},
-		{"unknown-field", `{"algorithm":"orchestra","typo_field":1}`, http.StatusBadRequest, "unknown field"},
-		{"malformed", `{`, http.StatusBadRequest, "decoding config"},
-		{"body-too-large", `{"algorithm":"` + strings.Repeat("a", maxBodyBytes) + `"}`,
+		{"unknown-field", "", `{"algorithm":"orchestra","typo_field":1}`, http.StatusBadRequest, "unknown field"},
+		{"malformed", "", `{`, http.StatusBadRequest, "decoding config"},
+		{"body-too-large", "", `{"algorithm":"` + strings.Repeat("a", maxBodyBytes) + `"}`,
+			http.StatusRequestEntityTooLarge, "request body too large"},
+		// One value per body: a second value or trailing bytes used to
+		// be ignored, so the first config ran and answered 200.
+		{"second-value", "/v1/run", `{"algorithm":"count-hop","n":4,"rounds":50}{"n":99999999}`,
+			http.StatusBadRequest, "unexpected data after the JSON value"},
+		{"trailing-garbage", "/v1/run", `{"algorithm":"count-hop","n":4,"rounds":50} garbage`,
+			http.StatusBadRequest, "unexpected data after the JSON value"},
+		{"job-second-value", "/v1/jobs", `{"algorithm":"count-hop","n":4,"rounds":50}{"n":99999999}`,
+			http.StatusBadRequest, "unexpected data after the JSON value"},
+		{"job-trailing-garbage", "/v1/jobs", `{"algorithm":"count-hop","n":4,"rounds":50} garbage`,
+			http.StatusBadRequest, "unexpected data after the JSON value"},
+		{"suite-second-value", "/v1/suite", grid + `{"ns":[99999999]}`,
+			http.StatusBadRequest, "unexpected data after the JSON value"},
+		{"suite-trailing-garbage", "/v1/suite", grid + ` garbage`,
+			http.StatusBadRequest, "unexpected data after the JSON value"},
+		// Trailing white space is no data; trailing bytes past the cap
+		// are still a body over it.
+		{"trailing-space-too-large", "/v1/run", `{"algorithm":"count-hop","n":4,"rounds":50}` + strings.Repeat(" ", maxBodyBytes),
 			http.StatusRequestEntityTooLarge, "request body too large"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			resp, raw := post(t, ts.URL+"/v1/run", c.body)
+			path := c.path
+			if path == "" {
+				path = "/v1/run"
+			}
+			resp, raw := post(t, ts.URL+path, c.body)
 			if resp.StatusCode != c.wantStatus {
 				t.Fatalf("status %d, want %d (%.200s)", resp.StatusCode, c.wantStatus, raw)
 			}
